@@ -15,13 +15,13 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import linalg
 
 from .cohort import CohortTrie, ImpossibleContinuationError
-from .lexicon import plosive_voicing_pairs
+from .lexicon import PLOSIVE_VOICING_PAIRS
 from .metrics import AcousticEvidence, MetricTrace, metric_trace
 
 VARIANCE_FLOOR = 1e-12
@@ -174,16 +174,7 @@ def ols_fit(rows: Sequence[RegressionRow], predictors: Iterable[str]) -> FitResu
     n, p = X.shape
     if n <= p:
         raise ValueError(f"need more rows than parameters: n={n}, p={p}")
-    _, r_matrix, pivots = linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r_matrix))
-    tol = diag[0] * max(n, p) * np.finfo(float).eps if diag[0] > 0 else 0.0
-    rank = int(np.sum(diag > tol))
-    if rank < p:
-        collinear = [names[j] for j in sorted(pivots[rank:])]
-        raise SingularDesignError(f"collinear design columns: {collinear}")
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-    residuals = y - X @ beta
-    sse = float(residuals @ residuals)
+    beta, sse = _least_squares(X, names)(y)
     sigma2 = max(sse / n, VARIANCE_FLOOR)
     log_likelihood = _loglik_from_sse(n, sse)
     return FitResult(
@@ -194,6 +185,32 @@ def ols_fit(rows: Sequence[RegressionRow], predictors: Iterable[str]) -> FitResu
         p=p,
         predictors=frozenset(predictors),
     )
+
+
+def _least_squares(
+    X: np.ndarray, names: Sequence[str]
+) -> Callable[[np.ndarray], tuple[np.ndarray, float]]:
+    """Factor X once by pivoted QR; return a solver y -> (beta, SSE).
+
+    Raises SingularDesignError naming the collinear columns when X is
+    rank deficient. The SSE is summed from the explicit residuals.
+    """
+    n, p = X.shape
+    q, r_matrix, pivots = linalg.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r_matrix))
+    tol = diag[0] * max(n, p) * np.finfo(float).eps if diag[0] > 0 else 0.0
+    rank = int(np.sum(diag > tol))
+    if rank < p:
+        collinear = [names[j] for j in sorted(pivots[rank:])]
+        raise SingularDesignError(f"collinear design columns: {collinear}")
+
+    def solve(y: np.ndarray) -> tuple[np.ndarray, float]:
+        beta = np.empty(p)
+        beta[pivots] = linalg.solve_triangular(r_matrix, q.T @ y)
+        residuals = y - X @ beta
+        return beta, float(residuals @ residuals)
+
+    return solve
 
 
 def _loglik_from_sse(n: int, sse: float) -> float:
@@ -291,7 +308,7 @@ def bonferroni_alpha(alpha: float, n_comparisons: int = 6) -> float:
 def build_trace_set(
     trie: CohortTrie,
     ambiguities: Sequence[float] = AMBIGUITY_LEVELS,
-    pairs: Sequence[tuple[str, str]] | None = None,
+    pairs: Sequence[tuple[str, str]] = PLOSIVE_VOICING_PAIRS,
     min_length: int = 2,
 ) -> list[MetricTrace]:
     """Traces for every voicing-onset word at each ambiguity level.
@@ -301,8 +318,6 @@ def build_trace_set(
     committed-onset path dies (impossible continuation) are skipped, the
     way untraceable trials drop out of an observed dataset.
     """
-    if pairs is None:
-        pairs = plosive_voicing_pairs()
     partner = {}
     for first, second in pairs:
         partner[first] = second
@@ -508,15 +523,18 @@ def permutation_calibration(
     Shuffling the response column breaks every response-predictor link,
     so the removal test's p-values should be roughly uniform and the
     fraction below alpha should sit near alpha. The design matrices are
-    fixed across permutations and built once; each round re-solves the
-    two least-squares problems against the shuffled response.
+    fixed across permutations and factored once; each round re-solves the
+    two least-squares problems against the shuffled response. A rank
+    deficient design raises SingularDesignError, as in ols_fit.
     """
     if removed not in MODEL_PREDICTORS:
         raise ValueError(f"removed must be 'acoustic' or 'switch', got {removed!r}")
     if n_permutations < 1:
         raise ValueError(f"need at least one permutation, got {n_permutations}")
-    X_full, _ = _design_matrix(rows, FULL_PREDICTORS)
-    X_reduced, _ = _design_matrix(rows, reduced_predictors(removed))
+    X_full, full_names = _design_matrix(rows, FULL_PREDICTORS)
+    X_reduced, reduced_names = _design_matrix(rows, reduced_predictors(removed))
+    solve_full = _least_squares(X_full, full_names)
+    solve_reduced = _least_squares(X_reduced, reduced_names)
     y = np.array([r.response for r in rows], dtype=float)
     n = len(rows)
     df_used = X_full.shape[1] - X_reduced.shape[1] if df is None else df
@@ -524,8 +542,8 @@ def permutation_calibration(
     p_values = []
     for _ in range(n_permutations):
         shuffled = y[rng.permutation(n)]
-        ll_full = _permuted_loglik(X_full, shuffled)
-        ll_reduced = _permuted_loglik(X_reduced, shuffled)
+        ll_full = _loglik_from_sse(n, solve_full(shuffled)[1])
+        ll_reduced = _loglik_from_sse(n, solve_reduced(shuffled)[1])
         chi2 = max(0.0, 2.0 * (ll_full - ll_reduced))
         p_values.append(1.0 if df_used == 0 else chi_square_sf(chi2, df_used))
     below = sum(1 for pv in p_values if pv < alpha)
@@ -535,12 +553,6 @@ def permutation_calibration(
         fraction_below_alpha=below / n_permutations,
         p_values=tuple(p_values),
     )
-
-
-def _permuted_loglik(X: np.ndarray, y: np.ndarray) -> float:
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-    residuals = y - X @ beta
-    return _loglik_from_sse(len(y), float(residuals @ residuals))
 
 
 def write_dataset(rows: Sequence[RegressionRow], path: str | Path) -> None:

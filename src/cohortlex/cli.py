@@ -117,23 +117,15 @@ def _load_lexicon(args) -> Lexicon:
     return parse_lexicon(args.lexicon, smoothing=args.smoothing)
 
 
-def _pair_traces(
+def _traces_for_pair(
     trie: CohortTrie, pair: tuple[str, str], p_a: float
 ) -> list[MetricTrace]:
-    """One trace per word with an onset in `pair`, evidence oriented so
-    phoneme_a is the word's own onset. Words whose committed path dies are
-    skipped with a warning."""
-    traces = []
+    """build_trace_set over one onset pair at one evidence level, warning
+    once for each word whose committed path dies (and so has no trace)."""
+    traces = build_trace_set(trie, ambiguities=(p_a,), pairs=(pair,), min_length=1)
+    traced = {trace.word for trace in traces}
     for entry in trie.lexicon.entries:
-        if entry.onset == pair[0]:
-            evidence = AcousticEvidence(pair[0], pair[1], p_a)
-        elif entry.onset == pair[1]:
-            evidence = AcousticEvidence(pair[1], pair[0], p_a)
-        else:
-            continue
-        try:
-            traces.append(metric_trace(trie, entry, evidence))
-        except ImpossibleContinuationError:
+        if entry.onset in pair and entry not in traced:
             _warn(f"{entry.orthography}: committed path leaves the lexicon, skipped")
     return traces
 
@@ -155,7 +147,7 @@ def cmd_trace(args) -> int:
     trie = build_trie(lexicon)
     pair = _parse_pair(args.pair)
     if args.all:
-        traces = _pair_traces(trie, pair, args.p_a)
+        traces = _traces_for_pair(trie, pair, args.p_a)
         if not traces:
             raise ValueError(f"no word in the lexicon starts with {pair[0]} or {pair[1]}")
     else:
@@ -181,7 +173,7 @@ def cmd_compare(args) -> int:
     lexicon = _load_lexicon(args)
     trie = build_trie(lexicon)
     pair = _parse_pair(args.pair)
-    traces = _pair_traces(trie, pair, args.p_a)
+    traces = _traces_for_pair(trie, pair, args.p_a)
     if not traces:
         raise ValueError(f"no traceable word starts with {pair[0]} or {pair[1]}")
     if len(traces) < 3:
@@ -452,6 +444,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     if not 0.0 <= getattr(args, "p_a", 0.5) <= 1.0:
         print("error: --p-a must be in [0, 1]", file=sys.stderr)
+        return EXIT_INPUT
+    if getattr(args, "top_k", 0) < 0:
+        print("error: --top-k must be >= 0", file=sys.stderr)
         return EXIT_INPUT
     try:
         return args.func(args)

@@ -8,6 +8,7 @@ works on frequency ratios, so counts and per-million files behave the same.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -43,18 +44,21 @@ class LexiconValidationError(LexiconError):
 
 @dataclass(frozen=True)
 class LexiconEntry:
-    """One word: spelling, phoneme pronunciation, positive frequency."""
+    """One word: spelling, phoneme pronunciation, finite positive frequency."""
 
     orthography: str
     pron: PhonemeSeq
     frequency: float
 
     def __post_init__(self):
+        if not self.orthography.strip():
+            raise LexiconValidationError(f"{self.orthography!r}: empty orthography")
         if not self.pron:
             raise LexiconValidationError(f"{self.orthography!r}: empty pronunciation")
-        if not self.frequency > 0:
+        if not 0 < self.frequency < math.inf:
             raise LexiconValidationError(
-                f"{self.orthography!r}: frequency must be > 0, got {self.frequency}"
+                f"{self.orthography!r}: frequency must be finite and > 0, "
+                f"got {self.frequency}"
             )
 
     @property
@@ -68,6 +72,7 @@ class Lexicon:
 
     Homophones (same pronunciation, different orthography) are distinct
     entries; the same orthography+pronunciation pair may appear only once.
+    A lexicon has at least one entry, and its summed frequency is finite.
     """
 
     entries: tuple[LexiconEntry, ...]
@@ -76,8 +81,11 @@ class Lexicon:
     _by_orthography: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.entries:
+            raise LexiconValidationError("empty lexicon")
         seen = set()
         by_orth: dict[str, list[LexiconEntry]] = {}
+        total = 0.0
         for entry in self.entries:
             key = (entry.orthography, entry.pron)
             if key in seen:
@@ -92,6 +100,9 @@ class Lexicon:
                     f"{sorted(missing)}"
                 )
             by_orth.setdefault(entry.orthography, []).append(entry)
+            total += entry.frequency
+        if not math.isfinite(total):
+            raise LexiconValidationError("summed frequency overflows a float")
         object.__setattr__(self, "_by_orthography", by_orth)
 
     def __len__(self) -> int:
@@ -104,11 +115,6 @@ class Lexicon:
     def lookup(self, orthography: str) -> tuple[LexiconEntry, ...]:
         """All entries spelled `orthography` (empty tuple if absent)."""
         return tuple(self._by_orthography.get(orthography, ()))
-
-
-def plosive_voicing_pairs() -> list[tuple[Phoneme, Phoneme]]:
-    """The (voiced, voiceless) plosive onset pairs: (B,P), (D,T), (G,K)."""
-    return list(PLOSIVE_VOICING_PAIRS)
 
 
 def _normalize_pron(raw: str) -> PhonemeSeq:
@@ -124,7 +130,7 @@ def parse_lexicon(path: str | Path, smoothing: float = 0.0) -> Lexicon:
 
     Raises LexiconParseError for malformed rows (with the line number) and
     LexiconValidationError for invariant violations, including an empty
-    lexicon.
+    lexicon. Errors raised for a single row carry its line number.
     """
     if smoothing < 0:
         raise ValueError(f"smoothing must be >= 0, got {smoothing}")
@@ -132,7 +138,6 @@ def parse_lexicon(path: str | Path, smoothing: float = 0.0) -> Lexicon:
     unit = "counts"
     declared_inventory: frozenset[Phoneme] | None = None
     entries: list[LexiconEntry] = []
-    seen: set[tuple[str, PhonemeSeq]] = set()
     with path.open(encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             line = line.rstrip("\n").rstrip("\r")
@@ -160,11 +165,6 @@ def parse_lexicon(path: str | Path, smoothing: float = 0.0) -> Lexicon:
                     line_number,
                 )
             orthography, pron_field, freq_field = fields
-            pron = _normalize_pron(pron_field)
-            if not pron:
-                raise LexiconValidationError(
-                    f"line {line_number}: {orthography!r} has an empty pronunciation"
-                )
             try:
                 raw_freq = float(freq_field)
             except ValueError:
@@ -175,21 +175,12 @@ def parse_lexicon(path: str | Path, smoothing: float = 0.0) -> Lexicon:
                 raise LexiconValidationError(
                     f"line {line_number}: negative frequency {raw_freq}"
                 )
-            frequency = raw_freq + smoothing
-            if not frequency > 0:
-                raise LexiconValidationError(
-                    f"line {line_number}: frequency must be > 0, got {raw_freq}"
-                )
-            key = (orthography, pron)
-            if key in seen:
-                raise LexiconValidationError(
-                    f"line {line_number}: duplicate entry {orthography!r} "
-                    f"/{' '.join(pron)}/"
-                )
-            seen.add(key)
-            entries.append(LexiconEntry(orthography, pron, frequency))
-    if not entries:
-        raise LexiconValidationError("empty lexicon")
+            try:
+                entries.append(LexiconEntry(
+                    orthography, _normalize_pron(pron_field), raw_freq + smoothing
+                ))
+            except LexiconValidationError as exc:
+                raise LexiconValidationError(f"line {line_number}: {exc}") from None
     observed = frozenset(ph for e in entries for ph in e.pron)
     inventory = declared_inventory if declared_inventory is not None else observed
     return Lexicon(tuple(entries), inventory, unit)
@@ -221,7 +212,5 @@ def make_lexicon(
         else:
             pron = tuple(p.upper() for p in pron)
         entries.append(LexiconEntry(orthography, pron, float(frequency)))
-    if not entries:
-        raise LexiconValidationError("empty lexicon")
     inventory = frozenset(ph for e in entries for ph in e.pron)
     return Lexicon(tuple(entries), inventory, frequency_unit)

@@ -199,7 +199,8 @@ def _weighted_inner(evidence, freqs_now, freqs_before) -> float:
     Per-onset term: P(onset|evidence) * conditional continuation
     probability * Q, where Q is that onset's share of the combined
     continuation frequency. An onset with no surviving continuation
-    contributes zero. The sum is provably <= 1.
+    contributes zero. The sum is provably <= 1 for finite frequencies, so
+    a larger or NaN sum raises instead of reaching the output.
     """
     freq_a, freq_b = freqs_now
     before_a, before_b = freqs_before
@@ -209,7 +210,8 @@ def _weighted_inner(evidence, freqs_now, freqs_before) -> float:
         inner += evidence.p_a * (freq_a / before_a) * (freq_a / joint)
     if freq_b > 0:
         inner += evidence.p_b * (freq_b / before_b) * (freq_b / joint)
-    assert inner <= 1.0 + _INNER_TOL, f"weighted inner term {inner} exceeds 1"
+    if not inner <= 1.0 + _INNER_TOL:
+        raise ImpossibleContinuationError(f"weighted inner term {inner} exceeds 1")
     return inner
 
 

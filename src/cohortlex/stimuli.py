@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lexicon import Lexicon, LexiconEntry, Phoneme, PhonemeSeq, plosive_voicing_pairs
+from .lexicon import PLOSIVE_VOICING_PAIRS, Lexicon, LexiconEntry, Phoneme, PhonemeSeq
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def find_word_pairs(
         raise ValueError(f"min_shared must be >= 1, got {min_shared}")
     results: list[WordPair] = []
     seen: set[frozenset[str]] = set()
-    for voiced, voiceless in plosive_voicing_pairs():
+    for voiced, voiceless in PLOSIVE_VOICING_PAIRS:
         buckets: dict[PhonemeSeq, tuple[list, list]] = {}
         for entry in lexicon.entries:
             if len(entry.pron) < 1 + min_shared:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from cohortlex import (
     simulate_dataset,
     write_dataset,
 )
-from cohortlex.analysis import VARIANCE_FLOOR
+from cohortlex.analysis import VARIANCE_FLOOR, _design_matrix
 
 METRIC_NAMES = (
     "acoustic_surprisal",
@@ -533,3 +534,46 @@ def test_permutation_calibration_argument_validation(trie_sim):
         permutation_calibration(
             rows, n_permutations=5, alpha=0.05, seed=1, removed="hybrid"
         )
+
+
+def test_permutation_calibration_rejects_singular_design():
+    rng = np.random.default_rng(14)
+    rows = [
+        dataclasses.replace(row, switch_surprisal=row.acoustic_surprisal)
+        for row in random_rows(rng, 40)
+    ]
+    with pytest.raises(SingularDesignError, match="surprisal"):
+        ols_fit(rows, FULL_PREDICTORS)
+    with pytest.raises(SingularDesignError, match="surprisal"):
+        permutation_calibration(rows, n_permutations=5, alpha=0.05, seed=1)
+
+
+def test_least_squares_matches_lstsq_reference():
+    # ols_fit and permutation_calibration share one QR factor-and-solve
+    # path; pin both to an independent SVD least-squares solve.
+    rng = np.random.default_rng(22)
+    rows = random_rows(rng, 120)
+    n = len(rows)
+    X_full, names = _design_matrix(rows, FULL_PREDICTORS)
+    X_reduced, _ = _design_matrix(rows, reduced_predictors("acoustic"))
+    y = np.array([r.response for r in rows])
+
+    def sse(X, response):
+        beta, *_ = np.linalg.lstsq(X, response, rcond=None)
+        return float(np.sum((response - X @ beta) ** 2)), beta
+
+    sse_full, beta_full = sse(X_full, y)
+    fit = ols_fit(rows, FULL_PREDICTORS)
+    assert [fit.coefficients[name] for name in names] == pytest.approx(
+        beta_full.tolist(), abs=1e-10
+    )
+    assert fit.residual_variance == pytest.approx(sse_full / n, rel=1e-10)
+
+    permutations = np.random.default_rng(5)
+    expected = []
+    for _ in range(20):
+        shuffled = y[permutations.permutation(n)]
+        chi2 = n * math.log(sse(X_reduced, shuffled)[0] / sse(X_full, shuffled)[0])
+        expected.append(chi_square_sf(max(0.0, chi2), 2))
+    result = permutation_calibration(rows, n_permutations=20, alpha=0.05, seed=5)
+    assert result.p_values == pytest.approx(expected, abs=1e-9)

@@ -357,3 +357,47 @@ def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+def test_trace_all_warns_and_drops_words_whose_committed_path_dies(capsys, tmp_path):
+    # At p_a 0.25 each word commits to its voicing partner's onset, and
+    # /P IH/ starts no word, so "bin" has no trace.
+    path = tmp_path / "dies.tsv"
+    write_lexicon(
+        make_lexicon(
+            [("bat", "B AE T", 3.0), ("bin", "B IH N", 1.0), ("pat", "P AE T", 4.0)]
+        ),
+        path,
+    )
+    code, out, err = run_cli(
+        capsys,
+        ["trace", "--lexicon", str(path), "--all", "--pair", "B,P", "--p-a", "0.25"],
+    )
+    assert code == 0
+    assert err == "warning: bin: committed path leaves the lexicon, skipped\n"
+    assert {r["word"] for r in parse_csv(out)} == {"bat", "pat"}
+
+
+def test_compare_rejects_negative_top_k(capsys, disjoint_path):
+    code, out, err = run_cli(
+        capsys,
+        ["compare", "--lexicon", disjoint_path, "--pair", "B,P", "--top-k", "-1"],
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: --top-k must be >= 0\n"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    ["bat\tB AE T\tinf\npat\tP AE T\t1\n", "bat\tB AE T\t1e308\npat\tP AE T\t1e308\n"],
+    ids=["inf", "overflowing-sum"],
+)
+def test_non_finite_frequencies_exit_1_with_one_error_line(capsys, tmp_path, rows):
+    path = tmp_path / "huge.tsv"
+    path.write_text(rows, encoding="utf-8")
+    for command in (["ingest-check"], ["trace", "--all", "--pair", "B,P"]):
+        code, out, err = run_cli(capsys, command + ["--lexicon", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1

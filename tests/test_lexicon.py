@@ -11,7 +11,6 @@ from cohortlex import (
     PLOSIVE_VOICING_PAIRS,
     make_lexicon,
     parse_lexicon,
-    plosive_voicing_pairs,
     write_lexicon,
 )
 
@@ -47,6 +46,29 @@ def test_empty_file_is_rejected(tmp_path):
 def test_zero_frequency_rejected_with_line_number(tmp_path):
     path = write(tmp_path, "bat\tB AE T\t0\n")
     with pytest.raises(LexiconValidationError, match="line 1"):
+        parse_lexicon(path)
+    path = write(tmp_path, "bat\tB AE T\t3\nbin\t \t1\n")
+    with pytest.raises(LexiconValidationError, match="line 2: 'bin': empty pronunciation"):
+        parse_lexicon(path)
+
+
+@pytest.mark.parametrize("freq", ["inf", "nan", "1e309"])
+def test_non_finite_frequency_rejected_with_line_number(tmp_path, freq):
+    path = write(tmp_path, f"bat\tB AE T\t3\npat\tP AE T\t{freq}\n")
+    with pytest.raises(LexiconValidationError, match="line 2: 'pat': .*finite"):
+        parse_lexicon(path)
+
+
+@pytest.mark.parametrize("orthography", ["", "  "])
+def test_blank_orthography_rejected_with_line_number(tmp_path, orthography):
+    path = write(tmp_path, f"{orthography}\tB AE T\t3\n")
+    with pytest.raises(LexiconValidationError, match="line 1: .*empty orthography"):
+        parse_lexicon(path)
+
+
+def test_overflowing_total_frequency_rejected(tmp_path):
+    path = write(tmp_path, "bat\tB AE T\t1e308\npat\tP AE T\t1e308\n")
+    with pytest.raises(LexiconValidationError, match="overflows"):
         parse_lexicon(path)
 
 
@@ -131,7 +153,7 @@ def test_blank_lines_skipped(tmp_path):
 
 
 def test_voicing_pairs_exact():
-    assert plosive_voicing_pairs() == [("B", "P"), ("D", "T"), ("G", "K")]
+    assert PLOSIVE_VOICING_PAIRS == (("B", "P"), ("D", "T"), ("G", "K"))
     assert ("B", "P") in PLOSIVE_VOICING_PAIRS
     assert ("M", "N") not in PLOSIVE_VOICING_PAIRS
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from cohortlex import (
     switch_surprisal,
 )
 
+import cohortlex
 import naive_oracle as oracle
 
 # Hand-enumerated values, frozen at full precision by an independent
@@ -522,3 +527,33 @@ def test_metrics_match_naive_oracle_small():
                 else:
                     got = acoustic_surprisal(trie, ev, continuation)
                 assert close(got, want)
+
+
+def test_weighted_inner_check_survives_python_O():
+    # Non-finite frequencies (NaN from inf/inf) or inconsistent ones (a
+    # conditional probability above 1) must raise, not reach the output,
+    # even with asserts stripped.
+    script = (
+        "import math\n"
+        "from cohortlex import AcousticEvidence, ImpossibleContinuationError\n"
+        "from cohortlex.metrics import _weighted_inner\n"
+        "evidence = AcousticEvidence('B', 'P', 0.75)\n"
+        "for now, before in (((math.inf, 1.0), (math.inf, 1.0)), ((4.0, 0.0), (1.0, 1.0))):\n"
+        "    try:\n"
+        "        print('returned', _weighted_inner(evidence, now, before))\n"
+        "    except ImpossibleContinuationError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(Path(cohortlex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    ))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "weighted inner term nan exceeds 1",
+        "weighted inner term 3.0 exceeds 1",
+    ]
