@@ -366,6 +366,15 @@ def simulate_dataset(
         raise ValueError(f"generator must be 'acoustic' or 'switch', got {generator!r}")
     if n_subjects < 2:
         raise ValueError(f"need at least 2 subjects, got {n_subjects}")
+    if trials_per_subject < 1:
+        raise ValueError(
+            f"trials_per_subject must be >= 1, got {trials_per_subject}"
+        )
+    for name, sd in (("noise_sd", noise_sd), ("subject_sd", subject_sd)):
+        if not (math.isfinite(sd) and sd >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {sd}")
+    if not all(math.isfinite(b) for b in betas):
+        raise ValueError(f"betas must be finite, got {tuple(betas)}")
     eligible = [t for t in traces if t.point_at(position) is not None]
     if not eligible:
         raise ValueError(f"no trace reaches position {position}")

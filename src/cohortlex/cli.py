@@ -448,6 +448,9 @@ def main(argv=None) -> int:
     if getattr(args, "top_k", 0) < 0:
         print("error: --top-k must be >= 0", file=sys.stderr)
         return EXIT_INPUT
+    if getattr(args, "df", None) is not None and args.df < 0:
+        print("error: --df must be >= 0", file=sys.stderr)
+        return EXIT_INPUT
     try:
         return args.func(args)
     except (

@@ -1,15 +1,19 @@
 """Incremental cohort queries over a phoneme prefix trie.
 
 Every trie node aggregates the summed frequency of all words whose
-pronunciation passes through it, so prefix frequencies, cohort membership
-distributions, conditional continuation probabilities, and uniqueness
-points all resolve in O(prefix length) walks plus (for membership) a
-subtree collection. The trie is immutable once built; queries are
-read-only and safe to share across threads.
+pronunciation passes through it, so prefix frequencies, cohort sizes,
+conditional continuation probabilities, and uniqueness points all resolve
+in O(prefix length) walks. Cohort entropy needs no subtree collection
+either: each node memoizes its subtree entropy, computed on first query
+from its children's by the grouping rule, so every node is computed at
+most once. Only `cohort_at` lists members. The trie's structure is
+immutable once built; the entropy memo writes are idempotent (every
+thread writes the same value), so a trie is safe to share across threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .lexicon import Lexicon, LexiconEntry, PhonemeSeq
@@ -46,13 +50,47 @@ class Cohort:
 
 
 class _Node:
-    __slots__ = ("children", "cum_freq", "n_entries", "terminals")
+    __slots__ = ("children", "cum_freq", "n_entries", "terminals", "entropy")
 
     def __init__(self):
         self.children: dict[str, _Node] = {}
         self.cum_freq = 0.0
         self.n_entries = 0
         self.terminals: list[LexiconEntry] = []
+        self.entropy: float | None = None  # subtree entropy, set on first query
+
+
+def _subtree_entropy(node: _Node) -> float:
+    """Entropy in bits of the frequency-normalized words below `node`.
+
+    Grouping rule (Shannon 1948; Cover & Thomas, Elements of Information
+    Theory, ch. 2): with groups c = the child subtrees and the node's own
+    terminal entries, w_c = F_c / F_node and a terminal's H_c = 0,
+    H(node) = sum_c w_c * (H_c - log2 w_c). It uses ratios only, so
+    frequencies near the float maximum cannot overflow it. Children are
+    resolved first with an explicit stack (no recursion limit on
+    pronunciation length) and each result is memoized on its node.
+    """
+    stack = [node] if node.entropy is None else []
+    while stack:
+        current = stack[-1]
+        pending = [c for c in current.children.values() if c.entropy is None]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        total = current.cum_freq
+        h = 0.0
+        for child in current.children.values():
+            w = child.cum_freq / total
+            if w > 0:
+                h += w * (child.entropy - math.log2(w))
+        for entry in current.terminals:
+            w = entry.frequency / total
+            if w > 0:
+                h -= w * math.log2(w)
+        current.entropy = max(0.0, h)
+    return node.entropy
 
 
 class CohortTrie:
@@ -87,6 +125,14 @@ class CohortTrie:
                 return None
         return node
 
+    def _cohort_node(self, prefix: tuple) -> _Node:
+        node = self._node_at(prefix)
+        if node is None:
+            raise ImpossibleContinuationError(
+                f"no word starts with /{' '.join(prefix)}/"
+            )
+        return node
+
     def prefix_frequency(self, prefix: PhonemeSeq) -> float:
         """Summed frequency of words starting with `prefix` (0 if none).
 
@@ -106,11 +152,7 @@ class CohortTrie:
         Raises ImpossibleContinuationError when no word survives.
         """
         prefix = tuple(prefix)
-        node = self._node_at(prefix)
-        if node is None:
-            raise ImpossibleContinuationError(
-                f"no word starts with /{' '.join(prefix)}/"
-            )
+        node = self._cohort_node(prefix)
         total = node.cum_freq
         members = []
         stack = [node]
@@ -120,6 +162,14 @@ class CohortTrie:
                 members.append((entry, entry.frequency / total))
             stack.extend(reversed(current.children.values()))
         return Cohort(prefix, tuple(members))
+
+    def entropy(self, prefix: PhonemeSeq) -> float:
+        """Entropy in bits of the cohort at `prefix`, without listing it.
+
+        Equals the entropy of `cohort_at(prefix)`'s member probabilities.
+        Raises ImpossibleContinuationError when no word survives.
+        """
+        return _subtree_entropy(self._cohort_node(tuple(prefix)))
 
     def conditional_prob(self, prefix: PhonemeSeq) -> float:
         """P(last phoneme | preceding phonemes) by prefix-frequency ratio.

@@ -128,9 +128,30 @@ def _entropy_bits(probs) -> float:
 
 
 def switch_entropy(trie: CohortTrie, prefix: PhonemeSeq) -> float:
-    """Entropy in bits of the frequency-normalized cohort at `prefix`."""
-    cohort = trie.cohort_at(prefix)
-    return _entropy_bits(p for _, p in cohort.members)
+    """Entropy in bits of the frequency-normalized cohort at `prefix`.
+
+    Read from the trie's memoized subtree entropy, which the grouping
+    rule builds from child-subtree entropies; no cohort is listed.
+    """
+    return trie.entropy(prefix)
+
+
+def _onset_prefixes(trie: CohortTrie, evidence: AcousticEvidence, continuation):
+    """Both onsets' prefixes for `continuation` and their frequencies.
+
+    Raises when neither onset sub-cohort survives.
+    """
+    continuation = tuple(continuation)
+    prefix_a = (evidence.phoneme_a,) + continuation
+    prefix_b = (evidence.phoneme_b,) + continuation
+    freq_a = trie.prefix_frequency(prefix_a)
+    freq_b = trie.prefix_frequency(prefix_b)
+    if freq_a == 0 and freq_b == 0:
+        raise ImpossibleContinuationError(
+            f"neither /{evidence.phoneme_a}/ nor /{evidence.phoneme_b}/ admits "
+            f"the continuation /{' '.join(continuation)}/"
+        )
+    return prefix_a, freq_a, prefix_b, freq_b
 
 
 def acoustic_weighted_probs(
@@ -143,16 +164,7 @@ def acoustic_weighted_probs(
     sub-cohort is empty the survivor is renormalized to a proper
     distribution and the pre-renormalization mass is reported as raw_mass.
     """
-    continuation = tuple(continuation)
-    prefix_a = (evidence.phoneme_a,) + continuation
-    prefix_b = (evidence.phoneme_b,) + continuation
-    freq_a = trie.prefix_frequency(prefix_a)
-    freq_b = trie.prefix_frequency(prefix_b)
-    if freq_a == 0 and freq_b == 0:
-        raise ImpossibleContinuationError(
-            f"neither /{evidence.phoneme_a}/ nor /{evidence.phoneme_b}/ admits "
-            f"the continuation /{' '.join(continuation)}/"
-        )
+    prefix_a, freq_a, prefix_b, freq_b = _onset_prefixes(trie, evidence, continuation)
     if freq_a > 0 and freq_b > 0:
         members = [
             (entry, p * evidence.p_a)
@@ -171,12 +183,47 @@ def acoustic_weighted_probs(
     return WeightedCohort(trie.cohort_at(survivor).members, raw_mass=mass)
 
 
+def _acoustic_entropy_and_size(
+    trie: CohortTrie, evidence: AcousticEvidence, continuation: PhonemeSeq
+) -> tuple[float, int]:
+    """Entropy and size of the evidence-weighted distribution, from node totals.
+
+    The onset sub-cohorts are disjoint, so by the grouping rule the mixed
+    entropy is p_a*H_a + p_b*H_b + h(p_a) when both survive, and the lone
+    survivor's renormalized entropy H_survivor otherwise. The size counts
+    a sub-cohort only when its evidence weight is non-zero, except for a
+    lone survivor, which counts whatever its weight. This is
+    `WeightedCohort.size` except where a member's weight underflows to 0
+    (that member still counts here).
+    """
+    prefix_a, freq_a, prefix_b, freq_b = _onset_prefixes(trie, evidence, continuation)
+    if freq_a > 0 and freq_b > 0:
+        p_a, p_b = evidence.p_a, evidence.p_b
+        h = (
+            p_a * trie.entropy(prefix_a)
+            + p_b * trie.entropy(prefix_b)
+            + _entropy_bits((p_a, p_b))
+        )
+        size = (
+            trie.cohort_size(prefix_a) * (p_a > 0)
+            + trie.cohort_size(prefix_b) * (p_b > 0)
+        )
+        return max(0.0, h), size
+    survivor = prefix_a if freq_a > 0 else prefix_b
+    return trie.entropy(survivor), trie.cohort_size(survivor)
+
+
 def acoustic_entropy(
     trie: CohortTrie, evidence: AcousticEvidence, continuation: PhonemeSeq
 ) -> float:
-    """Entropy in bits of the evidence-weighted word distribution."""
-    weighted = acoustic_weighted_probs(trie, evidence, continuation)
-    return _entropy_bits(p for _, p in weighted.members)
+    """Entropy in bits of the evidence-weighted word distribution.
+
+    Computed by the grouping rule from the two onset sub-cohorts' memoized
+    entropies (p_a*H_a + p_b*H_b + h(p_a), or the lone survivor's H), so
+    no cohort is listed; agrees with the entropy of
+    `acoustic_weighted_probs` to rounding.
+    """
+    return _acoustic_entropy_and_size(trie, evidence, continuation)[0]
 
 
 def switch_surprisal(trie: CohortTrie, prefix: PhonemeSeq) -> float:
@@ -272,7 +319,8 @@ def metric_trace(
     evidence argmax) followed by the word's post-onset phonemes; the
     acoustic-weighted model mixes both onset sub-cohorts throughout. The
     onset commitment is fixed for the whole trace. Raises if a position
-    is an impossible continuation under either model.
+    is an impossible continuation under either model. Entropies and
+    cohort sizes come from trie node totals, so no cohort is listed.
     """
     if word.onset not in (evidence.phoneme_a, evidence.phoneme_b):
         raise ValueError(
@@ -288,7 +336,9 @@ def metric_trace(
             ac_surprisal = acoustic_surprisal_onset(trie, evidence)
         else:
             ac_surprisal = acoustic_surprisal(trie, evidence, continuation)
-        weighted = acoustic_weighted_probs(trie, evidence, continuation)
+        ac_entropy, joint_size = _acoustic_entropy_and_size(
+            trie, evidence, continuation
+        )
         points.append(
             MetricPoint(
                 position=position,
@@ -296,9 +346,9 @@ def metric_trace(
                 switch_surprisal=switch_surprisal(trie, switch_prefix),
                 acoustic_surprisal=ac_surprisal,
                 switch_entropy=switch_entropy(trie, switch_prefix),
-                acoustic_entropy=_entropy_bits(p for _, p in weighted.members),
+                acoustic_entropy=ac_entropy,
                 switch_cohort_size=trie.cohort_size(switch_prefix),
-                joint_cohort_size=weighted.size,
+                joint_cohort_size=joint_size,
             )
         )
     return MetricTrace(word, evidence, tuple(points))

@@ -398,6 +398,30 @@ def test_simulate_dataset_argument_validation(trie_b):
         )
 
 
+@pytest.mark.parametrize(
+    "override, name",
+    [
+        ({"trials_per_subject": 0}, "trials_per_subject"),
+        ({"trials_per_subject": -1}, "trials_per_subject"),
+        ({"noise_sd": -1.0}, "noise_sd"),
+        ({"noise_sd": math.inf}, "noise_sd"),
+        ({"noise_sd": math.nan}, "noise_sd"),
+        ({"subject_sd": -0.5}, "subject_sd"),
+        ({"subject_sd": math.nan}, "subject_sd"),
+        ({"betas": (math.nan, 1.0)}, "betas"),
+        ({"betas": (1.0, -math.inf)}, "betas"),
+    ],
+)
+def test_simulate_dataset_rejects_bad_parameters_by_name(trie_b, override, name):
+    traces = build_trace_set(trie_b)
+    kwargs = dict(
+        position=2, generator="acoustic", betas=(1.0, 1.0), noise_sd=0.5,
+        n_subjects=3, subject_sd=1.0, trials_per_subject=5, seed=0,
+    )
+    with pytest.raises(ValueError, match=name):
+        simulate_dataset(traces, **{**kwargs, **override})
+
+
 def test_write_dataset_round_trip(tmp_path, trie_b):
     traces = build_trace_set(trie_b)
     rows = simulate_dataset(

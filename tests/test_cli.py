@@ -388,6 +388,15 @@ def test_compare_rejects_negative_top_k(capsys, disjoint_path):
     assert err == "error: --top-k must be >= 0\n"
 
 
+def test_simfit_rejects_negative_df(capsys, sim_path):
+    code, out, err = run_cli(
+        capsys, ["simfit", "--lexicon", sim_path, "--df", "-1", "--sims", "1"]
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: --df must be >= 0\n"
+
+
 @pytest.mark.parametrize(
     "rows",
     ["bat\tB AE T\tinf\npat\tP AE T\t1\n", "bat\tB AE T\t1e308\npat\tP AE T\t1e308\n"],

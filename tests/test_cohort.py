@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -45,6 +47,8 @@ def test_cohort_single_survivor(trie_b):
 def test_cohort_impossible_prefix(trie_b):
     with pytest.raises(ImpossibleContinuationError):
         trie_b.cohort_at(("Z",))
+    with pytest.raises(ImpossibleContinuationError, match=r"^no word starts with /B Z/$"):
+        trie_b.entropy(("B", "Z"))
 
 
 def test_word_equal_to_prefix_stays_in_cohort():
@@ -185,6 +189,42 @@ def test_oracle_equivalence_small():
         assert got.keys() == expected.keys()
         for key, p in expected.items():
             assert abs(got[key] - p) <= 1e-12
+        assert abs(trie.entropy(prefix) - oracle.switch_entropy(naive, prefix)) <= 1e-12
+
+
+def test_entropy_of_a_pronunciation_deeper_than_the_recursion_limit():
+    depth = sys.getrecursionlimit() + 100
+    pron = " ".join(["AH", "T"] * (depth // 2))
+    trie = build_trie(make_lexicon([("long", pron, 1.0), ("short", "AH T", 1.0)]))
+    assert trie.entropy(()) == 1.0
+    assert trie.entropy(("AH", "T", "AH")) == 0.0
+
+
+def test_entropy_memo_is_safe_under_concurrent_first_queries():
+    rng = np.random.default_rng(16)
+    rows = oracle.random_rows(rng, 300)
+    prefixes = oracle.NaiveLexicon(
+        [(o, tuple(p.split()), f) for o, p, f in rows]
+    ).all_prefixes()
+    want = [build_trie(make_lexicon(rows)).entropy(p) for p in prefixes]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            # A fresh trie each round, so every thread races on empty memos;
+            # threads walk the prefixes in different orders.
+            trie = build_trie(make_lexicon(rows))
+            orders = [list(range(len(prefixes)))[::step] for step in (1, -1, 1, -1)]
+            with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+                futures = [
+                    pool.submit(lambda order: [(i, trie.entropy(prefixes[i])) for i in order], o)
+                    for o in orders
+                ]
+                for future in futures:
+                    for i, h in future.result(timeout=60):
+                        assert h == want[i]
+    finally:
+        sys.setswitchinterval(old_interval)
 
 
 def test_cohort_deterministic_order(trie_b):

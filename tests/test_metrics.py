@@ -476,6 +476,52 @@ def test_divergence_ranking_empty_position():
 # ------------------------------------------------------- oracle equivalence
 
 
+def _oracle_point(naive, ev, pron, t):
+    """MetricPoint field values at position t from the naive oracle, or
+    None when the position is an impossible continuation."""
+    a, b, p_a = ev.phoneme_a, ev.phoneme_b, ev.p_a
+    continuation = tuple(pron[1:t])
+    switch_prefix = (ev.committed,) + continuation
+    try:
+        if t == 1:
+            ac_surprisal = oracle.acoustic_surprisal_onset(naive, a, b, p_a)
+        else:
+            ac_surprisal = oracle.acoustic_surprisal(naive, a, b, p_a, continuation)
+        weights = oracle.acoustic_probs(naive, a, b, p_a, continuation)
+        sw_surprisal = oracle.switch_surprisal(naive, switch_prefix)
+        sw_entropy = oracle.switch_entropy(naive, switch_prefix)
+    except ValueError:
+        return None
+    return MetricPoint(
+        position=t,
+        phoneme=pron[t - 1],
+        switch_surprisal=sw_surprisal,
+        acoustic_surprisal=ac_surprisal,
+        switch_entropy=sw_entropy,
+        acoustic_entropy=oracle.entropy_bits(weights.values()),
+        switch_cohort_size=int(naive.mask(switch_prefix).sum()),
+        joint_cohort_size=sum(1 for w in weights.values() if w > 0),
+    )
+
+
+def _trace_or_none(trie, entry, ev):
+    try:
+        return metric_trace(trie, entry, ev)
+    except ImpossibleContinuationError:
+        return None
+
+
+def _assert_point_matches(got: MetricPoint, want: MetricPoint | None):
+    assert want is not None
+    assert (got.position, got.phoneme) == (want.position, want.phoneme)
+    for name in (
+        "switch_surprisal", "acoustic_surprisal", "switch_entropy", "acoustic_entropy",
+    ):
+        assert close(getattr(got, name), getattr(want, name)), name
+    assert got.switch_cohort_size == want.switch_cohort_size
+    assert got.joint_cohort_size == want.joint_cohort_size
+
+
 def test_metrics_match_naive_oracle_small():
     rng = np.random.default_rng(22)
     rows = oracle.random_rows(rng, 120, n_phonemes=8)
@@ -489,7 +535,15 @@ def test_metrics_match_naive_oracle_small():
         for p_a in (0.0, 0.3, 0.75, 1.0):
             ev = AcousticEvidence(onset, other, p_a)
             committed = ev.committed
+            trace = _trace_or_none(trie, entry, ev)
+            impossible_seen = False
             for t in range(1, len(entry.pron) + 1):
+                # metric_trace raises iff some position is impossible;
+                # otherwise every point matches the oracle.
+                want_point = _oracle_point(naive, ev, entry.pron, t)
+                impossible_seen |= want_point is None
+                if trace is not None:
+                    _assert_point_matches(trace.points[t - 1], want_point)
                 continuation = entry.pron[1:t]
                 switch_prefix = (committed,) + continuation
                 if naive.prefix_frequency(switch_prefix) > 0:
@@ -527,6 +581,42 @@ def test_metrics_match_naive_oracle_small():
                 else:
                     got = acoustic_surprisal(trie, ev, continuation)
                 assert close(got, want)
+            assert (trace is None) == impossible_seen
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # f * log2 f overflows to inf for these, but the ratios do not.
+        [("bat", "B AE T", 8e307), ("bad", "B AE D", 8e307), ("pat", "P AE T", 1e307)],
+        # A dominant word beside a tiny one: the case most prone to
+        # cancellation in a log2 F - S/F closed form.
+        [("bat", "B AE T", 1e15), ("bad", "B AE D", 1.0), ("pat", "P AE T", 1.0)],
+    ],
+    ids=["near-float-max", "dominant-word"],
+)
+def test_entropies_match_oracle_at_extreme_frequencies(rows):
+    lex = make_lexicon(rows)
+    trie = build_trie(lex)
+    naive = oracle.NaiveLexicon([(o, tuple(p.split()), f) for o, p, f in rows])
+    for entry in lex.entries:
+        other = "P" if entry.onset == "B" else "B"
+        for p_a in (0.0, 0.3, 0.5, 0.75, 1.0):
+            ev = AcousticEvidence(entry.onset, other, p_a)
+            trace = _trace_or_none(trie, entry, ev)
+            for t in range(1, len(entry.pron) + 1):
+                continuation = entry.pron[1:t]
+                prefix = entry.pron[:t]
+                assert close(
+                    switch_entropy(trie, prefix), oracle.switch_entropy(naive, prefix)
+                )
+                assert close(
+                    acoustic_entropy(trie, ev, continuation),
+                    oracle.acoustic_entropy(naive, entry.onset, other, p_a, continuation),
+                )
+                want_point = _oracle_point(naive, ev, entry.pron, t)
+                if trace is not None:
+                    _assert_point_matches(trace.points[t - 1], want_point)
 
 
 def test_weighted_inner_check_survives_python_O():
