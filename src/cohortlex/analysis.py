@@ -21,7 +21,7 @@ import numpy as np
 from scipy import linalg
 
 from .cohort import CohortTrie, ImpossibleContinuationError
-from .lexicon import PLOSIVE_VOICING_PAIRS
+from .lexicon import PLOSIVE_VOICING_PAIRS, LexiconEntry
 from .metrics import AcousticEvidence, MetricTrace, metric_trace
 
 VARIANCE_FLOOR = 1e-12
@@ -132,34 +132,52 @@ class RecoverySummary:
     records: tuple[ComparisonRecord, ...]
 
 
+def _columns_of(rows: Sequence[RegressionRow]) -> dict[str, np.ndarray]:
+    """The dataset as one numpy array per REGRESSION_FIELDS column."""
+    columns = {}
+    for name in REGRESSION_FIELDS:
+        values = [getattr(r, name) for r in rows]
+        columns[name] = np.array(
+            values, dtype=None if name in CATEGORICAL_PREDICTORS else float
+        )
+    return columns
+
+
+def _rows_of(columns: dict[str, np.ndarray]) -> list[RegressionRow]:
+    """The RegressionRow view of a columnar dataset (Python scalars)."""
+    values = [columns[name].tolist() for name in REGRESSION_FIELDS]
+    return [RegressionRow(*row) for row in zip(*values)]
+
+
 def _design_matrix(
-    rows: Sequence[RegressionRow], predictors: Iterable[str]
+    columns: dict[str, np.ndarray], predictors: Iterable[str]
 ) -> tuple[np.ndarray, list[str]]:
     """Intercept + continuous columns + reference-coded dummies.
 
     Column order is canonical (FULL_PREDICTORS order) regardless of the
-    order `predictors` arrives in; categorical levels are sorted and the
-    first level is the reference.
+    order `predictors` arrives in; categorical levels are sorted by their
+    string form and the first level is the reference.
     """
     wanted = set(predictors)
     unknown = wanted - set(FULL_PREDICTORS)
     if unknown:
         raise ValueError(f"unknown predictors: {sorted(unknown)}")
-    columns = [np.ones(len(rows))]
+    design = [np.ones(len(columns["response"]))]
     names = ["(intercept)"]
     for name in CONTINUOUS_PREDICTORS:
         if name in wanted:
-            columns.append(np.array([getattr(r, name) for r in rows], dtype=float))
+            design.append(np.asarray(columns[name], dtype=float))
             names.append(name)
     for name in CATEGORICAL_PREDICTORS:
         if name not in wanted:
             continue
-        values = [getattr(r, name) for r in rows]
-        levels = sorted(set(values), key=str)
-        for level in levels[1:]:
-            columns.append(np.array([1.0 if v == level else 0.0 for v in values]))
-            names.append(f"{name}={level}")
-    return np.column_stack(columns), names
+        levels, codes = np.unique(columns[name], return_inverse=True)
+        levels = levels.tolist()
+        order = sorted(range(len(levels)), key=lambda i: str(levels[i]))
+        for i in order[1:]:
+            design.append((codes == i).astype(float))
+            names.append(f"{name}={levels[i]}")
+    return np.column_stack(design), names
 
 
 def ols_fit(rows: Sequence[RegressionRow], predictors: Iterable[str]) -> FitResult:
@@ -169,21 +187,26 @@ def ols_fit(rows: Sequence[RegressionRow], predictors: Iterable[str]) -> FitResu
     (SSE/n) floored at 1e-12 so exact fits stay finite. Rank-deficient
     designs raise SingularDesignError naming the collinear columns.
     """
-    X, names = _design_matrix(rows, predictors)
-    y = np.array([r.response for r in rows], dtype=float)
+    columns = _columns_of(rows)
+    X, names = _design_matrix(columns, predictors)
+    return _fit(X, names, columns["response"], frozenset(predictors))
+
+
+def _fit(
+    X: np.ndarray, names: list[str], y: np.ndarray, predictors: frozenset[str]
+) -> FitResult:
+    """ols_fit on a design matrix already built."""
     n, p = X.shape
     if n <= p:
         raise ValueError(f"need more rows than parameters: n={n}, p={p}")
     beta, sse = _least_squares(X, names)(y)
-    sigma2 = max(sse / n, VARIANCE_FLOOR)
-    log_likelihood = _loglik_from_sse(n, sse)
     return FitResult(
         coefficients=dict(zip(names, beta.tolist())),
-        residual_variance=sigma2,
-        log_likelihood=log_likelihood,
+        residual_variance=max(sse / n, VARIANCE_FLOOR),
+        log_likelihood=_loglik_from_sse(n, sse),
         n=n,
         p=p,
-        predictors=frozenset(predictors),
+        predictors=predictors,
     )
 
 
@@ -193,7 +216,9 @@ def _least_squares(
     """Factor X once by pivoted QR; return a solver y -> (beta, SSE).
 
     Raises SingularDesignError naming the collinear columns when X is
-    rank deficient. The SSE is summed from the explicit residuals.
+    rank deficient. The SSE is summed from the explicit residuals; when
+    it is not finite (responses too large, or not finite) the solver
+    raises ValueError.
     """
     n, p = X.shape
     q, r_matrix, pivots = linalg.qr(X, mode="economic", pivoting=True)
@@ -206,9 +231,18 @@ def _least_squares(
 
     def solve(y: np.ndarray) -> tuple[np.ndarray, float]:
         beta = np.empty(p)
-        beta[pivots] = linalg.solve_triangular(r_matrix, q.T @ y)
-        residuals = y - X @ beta
-        return beta, float(residuals @ residuals)
+        with np.errstate(over="ignore", invalid="ignore"):
+            beta[pivots] = linalg.solve_triangular(
+                r_matrix, q.T @ y, check_finite=False
+            )
+            residuals = y - X @ beta
+            sse = float(residuals @ residuals)
+        if not math.isfinite(sse):
+            raise ValueError(
+                "residual sum of squares is not finite: responses too large "
+                "or not finite"
+            )
+        return beta, sse
 
     return solve
 
@@ -310,13 +344,16 @@ def build_trace_set(
     ambiguities: Sequence[float] = AMBIGUITY_LEVELS,
     pairs: Sequence[tuple[str, str]] = PLOSIVE_VOICING_PAIRS,
     min_length: int = 2,
+    *,
+    on_skip: Callable[[LexiconEntry, float], None] | None = None,
 ) -> list[MetricTrace]:
     """Traces for every voicing-onset word at each ambiguity level.
 
     Evidence is oriented per word (phoneme_a = the word's own onset,
     phoneme_b = its voicing partner). Word/ambiguity combinations whose
     committed-onset path dies (impossible continuation) are skipped, the
-    way untraceable trials drop out of an observed dataset.
+    way untraceable trials drop out of an observed dataset; `on_skip`,
+    when given, is called with each skipped entry and evidence level.
     """
     partner = {}
     for first, second in pairs:
@@ -332,7 +369,8 @@ def build_trace_set(
             try:
                 traces.append(metric_trace(trie, entry, evidence))
             except ImpossibleContinuationError:
-                continue
+                if on_skip is not None:
+                    on_skip(entry, p_a)
     return traces
 
 
@@ -360,7 +398,31 @@ def simulate_dataset(
     at the partially ambiguous evidence levels (0.25/0.75).
 
     All randomness comes from numpy's seeded PCG64 generator, so a fixed
-    seed reproduces the dataset exactly.
+    seed reproduces the dataset exactly. Parameters so large that a
+    response overflows raise ValueError.
+    """
+    return _rows_of(_simulate_columns(
+        traces, position, generator, betas, noise_sd,
+        n_subjects, subject_sd, trials_per_subject, seed,
+    ))
+
+
+def _simulate_columns(
+    traces: Sequence[MetricTrace],
+    position: int,
+    generator: str,
+    betas: tuple[float, float],
+    noise_sd: float,
+    n_subjects: int,
+    subject_sd: float,
+    trials_per_subject: int,
+    seed: int,
+) -> dict[str, np.ndarray]:
+    """simulate_dataset's dataset as numpy columns (see _columns_of).
+
+    The random draws are made subject by subject in a fixed order; each
+    trial's metrics are then gathered from per-trace arrays by its drawn
+    trace index.
     """
     if generator not in MODEL_PREDICTORS:
         raise ValueError(f"generator must be 'acoustic' or 'switch', got {generator!r}")
@@ -375,55 +437,68 @@ def simulate_dataset(
             raise ValueError(f"{name} must be finite and >= 0, got {sd}")
     if not all(math.isfinite(b) for b in betas):
         raise ValueError(f"betas must be finite, got {tuple(betas)}")
+    # numpy rejects a scale of -0.0 as negative
+    noise_sd, subject_sd = abs(noise_sd), abs(subject_sd)
     eligible = [t for t in traces if t.point_at(position) is not None]
     if not eligible:
         raise ValueError(f"no trace reaches position {position}")
     beta_surprisal, beta_entropy = betas
     rng = np.random.default_rng(seed)
     intercepts = rng.normal(0.0, subject_sd, n_subjects)
+    draws = [
+        (
+            rng.integers(0, len(eligible), trials_per_subject),
+            rng.normal(87.0, 25.0, trials_per_subject),
+            rng.normal(0.0, 1.0, trials_per_subject),
+            rng.integers(1, trials_per_subject + 1, trials_per_subject),
+            rng.integers(1, N_BLOCKS + 1, trials_per_subject),
+            rng.normal(0.0, noise_sd, trials_per_subject),
+        )
+        for _ in range(n_subjects)
+    ]
+    trace_idx, latency, amplitude, trial_numbers, blocks, noise = (
+        np.concatenate(draw) for draw in zip(*draws)
+    )
+    subject = np.repeat(np.arange(n_subjects), trials_per_subject)
+    ambiguity = np.array([t.evidence.p_a for t in eligible], dtype=float)[trace_idx]
+    off_grid = np.flatnonzero(~np.isin(ambiguity, AMBIGUITY_LEVELS))
+    if off_grid.size:
+        p_a = eligible[trace_idx[off_grid[0]]].evidence.p_a
+        raise ValueError(f"ambiguity must be one of {AMBIGUITY_LEVELS}, got {p_a}")
+    points = [t.point_at(position) for t in eligible]
+    columns = {
+        name: np.array([getattr(point, name) for point in points], dtype=float)[trace_idx]
+        for model in MODEL_PREDICTORS.values()
+        for name in model
+    }
+    surprisal, entropy = (columns[name] for name in MODEL_PREDICTORS[generator])
+    with np.errstate(over="ignore", invalid="ignore"):
+        response = (
+            beta_surprisal * surprisal + beta_entropy * entropy
+            + intercepts[subject] + noise
+        )
+    if not np.isfinite(response).all():
+        raise ValueError(
+            "simulated responses are not finite: betas, noise_sd or subject_sd "
+            "too large"
+        )
+    pair_labels = np.array([
+        "-".join(sorted((t.evidence.phoneme_a, t.evidence.phoneme_b)))
+        for t in eligible
+    ])
     width = len(str(n_subjects))
-    rows = []
-    for s in range(n_subjects):
-        subject_id = f"s{s + 1:0{width}d}"
-        trace_idx = rng.integers(0, len(eligible), trials_per_subject)
-        latency = rng.normal(87.0, 25.0, trials_per_subject)
-        amplitude = rng.normal(0.0, 1.0, trials_per_subject)
-        trial_numbers = rng.integers(1, trials_per_subject + 1, trials_per_subject)
-        blocks = rng.integers(1, N_BLOCKS + 1, trials_per_subject)
-        noise = rng.normal(0.0, noise_sd, trials_per_subject)
-        for k in range(trials_per_subject):
-            trace = eligible[trace_idx[k]]
-            point = trace.point_at(position)
-            if generator == "acoustic":
-                surprisal, entropy = point.acoustic_surprisal, point.acoustic_entropy
-            else:
-                surprisal, entropy = point.switch_surprisal, point.switch_entropy
-            response = (
-                beta_surprisal * surprisal
-                + beta_entropy * entropy
-                + intercepts[s]
-                + noise[k]
-            )
-            pair_label = "-".join(sorted(
-                (trace.evidence.phoneme_a, trace.evidence.phoneme_b)
-            ))
-            rows.append(
-                RegressionRow(
-                    response=float(response),
-                    acoustic_surprisal=point.acoustic_surprisal,
-                    acoustic_entropy=point.acoustic_entropy,
-                    switch_surprisal=point.switch_surprisal,
-                    switch_entropy=point.switch_entropy,
-                    phoneme_latency=float(latency[k]),
-                    trial_number=int(trial_numbers[k]),
-                    block_number=int(blocks[k]),
-                    onset_amplitude=float(amplitude[k]),
-                    phoneme_pair=pair_label,
-                    ambiguity=trace.evidence.p_a,
-                    subject_id=subject_id,
-                )
-            )
-    return rows
+    subject_ids = np.array([f"s{s + 1:0{width}d}" for s in range(n_subjects)])
+    columns.update(
+        response=response,
+        phoneme_latency=latency,
+        trial_number=trial_numbers,
+        block_number=blocks,
+        onset_amplitude=amplitude,
+        phoneme_pair=pair_labels[trace_idx],
+        ambiguity=ambiguity,
+        subject_id=subject_ids[subject],
+    )
+    return columns
 
 
 def reduced_predictors(removed_model: str) -> tuple[str, ...]:
@@ -436,10 +511,32 @@ def compare_removals(
     rows: Sequence[RegressionRow], df: int | None = None
 ) -> dict[str, ModelComparisonResult]:
     """Fit the full model and both single-model removals, test each removal."""
-    full_fit = ols_fit(rows, FULL_PREDICTORS)
+    return _compare_columns(_columns_of(rows), df)
+
+
+def _reduced_design(
+    X: np.ndarray, names: Sequence[str], removed_model: str
+) -> tuple[np.ndarray, list[str]]:
+    """The full design without one model's columns, as _design_matrix
+    would build it (same column order, same row-major layout)."""
+    removed = MODEL_PREDICTORS[removed_model]
+    keep = [j for j, name in enumerate(names) if name not in removed]
+    return np.ascontiguousarray(X[:, keep]), [names[j] for j in keep]
+
+
+def _compare_columns(
+    columns: dict[str, np.ndarray], df: int | None
+) -> dict[str, ModelComparisonResult]:
+    """compare_removals on a columnar dataset: the full design is built
+    once and each reduced design is a subset of its columns."""
+    X, names = _design_matrix(columns, FULL_PREDICTORS)
+    y = columns["response"]
+    full_fit = _fit(X, names, y, frozenset(FULL_PREDICTORS))
     results = {}
     for model in ("acoustic", "switch"):
-        reduced_fit = ols_fit(rows, reduced_predictors(model))
+        reduced_fit = _fit(
+            *_reduced_design(X, names, model), y, frozenset(reduced_predictors(model))
+        )
         results[model] = likelihood_ratio_test(full_fit, reduced_fit, df=df)
     return results
 
@@ -473,11 +570,11 @@ def model_recovery(
     exclusive = 0
     either = 0
     for sim in range(n_sims):
-        rows = simulate_dataset(
+        columns = _simulate_columns(
             traces, position, generator, betas, noise_sd,
             n_subjects, subject_sd, trials_per_subject, seed + sim,
         )
-        comparisons = compare_removals(rows, df=df)
+        comparisons = _compare_columns(columns, df)
         detected = {}
         for model, result in comparisons.items():
             detected[model] = result.p_value < alpha
@@ -540,12 +637,13 @@ def permutation_calibration(
         raise ValueError(f"removed must be 'acoustic' or 'switch', got {removed!r}")
     if n_permutations < 1:
         raise ValueError(f"need at least one permutation, got {n_permutations}")
-    X_full, full_names = _design_matrix(rows, FULL_PREDICTORS)
-    X_reduced, reduced_names = _design_matrix(rows, reduced_predictors(removed))
+    columns = _columns_of(rows)
+    X_full, full_names = _design_matrix(columns, FULL_PREDICTORS)
+    X_reduced, reduced_names = _reduced_design(X_full, full_names, removed)
     solve_full = _least_squares(X_full, full_names)
     solve_reduced = _least_squares(X_reduced, reduced_names)
-    y = np.array([r.response for r in rows], dtype=float)
-    n = len(rows)
+    y = columns["response"]
+    n = len(y)
     df_used = X_full.shape[1] - X_reduced.shape[1] if df is None else df
     rng = np.random.default_rng(seed)
     p_values = []

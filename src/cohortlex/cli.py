@@ -122,12 +122,13 @@ def _traces_for_pair(
 ) -> list[MetricTrace]:
     """build_trace_set over one onset pair at one evidence level, warning
     once for each word whose committed path dies (and so has no trace)."""
-    traces = build_trace_set(trie, ambiguities=(p_a,), pairs=(pair,), min_length=1)
-    traced = {trace.word for trace in traces}
-    for entry in trie.lexicon.entries:
-        if entry.onset in pair and entry not in traced:
-            _warn(f"{entry.orthography}: committed path leaves the lexicon, skipped")
-    return traces
+
+    def warn_skip(entry, _p_a):
+        _warn(f"{entry.orthography}: committed path leaves the lexicon, skipped")
+
+    return build_trace_set(
+        trie, ambiguities=(p_a,), pairs=(pair,), min_length=1, on_skip=warn_skip
+    )
 
 
 def cmd_ingest_check(args) -> int:
@@ -276,7 +277,14 @@ def cmd_continuum(args) -> int:
 def cmd_simfit(args) -> int:
     lexicon = _load_lexicon(args)
     trie = build_trie(lexicon)
-    traces = build_trace_set(trie)
+    skipped = []
+    traces = build_trace_set(trie, on_skip=lambda *attempt: skipped.append(attempt))
+    if skipped:
+        attempted = len(traces) + len(skipped)
+        _warn(
+            f"{len(skipped)} of {attempted} word/ambiguity traces skipped "
+            "(impossible continuation)"
+        )
     if not traces:
         raise ValueError("no traceable voicing-onset words in the lexicon")
     betas = _parse_betas(args.betas)

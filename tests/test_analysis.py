@@ -12,6 +12,7 @@ from cohortlex import (
     MODEL_PREDICTORS,
     REGRESSION_FIELDS,
     CalibrationResult,
+    ComparisonRecord,
     NestingError,
     RegressionRow,
     SingularDesignError,
@@ -27,7 +28,7 @@ from cohortlex import (
     simulate_dataset,
     write_dataset,
 )
-from cohortlex.analysis import VARIANCE_FLOOR, _design_matrix
+from cohortlex.analysis import VARIANCE_FLOOR, _columns_of, _design_matrix
 
 METRIC_NAMES = (
     "acoustic_surprisal",
@@ -578,8 +579,8 @@ def test_least_squares_matches_lstsq_reference():
     rng = np.random.default_rng(22)
     rows = random_rows(rng, 120)
     n = len(rows)
-    X_full, names = _design_matrix(rows, FULL_PREDICTORS)
-    X_reduced, _ = _design_matrix(rows, reduced_predictors("acoustic"))
+    X_full, names = _design_matrix(_columns_of(rows), FULL_PREDICTORS)
+    X_reduced, _ = _design_matrix(_columns_of(rows), reduced_predictors("acoustic"))
     y = np.array([r.response for r in rows])
 
     def sse(X, response):
@@ -601,3 +602,144 @@ def test_least_squares_matches_lstsq_reference():
         expected.append(chi_square_sf(max(0.0, chi2), 2))
     result = permutation_calibration(rows, n_permutations=20, alpha=0.05, seed=5)
     assert result.p_values == pytest.approx(expected, abs=1e-9)
+
+
+def reference_simulate_rows(traces, position, generator, betas, noise_sd,
+                            n_subjects, subject_sd, trials_per_subject, seed):
+    """The per-row simulation loop the columnar simulator replaced."""
+    eligible = [t for t in traces if t.point_at(position) is not None]
+    beta_surprisal, beta_entropy = betas
+    rng = np.random.default_rng(seed)
+    intercepts = rng.normal(0.0, subject_sd, n_subjects)
+    width = len(str(n_subjects))
+    rows = []
+    for s in range(n_subjects):
+        subject_id = f"s{s + 1:0{width}d}"
+        trace_idx = rng.integers(0, len(eligible), trials_per_subject)
+        latency = rng.normal(87.0, 25.0, trials_per_subject)
+        amplitude = rng.normal(0.0, 1.0, trials_per_subject)
+        trial_numbers = rng.integers(1, trials_per_subject + 1, trials_per_subject)
+        blocks = rng.integers(1, 6, trials_per_subject)
+        noise = rng.normal(0.0, noise_sd, trials_per_subject)
+        for k in range(trials_per_subject):
+            trace = eligible[trace_idx[k]]
+            point = trace.point_at(position)
+            surprisal, entropy = (
+                getattr(point, name) for name in MODEL_PREDICTORS[generator]
+            )
+            response = (
+                beta_surprisal * surprisal + beta_entropy * entropy
+                + intercepts[s] + noise[k]
+            )
+            rows.append(RegressionRow(
+                response=float(response),
+                acoustic_surprisal=point.acoustic_surprisal,
+                acoustic_entropy=point.acoustic_entropy,
+                switch_surprisal=point.switch_surprisal,
+                switch_entropy=point.switch_entropy,
+                phoneme_latency=float(latency[k]),
+                trial_number=int(trial_numbers[k]),
+                block_number=int(blocks[k]),
+                onset_amplitude=float(amplitude[k]),
+                phoneme_pair="-".join(sorted(
+                    (trace.evidence.phoneme_a, trace.evidence.phoneme_b)
+                )),
+                ambiguity=trace.evidence.p_a,
+                subject_id=subject_id,
+            ))
+    return rows
+
+
+def reference_compare_removals(rows, df):
+    """Three independent row fits, each building its own design."""
+    full = ols_fit(rows, FULL_PREDICTORS)
+    return {
+        model: likelihood_ratio_test(full, ols_fit(rows, reduced_predictors(model)), df=df)
+        for model in ("acoustic", "switch")
+    }
+
+
+@pytest.mark.parametrize("generator", ["acoustic", "switch"])
+def test_columnar_recovery_matches_row_reference(tmp_path, trie_sim, generator):
+    # model_recovery simulates columns and fits column subsets of one
+    # design; every record must equal the per-row loop plus three
+    # separately built fits, bit for bit.
+    traces = build_trace_set(trie_sim)
+    params = dict(
+        position=2, generator=generator, betas=(1.0, -0.5), noise_sd=0.5,
+        n_subjects=4, subject_sd=1.0, trials_per_subject=60,
+    )
+    assert tuple(f.name for f in dataclasses.fields(RegressionRow)) == REGRESSION_FIELDS
+    for df in (None, 1):
+        summary = model_recovery(traces, n_sims=4, alpha=0.05, seed=30, df=df, **params)
+        expected = []
+        for sim in range(4):
+            rows = reference_simulate_rows(traces, seed=30 + sim, **params)
+            for model, result in reference_compare_removals(rows, df).items():
+                expected.append(ComparisonRecord(
+                    sim=sim, removed=model, chi2=result.chi2, df=result.df,
+                    p_value=result.p_value, delta_loglik=result.delta_loglik,
+                    detected=result.p_value < 0.05,
+                ))
+        assert summary.records == tuple(expected)
+    rows = simulate_dataset(traces, seed=31, **params)
+    reference = reference_simulate_rows(traces, seed=31, **params)
+    assert rows == reference
+    assert [type(v) for v in dataclasses.astuple(rows[0])] == [
+        type(v) for v in dataclasses.astuple(reference[0])
+    ]
+    write_dataset(rows, tmp_path / "columnar.csv")
+    write_dataset(reference, tmp_path / "reference.csv")
+    assert (tmp_path / "columnar.csv").read_bytes() == (
+        tmp_path / "reference.csv"
+    ).read_bytes()
+    assert compare_removals(rows) == reference_compare_removals(reference, None)
+
+
+def test_simulate_dataset_rejects_off_grid_evidence(trie_sim):
+    traces = build_trace_set(trie_sim, ambiguities=(0.5,))
+    kwargs = dict(
+        position=2, generator="acoustic", betas=(1.0, 1.0), noise_sd=0.5,
+        n_subjects=2, subject_sd=1.0, trials_per_subject=5,
+    )
+    with pytest.raises(ValueError, match="ambiguity must be one of"):
+        simulate_dataset(traces, seed=0, **kwargs)
+    with pytest.raises(ValueError, match="ambiguity must be one of"):
+        model_recovery(traces, n_sims=1, alpha=0.05, seed=0, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "override",
+    [{"betas": (1e308, 1e308)}, {"noise_sd": 1e308}],
+    ids=["betas", "noise_sd"],
+)
+def test_simulate_dataset_rejects_overflowing_responses(trie_sim, override):
+    traces = build_trace_set(trie_sim)
+    kwargs = dict(
+        position=2, generator="acoustic", betas=(1.0, 1.0), noise_sd=0.5,
+        n_subjects=4, subject_sd=1.0, trials_per_subject=100, seed=0,
+    )
+    with pytest.raises(ValueError, match="betas, noise_sd or subject_sd") as excinfo:
+        simulate_dataset(traces, **{**kwargs, **override})
+    assert "not finite" in str(excinfo.value)
+
+
+def test_negative_zero_spreads_act_as_zero(trie_sim):
+    traces = build_trace_set(trie_sim)
+    kwargs = dict(
+        position=2, generator="acoustic", betas=(1.0, 1.0),
+        n_subjects=2, trials_per_subject=5, seed=0,
+    )
+    assert simulate_dataset(traces, noise_sd=-0.0, subject_sd=-0.0, **kwargs) == (
+        simulate_dataset(traces, noise_sd=0.0, subject_sd=0.0, **kwargs)
+    )
+
+
+def test_least_squares_rejects_overflowing_sse():
+    # responses near 1e200 are finite, but their squares are not
+    rng = np.random.default_rng(23)
+    rows = random_rows(rng, 60, response=(1e200 * rng.normal(size=60)).tolist())
+    with pytest.raises(ValueError, match="residual sum of squares is not finite"):
+        ols_fit(rows, FULL_PREDICTORS)
+    with pytest.raises(ValueError, match="residual sum of squares is not finite"):
+        compare_removals(rows)

@@ -410,3 +410,43 @@ def test_non_finite_frequencies_exit_1_with_one_error_line(capsys, tmp_path, row
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--betas", "1e200,1e200"], "residual sum of squares is not finite"),
+        (["--betas", "1e308,1e308"], "simulated responses are not finite"),
+        (["--noise", "1e308"], "simulated responses are not finite"),
+        (["--subject-sd", "1e308"], "not finite"),
+    ],
+    ids=["sse-overflow", "betas", "noise", "subject-sd"],
+)
+def test_simfit_overflow_exits_1_with_one_error_line(capsys, sim_path, flags, message):
+    code, out, err = run_cli(
+        capsys,
+        ["simfit", "--lexicon", sim_path, "--sims", "1", "--trials", "40", *flags],
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_simfit_reports_skipped_traces_on_stderr(capsys, tmp_path, sim_path):
+    # /P AH/ starts no word, so "bug" has no trace when its evidence
+    # leans to P (p_a 0.25): one of 34 word/ambiguity traces is skipped.
+    path = tmp_path / "skip.tsv"
+    write_lexicon(make_lexicon(SIM_ROWS + [("bug", "B AH G", 1.0)]), path)
+    argv = ["simfit", "--sims", "2", "--trials", "40", "--subjects", "3"]
+    code, out, err = run_cli(capsys, argv + ["--lexicon", str(path)])
+    assert code == 0
+    lines = err.splitlines()
+    assert lines[0] == (
+        "warning: 1 of 34 word/ambiguity traces skipped (impossible continuation)"
+    )
+    assert [line for line in lines if line.startswith("warning")] == lines[:1]
+    assert len(parse_csv(out)) == 2 * 2 + 2
+    code, _, err = run_cli(capsys, argv + ["--lexicon", sim_path])
+    assert code == 0
+    assert "warning" not in err
