@@ -6,9 +6,19 @@ conditional continuation probabilities, and uniqueness points all resolve
 in O(prefix length) walks. Cohort entropy needs no subtree collection
 either: each node memoizes its subtree entropy, computed on first query
 from its children's by the grouping rule, so every node is computed at
-most once. Only `cohort_at` lists members. The trie's structure is
-immutable once built; the entropy memo writes are idempotent (every
-thread writes the same value), so a trie is safe to share across threads.
+most once. Only `cohort_at` lists members.
+
+The trie is expanded lazily. Building it sums the root total and hands
+the root the lexicon's entries; a node groups its pending entries by
+their next phoneme on its first visit, which sets each child's total,
+entry count and pending entries (all in lexicon order) and the node's
+own terminal entries. A query therefore expands only the nodes on its
+path, plus the subtree below a node whose entropy or cohort it reads, and
+its values are bitwise those of a fully built trie. A trie is safe to
+share across threads without a lock: a visit reads `pending` once,
+publishes `children` and `terminals` before clearing it, and a thread
+that loses the race rebuilds equal values; the entropy memo writes are
+idempotent in the same way.
 """
 
 from __future__ import annotations
@@ -50,14 +60,56 @@ class Cohort:
 
 
 class _Node:
-    __slots__ = ("children", "cum_freq", "n_entries", "terminals", "entropy")
+    __slots__ = (
+        "children", "cum_freq", "n_entries", "terminals", "entropy", "depth", "pending",
+    )
 
-    def __init__(self):
-        self.children: dict[str, _Node] = {}
+    def __init__(self, depth: int, pending):
+        self.children: dict[str, _Node] | None = None  # set on first visit
         self.cum_freq = 0.0
         self.n_entries = 0
-        self.terminals: list[LexiconEntry] = []
+        self.terminals: list[LexiconEntry] | None = None  # set on first visit
         self.entropy: float | None = None  # subtree entropy, set on first query
+        self.depth = depth  # phonemes on the path from the root
+        self.pending = pending  # entries passing through, until the first visit
+
+
+def _expanded(node: _Node) -> _Node:
+    """`node` with its children and terminals set, grouping them on first visit.
+
+    Entries are grouped in lexicon order, so every child's total is summed
+    in the order an eager build would sum it. `pending` is read once and
+    cleared only after `children` and `terminals` are published, so a
+    concurrent visit either sees the published groups or rebuilds equal
+    ones from the same entries.
+    """
+    pending = node.pending
+    if pending is None:
+        return node
+    depth = node.depth
+    children: dict[str, _Node] = {}
+    terminals = []
+    for entry in pending:
+        pron = entry.pron
+        if len(pron) == depth:
+            terminals.append(entry)
+            continue
+        child = children.get(pron[depth])
+        if child is None:
+            child = children[pron[depth]] = _Node(depth + 1, [])
+        child.pending.append(entry)
+        child.cum_freq += entry.frequency
+    for child in children.values():
+        child.n_entries = len(child.pending)
+    node.children = children
+    node.terminals = terminals
+    node.pending = None
+    return node
+
+
+def _child(node: _Node, phoneme: str) -> _Node | None:
+    """The child of `node` along `phoneme`, or None when no word continues so."""
+    return _expanded(node).children.get(phoneme)
 
 
 def _subtree_entropy(node: _Node) -> float:
@@ -74,14 +126,17 @@ def _subtree_entropy(node: _Node) -> float:
     stack = [node] if node.entropy is None else []
     while stack:
         current = stack[-1]
-        pending = [c for c in current.children.values() if c.entropy is None]
-        if pending:
-            stack.extend(pending)
+        # One read of `children`: a concurrent first visit may publish an
+        # equal dict of fresh nodes, whose entropies this pass never set.
+        children = _expanded(current).children
+        unresolved = [c for c in children.values() if c.entropy is None]
+        if unresolved:
+            stack.extend(unresolved)
             continue
         stack.pop()
         total = current.cum_freq
         h = 0.0
-        for child in current.children.values():
+        for child in children.values():
             w = child.cum_freq / total
             if w > 0:
                 h += w * (child.entropy - math.log2(w))
@@ -100,18 +155,12 @@ class CohortTrie:
         if len(lexicon) == 0:
             raise ValueError("cannot build a trie from an empty lexicon")
         self.lexicon = lexicon
-        self._root = _Node()
-        self._keys = set()
+        self._root = _Node(0, lexicon.entries)
+        total = 0.0
         for entry in lexicon.entries:
-            node = self._root
-            node.cum_freq += entry.frequency
-            node.n_entries += 1
-            for phoneme in entry.pron:
-                node = node.children.setdefault(phoneme, _Node())
-                node.cum_freq += entry.frequency
-                node.n_entries += 1
-            node.terminals.append(entry)
-            self._keys.add((entry.orthography, entry.pron))
+            total += entry.frequency
+        self._root.cum_freq = total
+        self._root.n_entries = len(lexicon.entries)
 
     @property
     def total_frequency(self) -> float:
@@ -120,7 +169,7 @@ class CohortTrie:
     def _node_at(self, prefix: PhonemeSeq) -> _Node | None:
         node = self._root
         for phoneme in prefix:
-            node = node.children.get(phoneme)
+            node = _child(node, phoneme)
             if node is None:
                 return None
         return node
@@ -157,7 +206,7 @@ class CohortTrie:
         members = []
         stack = [node]
         while stack:
-            current = stack.pop()
+            current = _expanded(stack.pop())
             for entry in current.terminals:
                 members.append((entry, entry.frequency / total))
             stack.extend(reversed(current.children.values()))
@@ -195,14 +244,15 @@ class CohortTrie:
         (a longer word embeds it as a prefix, or a homophone shares the
         whole pronunciation).
         """
-        if (entry.orthography, entry.pron) not in self._keys:
+        homographs = self.lexicon.lookup(entry.orthography)
+        if not any(e.pron == entry.pron for e in homographs):
             raise KeyError(
                 f"entry {entry.orthography!r} /{' '.join(entry.pron)}/ "
                 "is not in this trie's lexicon"
             )
         node = self._root
         for position, phoneme in enumerate(entry.pron, start=1):
-            node = node.children[phoneme]
+            node = _child(node, phoneme)
             if node.n_entries == 1:
                 return position
         return None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -42,7 +43,7 @@ class LexiconValidationError(LexiconError):
     """Well-formed row violating a lexicon invariant."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LexiconEntry:
     """One word: spelling, phoneme pronunciation, finite positive frequency."""
 
@@ -79,10 +80,16 @@ class Lexicon:
     inventory: frozenset[Phoneme]
     frequency_unit: str = "counts"
     _by_orthography: dict = field(default=None, repr=False, compare=False)
+    _total_frequency: float = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entries:
             raise LexiconValidationError("empty lexicon")
+        # One superset test; entries are scanned for the offender only
+        # when it fails, so errors keep their entry order.
+        in_inventory = self.inventory.issuperset(
+            chain.from_iterable(e.pron for e in self.entries)
+        )
         seen = set()
         by_orth: dict[str, list[LexiconEntry]] = {}
         total = 0.0
@@ -93,24 +100,27 @@ class Lexicon:
                     f"duplicate entry {entry.orthography!r} /{' '.join(entry.pron)}/"
                 )
             seen.add(key)
-            missing = set(entry.pron) - self.inventory
-            if missing:
-                raise LexiconValidationError(
-                    f"{entry.orthography!r} uses phonemes outside the inventory: "
-                    f"{sorted(missing)}"
-                )
+            if not in_inventory:
+                missing = set(entry.pron) - self.inventory
+                if missing:
+                    raise LexiconValidationError(
+                        f"{entry.orthography!r} uses phonemes outside the inventory: "
+                        f"{sorted(missing)}"
+                    )
             by_orth.setdefault(entry.orthography, []).append(entry)
             total += entry.frequency
         if not math.isfinite(total):
             raise LexiconValidationError("summed frequency overflows a float")
         object.__setattr__(self, "_by_orthography", by_orth)
+        object.__setattr__(self, "_total_frequency", total)
 
     def __len__(self) -> int:
         return len(self.entries)
 
     @property
     def total_frequency(self) -> float:
-        return sum(e.frequency for e in self.entries)
+        """Summed frequency, added up in entry order."""
+        return self._total_frequency
 
     def lookup(self, orthography: str) -> tuple[LexiconEntry, ...]:
         """All entries spelled `orthography` (empty tuple if absent)."""
@@ -118,7 +128,9 @@ class Lexicon:
 
 
 def _normalize_pron(raw: str) -> PhonemeSeq:
-    return tuple(tok.upper() for tok in raw.split())
+    # Upper-casing never creates or removes whitespace, so this splits
+    # exactly as upper-casing each token would.
+    return tuple(raw.upper().split())
 
 
 def parse_lexicon(path: str | Path, smoothing: float = 0.0) -> Lexicon:
@@ -181,7 +193,7 @@ def parse_lexicon(path: str | Path, smoothing: float = 0.0) -> Lexicon:
                 ))
             except LexiconValidationError as exc:
                 raise LexiconValidationError(f"line {line_number}: {exc}") from None
-    observed = frozenset(ph for e in entries for ph in e.pron)
+    observed = frozenset(chain.from_iterable(e.pron for e in entries))
     inventory = declared_inventory if declared_inventory is not None else observed
     return Lexicon(tuple(entries), inventory, unit)
 

@@ -23,7 +23,7 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from .cohort import CohortTrie, ImpossibleContinuationError
+from .cohort import CohortTrie, ImpossibleContinuationError, _child, _subtree_entropy
 from .lexicon import LexiconEntry, Phoneme, PhonemeSeq
 
 _INNER_TOL = 1e-12
@@ -136,22 +136,29 @@ def switch_entropy(trie: CohortTrie, prefix: PhonemeSeq) -> float:
     return trie.entropy(prefix)
 
 
-def _onset_prefixes(trie: CohortTrie, evidence: AcousticEvidence, continuation):
-    """Both onsets' prefixes for `continuation` and their frequencies.
+# Node-level helpers. The public per-prefix functions walk the trie to
+# their nodes and `metric_trace` steps one child per position; both then
+# compute every value through these, so there is one arithmetic path.
+# A node is None where no word continues the prefix.
 
-    Raises when neither onset sub-cohort survives.
-    """
-    continuation = tuple(continuation)
-    prefix_a = (evidence.phoneme_a,) + continuation
-    prefix_b = (evidence.phoneme_b,) + continuation
-    freq_a = trie.prefix_frequency(prefix_a)
-    freq_b = trie.prefix_frequency(prefix_b)
-    if freq_a == 0 and freq_b == 0:
-        raise ImpossibleContinuationError(
-            f"neither /{evidence.phoneme_a}/ nor /{evidence.phoneme_b}/ admits "
-            f"the continuation /{' '.join(continuation)}/"
-        )
-    return prefix_a, freq_a, prefix_b, freq_b
+
+def _freq(node) -> float:
+    return node.cum_freq if node is not None else 0.0
+
+
+def _no_onset_admits(evidence: AcousticEvidence, continuation: PhonemeSeq):
+    return ImpossibleContinuationError(
+        f"neither /{evidence.phoneme_a}/ nor /{evidence.phoneme_b}/ admits "
+        f"the continuation /{' '.join(continuation)}/"
+    )
+
+
+def _node_and_parent_freq(trie: CohortTrie, prefix: PhonemeSeq):
+    """The node at non-empty `prefix` and its parent's frequency."""
+    parent = trie._node_at(prefix[:-1])
+    if parent is None:
+        return None, 0.0
+    return _child(parent, prefix[-1]), parent.cum_freq
 
 
 def acoustic_weighted_probs(
@@ -164,8 +171,12 @@ def acoustic_weighted_probs(
     sub-cohort is empty the survivor is renormalized to a proper
     distribution and the pre-renormalization mass is reported as raw_mass.
     """
-    prefix_a, freq_a, prefix_b, freq_b = _onset_prefixes(trie, evidence, continuation)
-    if freq_a > 0 and freq_b > 0:
+    continuation = tuple(continuation)
+    prefix_a = (evidence.phoneme_a,) + continuation
+    prefix_b = (evidence.phoneme_b,) + continuation
+    alive_a = trie._node_at(prefix_a) is not None
+    alive_b = trie._node_at(prefix_b) is not None
+    if alive_a and alive_b:
         members = [
             (entry, p * evidence.p_a)
             for entry, p in trie.cohort_at(prefix_a).members
@@ -176,16 +187,16 @@ def acoustic_weighted_probs(
         ]
         return WeightedCohort(tuple(members), raw_mass=1.0)
     # Lone surviving sub-cohort: its conditional distribution, renormalized.
-    if freq_a > 0:
+    if alive_a:
         survivor, mass = prefix_a, evidence.p_a
-    else:
+    elif alive_b:
         survivor, mass = prefix_b, evidence.p_b
+    else:
+        raise _no_onset_admits(evidence, continuation)
     return WeightedCohort(trie.cohort_at(survivor).members, raw_mass=mass)
 
 
-def _acoustic_entropy_and_size(
-    trie: CohortTrie, evidence: AcousticEvidence, continuation: PhonemeSeq
-) -> tuple[float, int]:
+def _acoustic_entropy_and_size(evidence, node_a, node_b, continuation):
     """Entropy and size of the evidence-weighted distribution, from node totals.
 
     The onset sub-cohorts are disjoint, so by the grouping rule the mixed
@@ -194,23 +205,21 @@ def _acoustic_entropy_and_size(
     a sub-cohort only when its evidence weight is non-zero, except for a
     lone survivor, which counts whatever its weight. This is
     `WeightedCohort.size` except where a member's weight underflows to 0
-    (that member still counts here).
+    (that member still counts here). Raises when neither onset survives.
     """
-    prefix_a, freq_a, prefix_b, freq_b = _onset_prefixes(trie, evidence, continuation)
-    if freq_a > 0 and freq_b > 0:
+    if node_a is not None and node_b is not None:
         p_a, p_b = evidence.p_a, evidence.p_b
         h = (
-            p_a * trie.entropy(prefix_a)
-            + p_b * trie.entropy(prefix_b)
+            p_a * _subtree_entropy(node_a)
+            + p_b * _subtree_entropy(node_b)
             + _entropy_bits((p_a, p_b))
         )
-        size = (
-            trie.cohort_size(prefix_a) * (p_a > 0)
-            + trie.cohort_size(prefix_b) * (p_b > 0)
-        )
+        size = node_a.n_entries * (p_a > 0) + node_b.n_entries * (p_b > 0)
         return max(0.0, h), size
-    survivor = prefix_a if freq_a > 0 else prefix_b
-    return trie.entropy(survivor), trie.cohort_size(survivor)
+    survivor = node_a if node_a is not None else node_b
+    if survivor is None:
+        raise _no_onset_admits(evidence, continuation)
+    return _subtree_entropy(survivor), survivor.n_entries
 
 
 def acoustic_entropy(
@@ -223,7 +232,24 @@ def acoustic_entropy(
     no cohort is listed; agrees with the entropy of
     `acoustic_weighted_probs` to rounding.
     """
-    return _acoustic_entropy_and_size(trie, evidence, continuation)[0]
+    continuation = tuple(continuation)
+    node_a = trie._node_at((evidence.phoneme_a,) + continuation)
+    node_b = trie._node_at((evidence.phoneme_b,) + continuation)
+    return _acoustic_entropy_and_size(evidence, node_a, node_b, continuation)[0]
+
+
+def _switch_surprisal(node, before: float, prefix: PhonemeSeq) -> float:
+    """Surprisal of `prefix`'s last phoneme from its node and its parent's total."""
+    if before == 0:
+        raise ImpossibleContinuationError(
+            f"prefix /{' '.join(prefix[:-1])}/ has no cohort"
+        )
+    conditional = _freq(node) / before
+    if conditional == 0:
+        raise ImpossibleContinuationError(
+            f"/{' '.join(prefix)}/ has no surviving cohort"
+        )
+    return max(0.0, -math.log2(conditional))
 
 
 def switch_surprisal(trie: CohortTrie, prefix: PhonemeSeq) -> float:
@@ -232,12 +258,11 @@ def switch_surprisal(trie: CohortTrie, prefix: PhonemeSeq) -> float:
     At prefix length 1 the conditioning set is the whole lexicon. A zero
     conditional probability is an impossible continuation and raises.
     """
-    conditional = trie.conditional_prob(prefix)
-    if conditional == 0:
-        raise ImpossibleContinuationError(
-            f"/{' '.join(prefix)}/ has no surviving cohort"
-        )
-    return max(0.0, -math.log2(conditional))
+    prefix = tuple(prefix)
+    if len(prefix) < 1:
+        raise ValueError("conditional_prob needs a prefix of length >= 1")
+    node, before = _node_and_parent_freq(trie, prefix)
+    return _switch_surprisal(node, before, prefix)
 
 
 def _weighted_inner(evidence, freqs_now, freqs_before) -> float:
@@ -262,6 +287,25 @@ def _weighted_inner(evidence, freqs_now, freqs_before) -> float:
     return inner
 
 
+def _acoustic_surprisal(evidence, node_a, node_b, before_a, before_b, continuation):
+    """Acoustic-weighted surprisal from both onsets' nodes and parents' totals.
+
+    An empty `continuation` is the onset position (both parents are the
+    root).
+    """
+    inner = _weighted_inner(
+        evidence, (_freq(node_a), _freq(node_b)), (before_a, before_b)
+    )
+    if inner <= 0:
+        if continuation:
+            raise _no_onset_admits(evidence, continuation)
+        raise ImpossibleContinuationError(
+            f"neither /{evidence.phoneme_a}/ nor /{evidence.phoneme_b}/ "
+            "starts any word"
+        )
+    return max(0.0, -math.log2(inner))
+
+
 def acoustic_surprisal(
     trie: CohortTrie, evidence: AcousticEvidence, continuation: PhonemeSeq
 ) -> float:
@@ -276,19 +320,11 @@ def acoustic_surprisal(
         raise ValueError(
             "empty continuation: use acoustic_surprisal_onset for position 1"
         )
-    prefix_a = (evidence.phoneme_a,) + continuation
-    prefix_b = (evidence.phoneme_b,) + continuation
-    inner = _weighted_inner(
-        evidence,
-        (trie.prefix_frequency(prefix_a), trie.prefix_frequency(prefix_b)),
-        (trie.prefix_frequency(prefix_a[:-1]), trie.prefix_frequency(prefix_b[:-1])),
+    node_a, before_a = _node_and_parent_freq(trie, (evidence.phoneme_a,) + continuation)
+    node_b, before_b = _node_and_parent_freq(trie, (evidence.phoneme_b,) + continuation)
+    return _acoustic_surprisal(
+        evidence, node_a, node_b, before_a, before_b, continuation
     )
-    if inner <= 0:
-        raise ImpossibleContinuationError(
-            f"neither /{evidence.phoneme_a}/ nor /{evidence.phoneme_b}/ admits "
-            f"the continuation /{' '.join(continuation)}/"
-        )
-    return max(0.0, -math.log2(inner))
 
 
 def acoustic_surprisal_onset(trie: CohortTrie, evidence: AcousticEvidence) -> float:
@@ -298,16 +334,12 @@ def acoustic_surprisal_onset(trie: CohortTrie, evidence: AcousticEvidence) -> fl
     frequency; Q is each onset's share of the two onsets' combined
     frequency.
     """
-    total = trie.total_frequency
-    freq_a = trie.prefix_frequency((evidence.phoneme_a,))
-    freq_b = trie.prefix_frequency((evidence.phoneme_b,))
-    inner = _weighted_inner(evidence, (freq_a, freq_b), (total, total))
-    if inner <= 0:
-        raise ImpossibleContinuationError(
-            f"neither /{evidence.phoneme_a}/ nor /{evidence.phoneme_b}/ "
-            "starts any word"
-        )
-    return max(0.0, -math.log2(inner))
+    root = trie._root
+    node_a = _child(root, evidence.phoneme_a)
+    node_b = _child(root, evidence.phoneme_b)
+    return _acoustic_surprisal(
+        evidence, node_a, node_b, root.cum_freq, root.cum_freq, ()
+    )
 
 
 def metric_trace(
@@ -319,8 +351,10 @@ def metric_trace(
     evidence argmax) followed by the word's post-onset phonemes; the
     acoustic-weighted model mixes both onset sub-cohorts throughout. The
     onset commitment is fixed for the whole trace. Raises if a position
-    is an impossible continuation under either model. Entropies and
-    cohort sizes come from trie node totals, so no cohort is listed.
+    is an impossible continuation under either model. One walk serves
+    the whole trace: both onsets' nodes step one child per position, and
+    every value, entropies and cohort sizes included, comes from those
+    nodes' totals, so no cohort is listed.
     """
     if word.onset not in (evidence.phoneme_a, evidence.phoneme_b):
         raise ValueError(
@@ -328,26 +362,40 @@ def metric_trace(
             f"(/{evidence.phoneme_a}/, /{evidence.phoneme_b}/)"
         )
     committed = evidence.committed
+    committed_a = committed == evidence.phoneme_a
+    root = trie._root
+    node_a = _child(root, evidence.phoneme_a)
+    node_b = _child(root, evidence.phoneme_b)
+    before_a = before_b = root.cum_freq
     points = []
     for position in range(1, len(word.pron) + 1):
+        phoneme = word.pron[position - 1]
+        if position > 1:
+            before_a, before_b = _freq(node_a), _freq(node_b)
+            node_a = _child(node_a, phoneme) if node_a is not None else None
+            node_b = _child(node_b, phoneme) if node_b is not None else None
         continuation = word.pron[1:position]
-        switch_prefix = (committed,) + continuation
-        if position == 1:
-            ac_surprisal = acoustic_surprisal_onset(trie, evidence)
-        else:
-            ac_surprisal = acoustic_surprisal(trie, evidence, continuation)
-        ac_entropy, joint_size = _acoustic_entropy_and_size(
-            trie, evidence, continuation
+        ac_surprisal = _acoustic_surprisal(
+            evidence, node_a, node_b, before_a, before_b, continuation
         )
+        ac_entropy, joint_size = _acoustic_entropy_and_size(
+            evidence, node_a, node_b, continuation
+        )
+        switch_node, switch_before = (
+            (node_a, before_a) if committed_a else (node_b, before_b)
+        )
+        # A switch node that survives the surprisal check is not None.
         points.append(
             MetricPoint(
                 position=position,
-                phoneme=word.pron[position - 1],
-                switch_surprisal=switch_surprisal(trie, switch_prefix),
+                phoneme=phoneme,
+                switch_surprisal=_switch_surprisal(
+                    switch_node, switch_before, (committed,) + continuation
+                ),
                 acoustic_surprisal=ac_surprisal,
-                switch_entropy=switch_entropy(trie, switch_prefix),
+                switch_entropy=_subtree_entropy(switch_node),
                 acoustic_entropy=ac_entropy,
-                switch_cohort_size=trie.cohort_size(switch_prefix),
+                switch_cohort_size=switch_node.n_entries,
                 joint_cohort_size=joint_size,
             )
         )

@@ -1,11 +1,20 @@
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from threading import Barrier
 
 import numpy as np
 import pytest
 
-from cohortlex import ImpossibleContinuationError, build_trie, make_lexicon
+from cohortlex import (
+    AcousticEvidence,
+    ImpossibleContinuationError,
+    build_trace_set,
+    build_trie,
+    make_lexicon,
+    metric_trace,
+)
+from cohortlex.cohort import _expanded, _subtree_entropy
 
 import naive_oracle as oracle
 
@@ -118,6 +127,7 @@ def test_empty_lexicon_rejected():
 
 
 def _walk(node, path=()):
+    _expanded(node)  # the trie groups a node's children on its first visit
     yield path, node
     for phoneme, child in node.children.items():
         yield from _walk(child, path + (phoneme,))
@@ -200,31 +210,151 @@ def test_entropy_of_a_pronunciation_deeper_than_the_recursion_limit():
     assert trie.entropy(("AH", "T", "AH")) == 0.0
 
 
-def test_entropy_memo_is_safe_under_concurrent_first_queries():
-    rng = np.random.default_rng(16)
-    rows = oracle.random_rows(rng, 300)
-    prefixes = oracle.NaiveLexicon(
+def _first_queries(rows):
+    """Entropy at the root and every prefix, then a trace of every word:
+    (lexicon, number of queries, query(trie, i))."""
+    prefixes = [()] + oracle.NaiveLexicon(
         [(o, tuple(p.split()), f) for o, p, f in rows]
     ).all_prefixes()
-    want = [build_trie(make_lexicon(rows)).entropy(p) for p in prefixes]
+    lex = make_lexicon(rows)
+    onsets = sorted({e.onset for e in lex.entries})
+    evidences = [
+        AcousticEvidence(e.onset, next(o for o in onsets if o != e.onset), 0.75)
+        for e in lex.entries
+    ]
+
+    def query(trie, i):
+        if i < len(prefixes):
+            return trie.entropy(prefixes[i])
+        j = i - len(prefixes)
+        try:
+            return metric_trace(trie, lex.entries[j], evidences[j]).points
+        except ImpossibleContinuationError as exc:
+            return str(exc)
+
+    return lex, len(prefixes) + len(lex.entries), query
+
+
+def test_entropy_memo_is_safe_under_concurrent_first_queries():
+    # Covers both first-visit writes: a node grouping its pending entries
+    # into children, and a node memoizing its subtree entropy.
+    rng = np.random.default_rng(16)
+    lex, n_queries, query = _first_queries(oracle.random_rows(rng, 300))
+    want = [query(build_trie(lex), i) for i in range(n_queries)]
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(3):
-            # A fresh trie each round, so every thread races on empty memos;
-            # threads walk the prefixes in different orders.
-            trie = build_trie(make_lexicon(rows))
-            orders = [list(range(len(prefixes)))[::step] for step in (1, -1, 1, -1)]
+        for _ in range(10):
+            # A fresh trie each round, so every thread races on unvisited
+            # nodes and empty memos: all start together on the whole-trie
+            # entropy, then query in different orders.
+            trie = build_trie(lex)
+            orders = [[0] + list(range(n_queries))[::step] for step in (1, -1, 1, -1)]
+            barrier = Barrier(len(orders))
+
+            def run(order):
+                barrier.wait(timeout=60)
+                return [(i, query(trie, i)) for i in order]
+
             with ThreadPoolExecutor(max_workers=len(orders)) as pool:
-                futures = [
-                    pool.submit(lambda order: [(i, trie.entropy(prefixes[i])) for i in order], o)
-                    for o in orders
-                ]
+                futures = [pool.submit(run, order) for order in orders]
                 for future in futures:
-                    for i, h in future.result(timeout=60):
-                        assert h == want[i]
+                    for i, got in future.result(timeout=60):
+                        assert got == want[i]
     finally:
         sys.setswitchinterval(old_interval)
+
+
+def test_a_losing_first_visit_rebuilds_equal_values():
+    # The interleaving a lock would prevent: a second visitor read a
+    # node's pending entries before the first cleared them, and publishes
+    # its own grouping after the first visitor has read the children.
+    rng = np.random.default_rng(18)
+    lex, n_queries, query = _first_queries(oracle.random_rows(rng, 100, n_phonemes=4))
+    reference = build_trie(lex)
+    want = [query(reference, i) for i in range(n_queries)]
+    trie = build_trie(lex)
+    node, path = trie._root, ()
+    while node is not None:
+        pending = node.pending
+        first = _expanded(node).children
+        node.pending = pending  # the losing visitor's stale read
+        rebuilt = _expanded(node).children
+        assert rebuilt is not first and list(rebuilt) == list(first)
+        for key, child in first.items():
+            # The first visitor's nodes are orphaned but still read right.
+            want_node = reference._node_at(path + (key,))
+            assert (rebuilt[key].cum_freq, rebuilt[key].n_entries) == (
+                want_node.cum_freq, want_node.n_entries
+            )
+            assert _subtree_entropy(child) == _subtree_entropy(want_node)
+        key, node = next(iter(rebuilt.items()), (None, None))
+        path += (key,)
+    assert [query(trie, i) for i in range(n_queries)] == want
+
+
+def test_tracing_one_pair_leaves_other_onsets_unexpanded():
+    rows = [
+        (f"{onset.lower()}{i}", f"{onset} {vowel} {coda}", float(i + 1))
+        for onset in ("B", "P", "D", "T", "AH")
+        for i, (vowel, coda) in enumerate(
+            [("AE", "T"), ("AE", "D"), ("IH", "N"), ("EH", "K")]
+        )
+    ]
+    trie = build_trie(make_lexicon(rows))
+    traces = build_trace_set(trie, (0.25, 0.75), (("B", "P"),), min_length=1)
+    assert {t.word.onset for t in traces} == {"B", "P"}
+    roots = _expanded(trie._root).children
+    for onset in ("D", "T", "AH"):
+        # The onset node exists (its parent was grouped) but was never visited.
+        assert roots[onset].children is None and roots[onset].pending is not None
+    for onset in ("B", "P"):
+        assert all(node.pending is None for _, node in _walk(roots[onset]))
+
+
+def _eager_listing(entries, depth):
+    """Entries in the order a fully built trie lists a cohort: a node's own
+    entries in lexicon order, then each child's listing, the children in
+    order of first appearance."""
+    listing = [e for e in entries if len(e.pron) == depth]
+    groups = {}
+    for e in entries:
+        if len(e.pron) > depth:
+            groups.setdefault(e.pron[depth], []).append(e)
+    for group in groups.values():
+        listing += _eager_listing(group, depth + 1)
+    return listing
+
+
+def test_lazy_trie_matches_an_eager_build_bit_for_bit():
+    # Non-integer frequencies, so a different summation order would show
+    # in the last bits; prefixes are queried in random order, so nodes are
+    # first visited in an arbitrary order.
+    rng = np.random.default_rng(17)
+    rows = [
+        (o, p, float(rng.lognormal(0.0, 3.0)))
+        for o, p, _ in oracle.random_rows(rng, 200, n_phonemes=5)
+    ]
+    lex = make_lexicon(rows)
+    trie = build_trie(lex)
+    prefixes = oracle.NaiveLexicon(
+        [(o, tuple(p.split()), f) for o, p, f in rows]
+    ).all_prefixes()
+    want_root = 0.0
+    for entry in lex.entries:
+        want_root += entry.frequency
+    assert trie.total_frequency == want_root
+    for i in rng.permutation(len(prefixes)):
+        prefix = prefixes[i]
+        matching = [e for e in lex.entries if e.pron[: len(prefix)] == prefix]
+        total = 0.0
+        for entry in matching:
+            total += entry.frequency
+        assert trie.prefix_frequency(prefix) == total
+        assert trie.cohort_size(prefix) == len(matching)
+        members = trie.cohort_at(prefix).members
+        assert [e for e, _ in members] == _eager_listing(matching, len(prefix))
+        assert [p for _, p in members] == [e.frequency / total for e, _ in members]
 
 
 def test_cohort_deterministic_order(trie_b):

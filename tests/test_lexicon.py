@@ -1,4 +1,8 @@
+import copy
+import dataclasses
 import math
+import pickle
+import sys
 
 import pytest
 
@@ -196,6 +200,40 @@ def test_lexicon_rejects_pron_outside_inventory():
     entry = LexiconEntry("bat", ("B", "AE", "T"), 3.0)
     with pytest.raises(LexiconValidationError, match="outside the inventory"):
         Lexicon((entry,), frozenset({"B", "AE"}))
+
+
+def test_entry_copies_pickles_and_replaces():
+    entry = LexiconEntry("bat", ("B", "AE", "T"), 3.0)
+    assert copy.copy(entry) == entry
+    assert copy.deepcopy(entry) == entry
+    assert pickle.loads(pickle.dumps(entry)) == entry
+    assert dataclasses.replace(entry, frequency=5.0) == LexiconEntry(
+        "bat", ("B", "AE", "T"), 5.0
+    )
+    with pytest.raises(LexiconValidationError, match="> 0"):
+        dataclasses.replace(entry, frequency=0.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.frequency = 1.0
+
+
+def test_lexicon_errors_keep_entry_order():
+    bat = LexiconEntry("bat", ("B", "AE", "T"), 3.0)
+    zoo = LexiconEntry("zoo", ("Z", "UW"), 1.0)
+    inventory = frozenset({"B", "AE", "T"})
+    outside = r"^'zoo' uses phonemes outside the inventory: \['UW', 'Z'\]$"
+    with pytest.raises(LexiconValidationError, match=outside):
+        Lexicon((bat, zoo, bat), inventory)
+    with pytest.raises(LexiconValidationError, match="^duplicate entry 'bat' /B AE T/$"):
+        Lexicon((bat, bat, zoo), inventory)
+
+
+def test_upper_casing_never_creates_or_removes_whitespace():
+    # Pronunciations are upper-cased before they are split; that equals
+    # splitting first only if no code point changes whitespace-ness.
+    for code in range(sys.maxunicode + 1):
+        char = chr(code)
+        want = [] if char.isspace() else [char.upper()]
+        assert char.upper().split() == want, hex(code)
 
 
 def test_lookup_missing_word_returns_empty():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -617,6 +618,94 @@ def test_entropies_match_oracle_at_extreme_frequencies(rows):
                 want_point = _oracle_point(naive, ev, entry.pron, t)
                 if trace is not None:
                     _assert_point_matches(trace.points[t - 1], want_point)
+
+
+# ------------------------------------------- single walk vs per-prefix calls
+
+
+def reference_metric_trace(trie, word, evidence):
+    """`metric_trace` composed from the public per-prefix functions, each
+    walking from the root, in the order the trace used to call them."""
+    committed = evidence.committed
+    points = []
+    for position in range(1, len(word.pron) + 1):
+        continuation = word.pron[1:position]
+        switch_prefix = (committed,) + continuation
+        if position == 1:
+            ac_surprisal = acoustic_surprisal_onset(trie, evidence)
+        else:
+            ac_surprisal = acoustic_surprisal(trie, evidence, continuation)
+        ac_entropy = acoustic_entropy(trie, evidence, continuation)
+        size_a = trie.cohort_size((evidence.phoneme_a,) + continuation)
+        size_b = trie.cohort_size((evidence.phoneme_b,) + continuation)
+        if size_a and size_b:
+            joint_size = size_a * (evidence.p_a > 0) + size_b * (evidence.p_b > 0)
+        else:
+            joint_size = size_a + size_b
+        points.append(
+            MetricPoint(
+                position=position,
+                phoneme=word.pron[position - 1],
+                switch_surprisal=switch_surprisal(trie, switch_prefix),
+                acoustic_surprisal=ac_surprisal,
+                switch_entropy=switch_entropy(trie, switch_prefix),
+                acoustic_entropy=ac_entropy,
+                switch_cohort_size=trie.cohort_size(switch_prefix),
+                joint_cohort_size=joint_size,
+            )
+        )
+    return MetricTrace(word, evidence, tuple(points))
+
+
+def _trace_outcome(trace_fn, trie, word, evidence):
+    """repr of the points (exact floats, signed zeros), or the error raised."""
+    try:
+        return repr(trace_fn(trie, word, evidence).points)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _extreme_rows(rng):
+    rows = oracle.random_rows(rng, 40, n_phonemes=4)
+    return [(o, p, float(10.0 ** rng.uniform(-300, 300))) for o, p, _ in rows]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        oracle.random_rows(np.random.default_rng(23), 60, n_phonemes=5),
+        oracle.random_rows(np.random.default_rng(24), 60, n_phonemes=8, min_len=1),
+        _extreme_rows(np.random.default_rng(25)),
+        [("bat", "B AE T", 8e307), ("bad", "B AE D", 8e307), ("pat", "P AE T", 1e307)],
+        [("bat", "B AE T", 1e15), ("bad", "B AE D", 1.0), ("pat", "P AE T", 1.0)],
+    ],
+    ids=["random", "random-short", "log-uniform", "near-float-max", "dominant-word"],
+)
+def test_single_walk_trace_matches_per_prefix_reference(rows):
+    # Every truncation of every word is traced, so an error must come
+    # from the same position: the truncation just before it traces, and
+    # it and every longer one raise the same error.
+    lex = make_lexicon(rows)
+    trie, reference_trie = build_trie(lex), build_trie(lex)
+    onsets = sorted({e.onset for e in lex.entries})
+    n_errors = 0
+    for entry in lex.entries:
+        others = [o for o in onsets if o != entry.onset][:2] + ["ABSENT"]
+        for other in others:
+            for p_a in (0.0, 0.25, 0.5, 0.75, 1.0):
+                for ev in (
+                    AcousticEvidence(entry.onset, other, p_a),
+                    AcousticEvidence(other, entry.onset, p_a),
+                ):
+                    for t in range(1, len(entry.pron) + 1):
+                        word = dataclasses.replace(entry, pron=entry.pron[:t])
+                        got = _trace_outcome(metric_trace, trie, word, ev)
+                        want = _trace_outcome(
+                            reference_metric_trace, reference_trie, word, ev
+                        )
+                        assert got == want, (entry, ev, t)
+                        n_errors += isinstance(got, tuple)
+    assert n_errors > 0  # impossible continuations are covered
 
 
 def test_weighted_inner_check_survives_python_O():
