@@ -15,7 +15,8 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import linalg
@@ -59,28 +60,50 @@ class NestingError(ValueError):
     """Likelihood-ratio inputs are not properly nested fits."""
 
 
-@dataclass(frozen=True)
-class RegressionRow:
-    """One synthetic observation: response plus all predictors."""
+@dataclass(frozen=True, eq=False)
+class RegressionDataset:
+    """A regression dataset: one 1-D numpy array per REGRESSION_FIELDS name.
 
-    response: float
-    acoustic_surprisal: float
-    acoustic_entropy: float
-    switch_surprisal: float
-    switch_entropy: float
-    phoneme_latency: float
-    trial_number: int
-    block_number: int
-    onset_amplitude: float
-    phoneme_pair: str
-    ambiguity: float
-    subject_id: str
+    `columns` maps every field, in REGRESSION_FIELDS order, to a
+    read-only copy of its column; all columns have one length, the number
+    of observations, and `ambiguity` values lie on AMBIGUITY_LEVELS.
+    Construction is the one place a dataset is validated. Columns keep
+    the values and dtype given (strings for `phoneme_pair`/`subject_id`,
+    integers for the trial and block numbers of a simulated dataset);
+    continuous ones are read as floats when the design matrix is built.
+    """
+
+    columns: Mapping[str, np.ndarray]
 
     def __post_init__(self):
-        if self.ambiguity not in AMBIGUITY_LEVELS:
+        missing = [name for name in REGRESSION_FIELDS if name not in self.columns]
+        if missing:
+            raise ValueError(f"dataset is missing columns: {missing}")
+        unknown = sorted(set(self.columns) - set(REGRESSION_FIELDS))
+        if unknown:
+            raise ValueError(f"unknown dataset columns: {unknown}")
+        columns = {}
+        for name in REGRESSION_FIELDS:
+            # a read-only copy: the caller's arrays stay theirs to change
+            columns[name] = np.array(self.columns[name])
+            columns[name].flags.writeable = False
+        not_1d = [name for name, column in columns.items() if column.ndim != 1]
+        if not_1d:
+            raise ValueError(f"dataset columns must be 1-D: {not_1d}")
+        lengths = {name: len(column) for name, column in columns.items()}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"dataset columns have unequal lengths: {lengths}")
+        ambiguity = columns["ambiguity"]
+        off_grid = np.flatnonzero(~np.isin(ambiguity, AMBIGUITY_LEVELS))
+        if off_grid.size:
             raise ValueError(
-                f"ambiguity must be one of {AMBIGUITY_LEVELS}, got {self.ambiguity}"
+                f"ambiguity must be one of {AMBIGUITY_LEVELS}, "
+                f"got {ambiguity[off_grid[0]].item()}"
             )
+        object.__setattr__(self, "columns", MappingProxyType(columns))
+
+    def __len__(self) -> int:
+        return len(self.columns["response"])
 
 
 @dataclass(frozen=True)
@@ -132,25 +155,8 @@ class RecoverySummary:
     records: tuple[ComparisonRecord, ...]
 
 
-def _columns_of(rows: Sequence[RegressionRow]) -> dict[str, np.ndarray]:
-    """The dataset as one numpy array per REGRESSION_FIELDS column."""
-    columns = {}
-    for name in REGRESSION_FIELDS:
-        values = [getattr(r, name) for r in rows]
-        columns[name] = np.array(
-            values, dtype=None if name in CATEGORICAL_PREDICTORS else float
-        )
-    return columns
-
-
-def _rows_of(columns: dict[str, np.ndarray]) -> list[RegressionRow]:
-    """The RegressionRow view of a columnar dataset (Python scalars)."""
-    values = [columns[name].tolist() for name in REGRESSION_FIELDS]
-    return [RegressionRow(*row) for row in zip(*values)]
-
-
 def _design_matrix(
-    columns: dict[str, np.ndarray], predictors: Iterable[str]
+    dataset: RegressionDataset, predictors: Iterable[str]
 ) -> tuple[np.ndarray, list[str]]:
     """Intercept + continuous columns + reference-coded dummies.
 
@@ -162,7 +168,8 @@ def _design_matrix(
     unknown = wanted - set(FULL_PREDICTORS)
     if unknown:
         raise ValueError(f"unknown predictors: {sorted(unknown)}")
-    design = [np.ones(len(columns["response"]))]
+    columns = dataset.columns
+    design = [np.ones(len(dataset))]
     names = ["(intercept)"]
     for name in CONTINUOUS_PREDICTORS:
         if name in wanted:
@@ -180,16 +187,15 @@ def _design_matrix(
     return np.column_stack(design), names
 
 
-def ols_fit(rows: Sequence[RegressionRow], predictors: Iterable[str]) -> FitResult:
+def ols_fit(dataset: RegressionDataset, predictors: Iterable[str]) -> FitResult:
     """Least-squares fit of `response` on the selected predictor set.
 
     The log-likelihood uses the maximum-likelihood variance estimate
     (SSE/n) floored at 1e-12 so exact fits stay finite. Rank-deficient
     designs raise SingularDesignError naming the collinear columns.
     """
-    columns = _columns_of(rows)
-    X, names = _design_matrix(columns, predictors)
-    return _fit(X, names, columns["response"], frozenset(predictors))
+    X, names = _design_matrix(dataset, predictors)
+    return _fit(X, names, dataset.columns["response"], frozenset(predictors))
 
 
 def _fit(
@@ -384,7 +390,7 @@ def simulate_dataset(
     subject_sd: float,
     trials_per_subject: int,
     seed: int,
-) -> list[RegressionRow]:
+) -> RegressionDataset:
     """Synthetic responses driven by one model's metrics at one position.
 
     response = beta_surprisal * surprisal + beta_entropy * entropy
@@ -397,32 +403,11 @@ def simulate_dataset(
     1..trials_per_subject, block number uniform over 1..5. Traces must be
     at the partially ambiguous evidence levels (0.25/0.75).
 
-    All randomness comes from numpy's seeded PCG64 generator, so a fixed
-    seed reproduces the dataset exactly. Parameters so large that a
-    response overflows raise ValueError.
-    """
-    return _rows_of(_simulate_columns(
-        traces, position, generator, betas, noise_sd,
-        n_subjects, subject_sd, trials_per_subject, seed,
-    ))
-
-
-def _simulate_columns(
-    traces: Sequence[MetricTrace],
-    position: int,
-    generator: str,
-    betas: tuple[float, float],
-    noise_sd: float,
-    n_subjects: int,
-    subject_sd: float,
-    trials_per_subject: int,
-    seed: int,
-) -> dict[str, np.ndarray]:
-    """simulate_dataset's dataset as numpy columns (see _columns_of).
-
     The random draws are made subject by subject in a fixed order; each
     trial's metrics are then gathered from per-trace arrays by its drawn
-    trace index.
+    trace index. All randomness comes from numpy's seeded PCG64
+    generator, so a fixed seed reproduces the dataset exactly.
+    Parameters so large that a response overflows raise ValueError.
     """
     if generator not in MODEL_PREDICTORS:
         raise ValueError(f"generator must be 'acoustic' or 'switch', got {generator!r}")
@@ -460,11 +445,6 @@ def _simulate_columns(
         np.concatenate(draw) for draw in zip(*draws)
     )
     subject = np.repeat(np.arange(n_subjects), trials_per_subject)
-    ambiguity = np.array([t.evidence.p_a for t in eligible], dtype=float)[trace_idx]
-    off_grid = np.flatnonzero(~np.isin(ambiguity, AMBIGUITY_LEVELS))
-    if off_grid.size:
-        p_a = eligible[trace_idx[off_grid[0]]].evidence.p_a
-        raise ValueError(f"ambiguity must be one of {AMBIGUITY_LEVELS}, got {p_a}")
     points = [t.point_at(position) for t in eligible]
     columns = {
         name: np.array([getattr(point, name) for point in points], dtype=float)[trace_idx]
@@ -477,41 +457,37 @@ def _simulate_columns(
             beta_surprisal * surprisal + beta_entropy * entropy
             + intercepts[subject] + noise
         )
-    if not np.isfinite(response).all():
-        raise ValueError(
-            "simulated responses are not finite: betas, noise_sd or subject_sd "
-            "too large"
-        )
     pair_labels = np.array([
         "-".join(sorted((t.evidence.phoneme_a, t.evidence.phoneme_b)))
         for t in eligible
     ])
     width = len(str(n_subjects))
     subject_ids = np.array([f"s{s + 1:0{width}d}" for s in range(n_subjects)])
-    columns.update(
-        response=response,
-        phoneme_latency=latency,
-        trial_number=trial_numbers,
-        block_number=blocks,
-        onset_amplitude=amplitude,
-        phoneme_pair=pair_labels[trace_idx],
-        ambiguity=ambiguity,
-        subject_id=subject_ids[subject],
-    )
-    return columns
+    # built before the overflow check, so that an off-grid ambiguity is
+    # reported first
+    dataset = RegressionDataset({
+        **columns,
+        "response": response,
+        "phoneme_latency": latency,
+        "trial_number": trial_numbers,
+        "block_number": blocks,
+        "onset_amplitude": amplitude,
+        "phoneme_pair": pair_labels[trace_idx],
+        "ambiguity": np.array([t.evidence.p_a for t in eligible], dtype=float)[trace_idx],
+        "subject_id": subject_ids[subject],
+    })
+    if not np.isfinite(response).all():
+        raise ValueError(
+            "simulated responses are not finite: betas, noise_sd or subject_sd "
+            "too large"
+        )
+    return dataset
 
 
 def reduced_predictors(removed_model: str) -> tuple[str, ...]:
     """The full predictor set minus one model's surprisal and entropy."""
     removed = MODEL_PREDICTORS[removed_model]
     return tuple(name for name in FULL_PREDICTORS if name not in removed)
-
-
-def compare_removals(
-    rows: Sequence[RegressionRow], df: int | None = None
-) -> dict[str, ModelComparisonResult]:
-    """Fit the full model and both single-model removals, test each removal."""
-    return _compare_columns(_columns_of(rows), df)
 
 
 def _reduced_design(
@@ -524,13 +500,16 @@ def _reduced_design(
     return np.ascontiguousarray(X[:, keep]), [names[j] for j in keep]
 
 
-def _compare_columns(
-    columns: dict[str, np.ndarray], df: int | None
+def compare_removals(
+    dataset: RegressionDataset, df: int | None = None
 ) -> dict[str, ModelComparisonResult]:
-    """compare_removals on a columnar dataset: the full design is built
-    once and each reduced design is a subset of its columns."""
-    X, names = _design_matrix(columns, FULL_PREDICTORS)
-    y = columns["response"]
+    """Fit the full model and both single-model removals, test each removal.
+
+    The full design is built once; each reduced design is a subset of its
+    columns.
+    """
+    X, names = _design_matrix(dataset, FULL_PREDICTORS)
+    y = dataset.columns["response"]
     full_fit = _fit(X, names, y, frozenset(FULL_PREDICTORS))
     results = {}
     for model in ("acoustic", "switch"):
@@ -570,11 +549,11 @@ def model_recovery(
     exclusive = 0
     either = 0
     for sim in range(n_sims):
-        columns = _simulate_columns(
+        dataset = simulate_dataset(
             traces, position, generator, betas, noise_sd,
             n_subjects, subject_sd, trials_per_subject, seed + sim,
         )
-        comparisons = _compare_columns(columns, df)
+        comparisons = compare_removals(dataset, df)
         detected = {}
         for model, result in comparisons.items():
             detected[model] = result.p_value < alpha
@@ -617,7 +596,7 @@ class CalibrationResult:
 
 
 def permutation_calibration(
-    rows: Sequence[RegressionRow],
+    dataset: RegressionDataset,
     n_permutations: int,
     alpha: float,
     seed: int,
@@ -637,12 +616,11 @@ def permutation_calibration(
         raise ValueError(f"removed must be 'acoustic' or 'switch', got {removed!r}")
     if n_permutations < 1:
         raise ValueError(f"need at least one permutation, got {n_permutations}")
-    columns = _columns_of(rows)
-    X_full, full_names = _design_matrix(columns, FULL_PREDICTORS)
+    X_full, full_names = _design_matrix(dataset, FULL_PREDICTORS)
     X_reduced, reduced_names = _reduced_design(X_full, full_names, removed)
     solve_full = _least_squares(X_full, full_names)
     solve_reduced = _least_squares(X_reduced, reduced_names)
-    y = columns["response"]
+    y = dataset.columns["response"]
     n = len(y)
     df_used = X_full.shape[1] - X_reduced.shape[1] if df is None else df
     rng = np.random.default_rng(seed)
@@ -662,11 +640,12 @@ def permutation_calibration(
     )
 
 
-def write_dataset(rows: Sequence[RegressionRow], path: str | Path) -> None:
-    """One CSV row per observation, headed by the RegressionRow field names."""
+def write_dataset(dataset: RegressionDataset, path: str | Path) -> None:
+    """One CSV row per observation, headed by the REGRESSION_FIELDS names."""
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(REGRESSION_FIELDS)
-        for row in rows:
-            writer.writerow([getattr(row, field) for field in REGRESSION_FIELDS])
+        writer.writerows(
+            zip(*(dataset.columns[name].tolist() for name in REGRESSION_FIELDS))
+        )

@@ -11,8 +11,8 @@ Exit codes:
        failures, bad parameter values
     2  lookup and usage errors: unknown word or continuum target, bad
        command line
-    3  domain errors: impossible continuation, undefined correlation,
-       degenerate identification curve, singular design, non-nested fits
+    3  domain errors: impossible continuation, degenerate identification
+       curve, singular design, non-nested fits
 """
 
 from __future__ import annotations
@@ -185,21 +185,28 @@ def cmd_compare(args) -> int:
     for position in range(1, max_position + 1):
         n_here = sum(1 for t in traces if t.point_at(position) is not None)
         for quantity in _QUANTITIES:
-            if n_here >= 3:
-                r = model_correlation(traces, position, quantity)
-                records.append(
-                    {
-                        "kind": "correlation",
-                        "position": position,
-                        "quantity": quantity,
-                        "n": n_here,
-                        "value": r,
-                    }
-                )
-            else:
+            if n_here < 3:
                 _warn(
                     f"position {position}: only {n_here} traces, correlation skipped"
                 )
+            else:
+                try:
+                    r = model_correlation(traces, position, quantity)
+                except UndefinedCorrelationError:
+                    _warn(
+                        f"position {position}: constant {quantity} values, "
+                        "correlation skipped"
+                    )
+                else:
+                    records.append(
+                        {
+                            "kind": "correlation",
+                            "position": position,
+                            "quantity": quantity,
+                            "n": n_here,
+                            "value": r,
+                        }
+                    )
             ranking = model_divergence_ranking(traces, position, quantity)
             for rank, (entry, gap) in enumerate(ranking[: args.top_k], start=1):
                 records.append(
@@ -289,11 +296,11 @@ def cmd_simfit(args) -> int:
         raise ValueError("no traceable voicing-onset words in the lexicon")
     betas = _parse_betas(args.betas)
     if args.data_out:
-        rows = simulate_dataset(
+        dataset = simulate_dataset(
             traces, args.position, args.generator, betas, args.noise,
             args.subjects, args.subject_sd, args.trials, args.seed,
         )
-        write_dataset(rows, args.data_out)
+        write_dataset(dataset, args.data_out)
     summary = model_recovery(
         traces,
         position=args.position,
@@ -463,7 +470,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (
         ImpossibleContinuationError,
-        UndefinedCorrelationError,
         DegenerateCurveError,
         SingularDesignError,
         NestingError,

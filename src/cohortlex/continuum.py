@@ -31,7 +31,8 @@ _FIT_MAX_EVALS = 200
 
 
 class DegenerateCurveError(ValueError):
-    """Identification proportions carry no step information (all equal)."""
+    """No descending logistic fits the identification proportions: they are
+    all equal, the fit did not converge, or its slope is not positive."""
 
 
 @dataclass(frozen=True)
@@ -103,8 +104,10 @@ def fit_psychometric(curve: IdentificationCurve) -> tuple[float, float]:
     """Least-squares logistic fit of an identification curve.
 
     Returns (midpoint, slope). Deterministic: fixed start (6, 1) and a
-    fixed evaluation budget. A constant curve has no midpoint and raises
-    DegenerateCurveError.
+    fixed evaluation budget. Raises DegenerateCurveError for a constant
+    curve (it has no midpoint), for a fit that does not converge within
+    the budget, and for a fitted slope that is not positive (a curve that
+    does not descend from the first category to the second).
     """
     proportions = np.array(curve.proportions)
     if np.all(proportions == proportions[0]):
@@ -116,8 +119,16 @@ def fit_psychometric(curve: IdentificationCurve) -> tuple[float, float]:
         return logistic_identification(steps, midpoint, slope) - proportions
 
     result = least_squares(residual, _FIT_START, max_nfev=_FIT_MAX_EVALS)
-    midpoint, slope = result.x
-    return float(midpoint), float(slope)
+    if not result.success:
+        raise DegenerateCurveError(
+            f"logistic fit did not converge in {_FIT_MAX_EVALS} evaluations"
+        )
+    midpoint, slope = (float(x) for x in result.x)
+    if not slope > 0:
+        raise DegenerateCurveError(
+            f"fitted slope {slope:.6f} is not positive: the curve does not descend"
+        )
+    return midpoint, slope
 
 
 def resample_continuum(
@@ -178,7 +189,7 @@ def read_identification_curves(path: str | Path) -> dict[str, IdentificationCurv
 
     Two layouts: `step,proportion` (one curve, keyed by the file stem) or
     long-format `item,step,proportion`. Column order is free; headers are
-    required.
+    required, and a row with fewer cells than the header is rejected.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
@@ -195,6 +206,8 @@ def read_identification_curves(path: str | Path) -> dict[str, IdentificationCurv
         rows_by_item: dict[str, list[tuple[int, float]]] = {}
         for row in reader:
             row = {k.strip().lower(): v for k, v in row.items() if k is not None}
+            if None in row.values():
+                raise ValueError(f"{path}: line {reader.line_num}: missing cells")
             item = row["item"].strip() if has_item else path.stem
             rows_by_item.setdefault(item, []).append(
                 (int(row["step"]), float(row["proportion"]))

@@ -76,25 +76,6 @@ class AcousticEvidence:
 
 
 @dataclass(frozen=True)
-class WeightedCohort:
-    """Evidence-weighted distribution over both onset sub-cohorts.
-
-    `raw_mass` is the probability mass the weighting assigns before
-    renormalization: 1 when both sub-cohorts are alive, the surviving
-    onset's evidence weight when one is empty (the returned probabilities
-    are always renormalized to sum to 1).
-    """
-
-    members: tuple[tuple[LexiconEntry, float], ...]
-    raw_mass: float
-
-    @property
-    def size(self) -> int:
-        """Members with non-zero probability."""
-        return sum(1 for _, p in self.members if p > 0)
-
-
-@dataclass(frozen=True)
 class MetricPoint:
     """Both models' values at one phoneme position of a trace."""
 
@@ -161,41 +142,6 @@ def _node_and_parent_freq(trie: CohortTrie, prefix: PhonemeSeq):
     return _child(parent, prefix[-1]), parent.cum_freq
 
 
-def acoustic_weighted_probs(
-    trie: CohortTrie, evidence: AcousticEvidence, continuation: PhonemeSeq
-) -> WeightedCohort:
-    """Word distribution mixing both onset sub-cohorts by evidence weight.
-
-    Each word in the sub-cohort of onset x (prefix [x] + continuation)
-    gets weight P(word | sub-cohort) * P(x | evidence). If exactly one
-    sub-cohort is empty the survivor is renormalized to a proper
-    distribution and the pre-renormalization mass is reported as raw_mass.
-    """
-    continuation = tuple(continuation)
-    prefix_a = (evidence.phoneme_a,) + continuation
-    prefix_b = (evidence.phoneme_b,) + continuation
-    alive_a = trie._node_at(prefix_a) is not None
-    alive_b = trie._node_at(prefix_b) is not None
-    if alive_a and alive_b:
-        members = [
-            (entry, p * evidence.p_a)
-            for entry, p in trie.cohort_at(prefix_a).members
-        ]
-        members += [
-            (entry, p * evidence.p_b)
-            for entry, p in trie.cohort_at(prefix_b).members
-        ]
-        return WeightedCohort(tuple(members), raw_mass=1.0)
-    # Lone surviving sub-cohort: its conditional distribution, renormalized.
-    if alive_a:
-        survivor, mass = prefix_a, evidence.p_a
-    elif alive_b:
-        survivor, mass = prefix_b, evidence.p_b
-    else:
-        raise _no_onset_admits(evidence, continuation)
-    return WeightedCohort(trie.cohort_at(survivor).members, raw_mass=mass)
-
-
 def _acoustic_entropy_and_size(evidence, node_a, node_b, continuation):
     """Entropy and size of the evidence-weighted distribution, from node totals.
 
@@ -203,9 +149,9 @@ def _acoustic_entropy_and_size(evidence, node_a, node_b, continuation):
     entropy is p_a*H_a + p_b*H_b + h(p_a) when both survive, and the lone
     survivor's renormalized entropy H_survivor otherwise. The size counts
     a sub-cohort only when its evidence weight is non-zero, except for a
-    lone survivor, which counts whatever its weight. This is
-    `WeightedCohort.size` except where a member's weight underflows to 0
-    (that member still counts here). Raises when neither onset survives.
+    lone survivor, which counts whatever its weight, so a member whose
+    weighted probability underflows to 0 still counts. Raises when
+    neither onset survives.
     """
     if node_a is not None and node_b is not None:
         p_a, p_b = evidence.p_a, evidence.p_b
@@ -229,8 +175,9 @@ def acoustic_entropy(
 
     Computed by the grouping rule from the two onset sub-cohorts' memoized
     entropies (p_a*H_a + p_b*H_b + h(p_a), or the lone survivor's H), so
-    no cohort is listed; agrees with the entropy of
-    `acoustic_weighted_probs` to rounding.
+    no cohort is listed. The weighted distribution gives each word of
+    onset x's sub-cohort P(word | sub-cohort) * P(x | evidence), with a
+    lone surviving sub-cohort renormalized to sum to 1.
     """
     continuation = tuple(continuation)
     node_a = trie._node_at((evidence.phoneme_a,) + continuation)

@@ -18,7 +18,6 @@ from cohortlex import (
     acoustic_entropy,
     acoustic_surprisal,
     acoustic_surprisal_onset,
-    acoustic_weighted_probs,
     build_trace_set,
     build_trie,
     chi_square_sf,
@@ -34,6 +33,7 @@ from cohortlex import (
 )
 from tests import naive_oracle as oracle
 from tests.conftest import SIM_ROWS, TOY_A_ROWS, TOY_B_ROWS
+from tests.weighted_cohort import acoustic_weighted_probs
 
 
 def build_both(rows):
@@ -267,12 +267,12 @@ def test_permutation_rejection_rate_calibrated():
     # nominal rate: 0.05 +- 0.03 over 500 permutations
     trie = build_trie(make_lexicon(SIM_ROWS))
     traces = build_trace_set(trie)
-    rows = simulate_dataset(
+    data = simulate_dataset(
         traces, position=2, generator="acoustic", betas=(1.0, 1.0),
         noise_sd=0.5, n_subjects=10, subject_sd=1.0, trials_per_subject=500,
         seed=11,
     )
-    result = permutation_calibration(rows, n_permutations=500, alpha=0.05, seed=2028)
+    result = permutation_calibration(data, n_permutations=500, alpha=0.05, seed=2028)
     assert 0.02 <= result.fraction_below_alpha <= 0.08
     print(
         f"PASS permutation calibration: rejection rate "

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +13,7 @@ from cohortlex import (
     CalibrationResult,
     ComparisonRecord,
     NestingError,
-    RegressionRow,
+    RegressionDataset,
     SingularDesignError,
     bonferroni_alpha,
     build_trace_set,
@@ -28,7 +27,7 @@ from cohortlex import (
     simulate_dataset,
     write_dataset,
 )
-from cohortlex.analysis import VARIANCE_FLOOR, _columns_of, _design_matrix
+from cohortlex.analysis import VARIANCE_FLOOR, _design_matrix
 
 METRIC_NAMES = (
     "acoustic_surprisal",
@@ -38,61 +37,88 @@ METRIC_NAMES = (
 )
 
 
-def make_row(response, **overrides):
-    values = {
-        "acoustic_surprisal": 1.0,
-        "acoustic_entropy": 0.5,
-        "switch_surprisal": 1.2,
-        "switch_entropy": 0.4,
-        "phoneme_latency": 87.0,
-        "trial_number": 1,
-        "block_number": 1,
-        "onset_amplitude": 0.0,
-        "phoneme_pair": "B-P",
-        "ambiguity": 0.75,
-        "subject_id": "s1",
-    }
-    values.update(overrides)
-    return RegressionRow(response=response, **values)
+COLUMN_DEFAULTS = {
+    "acoustic_surprisal": 1.0,
+    "acoustic_entropy": 0.5,
+    "switch_surprisal": 1.2,
+    "switch_entropy": 0.4,
+    "phoneme_latency": 87.0,
+    "trial_number": 1,
+    "block_number": 1,
+    "onset_amplitude": 0.0,
+    "phoneme_pair": "B-P",
+    "ambiguity": 0.75,
+    "subject_id": "s1",
+}
 
 
-def random_rows(rng, n, response=None):
-    rows = []
+def make_dataset(response, **overrides):
+    """A dataset with the given responses; every other column is the
+    override (a sequence, or one value for every row) or its default."""
+    n = len(response)
+    columns = {"response": response}
+    for name, value in {**COLUMN_DEFAULTS, **overrides}.items():
+        columns[name] = value if isinstance(value, (list, np.ndarray)) else [value] * n
+    return RegressionDataset(columns)
+
+
+def random_dataset(rng, n, response=None):
+    # one observation at a time, drawing in field order
+    columns = {name: [] for name in REGRESSION_FIELDS}
     for i in range(n):
-        rows.append(
-            make_row(
-                response[i] if response is not None else float(rng.normal()),
-                acoustic_surprisal=float(rng.normal(2.0, 1.0)),
-                acoustic_entropy=float(rng.normal(1.0, 0.5)),
-                switch_surprisal=float(rng.normal(2.0, 1.0)),
-                switch_entropy=float(rng.normal(1.0, 0.5)),
-                phoneme_latency=float(rng.normal(87.0, 25.0)),
-                trial_number=int(rng.integers(1, 100)),
-                block_number=int(rng.integers(1, 6)),
-                onset_amplitude=float(rng.normal()),
-                phoneme_pair=("B-P", "D-T")[int(rng.integers(2))],
-                ambiguity=AMBIGUITY_LEVELS[int(rng.integers(2))],
-                subject_id=f"s{int(rng.integers(1, 5))}",
-            )
+        columns["response"].append(
+            response[i] if response is not None else float(rng.normal())
         )
-    return rows
+        columns["acoustic_surprisal"].append(float(rng.normal(2.0, 1.0)))
+        columns["acoustic_entropy"].append(float(rng.normal(1.0, 0.5)))
+        columns["switch_surprisal"].append(float(rng.normal(2.0, 1.0)))
+        columns["switch_entropy"].append(float(rng.normal(1.0, 0.5)))
+        columns["phoneme_latency"].append(float(rng.normal(87.0, 25.0)))
+        columns["trial_number"].append(int(rng.integers(1, 100)))
+        columns["block_number"].append(int(rng.integers(1, 6)))
+        columns["onset_amplitude"].append(float(rng.normal()))
+        columns["phoneme_pair"].append(("B-P", "D-T")[int(rng.integers(2))])
+        columns["ambiguity"].append(AMBIGUITY_LEVELS[int(rng.integers(2))])
+        columns["subject_id"].append(f"s{int(rng.integers(1, 5))}")
+    return RegressionDataset(columns)
 
 
-def test_regression_row_rejects_off_grid_ambiguity():
-    with pytest.raises(ValueError):
-        make_row(0.0, ambiguity=0.5)
+def same_data(first, second):
+    """Every column equal, value for value."""
+    return all(
+        first.columns[name].tolist() == second.columns[name].tolist()
+        for name in REGRESSION_FIELDS
+    )
+
+
+def test_dataset_rejects_invalid_columns():
+    with pytest.raises(
+        ValueError, match=r"ambiguity must be one of \(0.25, 0.75\), got 0.5"
+    ):
+        make_dataset([0.0], ambiguity=0.5)
+    columns = make_dataset([0.0, 1.0]).columns
+    missing = {k: v for k, v in columns.items() if k != "subject_id"}
+    with pytest.raises(ValueError, match=r"missing columns: \['subject_id'\]"):
+        RegressionDataset(missing)
+    with pytest.raises(ValueError, match=r"unknown dataset columns: \['word'\]"):
+        RegressionDataset({**columns, "word": columns["subject_id"]})
+    with pytest.raises(ValueError, match="unequal lengths"):
+        RegressionDataset({**columns, "trial_number": [1, 2, 3]})
+    with pytest.raises(ValueError, match="1-D"):
+        RegressionDataset({**columns, "response": [[0.0, 1.0]]})
 
 
 def test_ols_recovers_exact_linear_relation():
     rng = np.random.default_rng(11)
-    rows = []
+    response, surprisal, entropy = [], [], []
     for _ in range(50):
         s = float(rng.normal(2.0, 1.0))
         h = float(rng.normal(1.0, 0.5))
-        rows.append(
-            make_row(2.0 + 1.5 * s - 0.5 * h, acoustic_surprisal=s, acoustic_entropy=h)
-        )
-    fit = ols_fit(rows, ("acoustic_surprisal", "acoustic_entropy"))
+        response.append(2.0 + 1.5 * s - 0.5 * h)
+        surprisal.append(s)
+        entropy.append(h)
+    data = make_dataset(response, acoustic_surprisal=surprisal, acoustic_entropy=entropy)
+    fit = ols_fit(data, ("acoustic_surprisal", "acoustic_entropy"))
     assert fit.coefficients["(intercept)"] == pytest.approx(2.0, abs=1e-9)
     assert fit.coefficients["acoustic_surprisal"] == pytest.approx(1.5, abs=1e-9)
     assert fit.coefficients["acoustic_entropy"] == pytest.approx(-0.5, abs=1e-9)
@@ -105,8 +131,8 @@ def test_ols_recovers_exact_linear_relation():
 
 def test_dummy_coding_drops_first_sorted_level():
     rng = np.random.default_rng(12)
-    rows = random_rows(rng, 80)
-    fit = ols_fit(rows, ("phoneme_pair", "ambiguity", "subject_id"))
+    data = random_dataset(rng, 80)
+    fit = ols_fit(data, ("phoneme_pair", "ambiguity", "subject_id"))
     assert set(fit.coefficients) == {
         "(intercept)",
         "phoneme_pair=D-T",
@@ -119,13 +145,16 @@ def test_dummy_coding_drops_first_sorted_level():
 
 def test_dummy_offsets_recovered_exactly():
     rng = np.random.default_rng(13)
-    rows = []
+    response, pairs, ambiguities = [], [], []
     for _ in range(40):
         pair = ("B-P", "D-T")[int(rng.integers(2))]
         amb = AMBIGUITY_LEVELS[int(rng.integers(2))]
         y = 1.0 + (2.0 if pair == "D-T" else 0.0) + (-3.0 if amb == 0.75 else 0.0)
-        rows.append(make_row(y, phoneme_pair=pair, ambiguity=amb))
-    fit = ols_fit(rows, ("phoneme_pair", "ambiguity"))
+        response.append(y)
+        pairs.append(pair)
+        ambiguities.append(amb)
+    data = make_dataset(response, phoneme_pair=pairs, ambiguity=ambiguities)
+    fit = ols_fit(data, ("phoneme_pair", "ambiguity"))
     assert fit.coefficients["(intercept)"] == pytest.approx(1.0, abs=1e-9)
     assert fit.coefficients["phoneme_pair=D-T"] == pytest.approx(2.0, abs=1e-9)
     assert fit.coefficients["ambiguity=0.75"] == pytest.approx(-3.0, abs=1e-9)
@@ -133,26 +162,28 @@ def test_dummy_offsets_recovered_exactly():
 
 def test_duplicate_column_is_singular():
     rng = np.random.default_rng(14)
-    rows = []
+    response, surprisal = [], []
     for _ in range(30):
         s = float(rng.normal())
-        rows.append(
-            make_row(float(rng.normal()), acoustic_surprisal=s, switch_surprisal=s)
-        )
+        surprisal.append(s)
+        response.append(float(rng.normal()))
+    data = make_dataset(
+        response, acoustic_surprisal=surprisal, switch_surprisal=surprisal
+    )
     with pytest.raises(SingularDesignError) as excinfo:
-        ols_fit(rows, ("acoustic_surprisal", "switch_surprisal"))
+        ols_fit(data, ("acoustic_surprisal", "switch_surprisal"))
     assert "surprisal" in str(excinfo.value)
 
 
 def test_constant_predictor_collides_with_intercept():
-    rows = [make_row(float(i), acoustic_entropy=0.7) for i in range(20)]
+    data = make_dataset([float(i) for i in range(20)], acoustic_entropy=0.7)
     with pytest.raises(SingularDesignError):
-        ols_fit(rows, ("acoustic_entropy",))
+        ols_fit(data, ("acoustic_entropy",))
 
 
 def test_log_likelihood_monotone_under_nesting():
     rng = np.random.default_rng(15)
-    rows = random_rows(rng, 120)
+    data = random_dataset(rng, 120)
     nested = [
         ("acoustic_surprisal",),
         ("acoustic_surprisal", "acoustic_entropy"),
@@ -160,15 +191,15 @@ def test_log_likelihood_monotone_under_nesting():
         ("acoustic_surprisal", "acoustic_entropy", "phoneme_latency", "phoneme_pair"),
         FULL_PREDICTORS,
     ]
-    logliks = [ols_fit(rows, preds).log_likelihood for preds in nested]
+    logliks = [ols_fit(data, preds).log_likelihood for preds in nested]
     for smaller, larger in zip(logliks, logliks[1:]):
         assert larger >= smaller - 1e-9
 
 
 def test_lrt_identical_models_is_null_result():
     rng = np.random.default_rng(16)
-    rows = random_rows(rng, 60)
-    fit = ols_fit(rows, ("acoustic_surprisal", "acoustic_entropy"))
+    data = random_dataset(rng, 60)
+    fit = ols_fit(data, ("acoustic_surprisal", "acoustic_entropy"))
     result = likelihood_ratio_test(fit, fit)
     assert result.chi2 == 0.0
     assert result.df == 0
@@ -177,9 +208,9 @@ def test_lrt_identical_models_is_null_result():
 
 def test_lrt_default_df_is_parameter_difference():
     rng = np.random.default_rng(17)
-    rows = random_rows(rng, 100)
-    full = ols_fit(rows, FULL_PREDICTORS)
-    reduced = ols_fit(rows, reduced_predictors("acoustic"))
+    data = random_dataset(rng, 100)
+    full = ols_fit(data, FULL_PREDICTORS)
+    reduced = ols_fit(data, reduced_predictors("acoustic"))
     result = likelihood_ratio_test(full, reduced)
     assert result.df == 2
     assert result.chi2 >= 0.0
@@ -191,9 +222,9 @@ def test_lrt_default_df_is_parameter_difference():
 
 def test_lrt_df_override():
     rng = np.random.default_rng(18)
-    rows = random_rows(rng, 100)
-    full = ols_fit(rows, ("acoustic_surprisal", "acoustic_entropy"))
-    reduced = ols_fit(rows, ("acoustic_surprisal",))
+    data = random_dataset(rng, 100)
+    full = ols_fit(data, ("acoustic_surprisal", "acoustic_entropy"))
+    reduced = ols_fit(data, ("acoustic_surprisal",))
     result = likelihood_ratio_test(full, reduced, df=3)
     assert result.df == 3
     assert result.p_value == pytest.approx(chi_square_sf(result.chi2, 3), abs=1e-15)
@@ -203,18 +234,19 @@ def test_lrt_df_override():
 
 def test_lrt_rejects_non_nested_models():
     rng = np.random.default_rng(19)
-    rows = random_rows(rng, 60)
-    acoustic = ols_fit(rows, ("acoustic_surprisal", "acoustic_entropy"))
-    switch = ols_fit(rows, ("switch_surprisal", "switch_entropy"))
+    data = random_dataset(rng, 60)
+    acoustic = ols_fit(data, ("acoustic_surprisal", "acoustic_entropy"))
+    switch = ols_fit(data, ("switch_surprisal", "switch_entropy"))
     with pytest.raises(NestingError):
         likelihood_ratio_test(acoustic, switch)
 
 
 def test_lrt_rejects_mismatched_row_counts():
     rng = np.random.default_rng(20)
-    rows = random_rows(rng, 60)
-    full = ols_fit(rows, ("acoustic_surprisal", "acoustic_entropy"))
-    reduced = ols_fit(rows[:50], ("acoustic_surprisal",))
+    data = random_dataset(rng, 60)
+    full = ols_fit(data, ("acoustic_surprisal", "acoustic_entropy"))
+    first_50 = RegressionDataset({k: v[:50] for k, v in data.columns.items()})
+    reduced = ols_fit(first_50, ("acoustic_surprisal",))
     with pytest.raises(NestingError):
         likelihood_ratio_test(full, reduced)
 
@@ -226,11 +258,11 @@ def test_null_lrt_matches_chi_square_reference():
     chi2s = []
     pvals = []
     for _ in range(300):
-        rows = random_rows(rng, 80)
+        data = random_dataset(rng, 80)
         full = ols_fit(
-            rows, ("phoneme_latency", "acoustic_surprisal", "acoustic_entropy")
+            data, ("phoneme_latency", "acoustic_surprisal", "acoustic_entropy")
         )
-        reduced = ols_fit(rows, ("phoneme_latency",))
+        reduced = ols_fit(data, ("phoneme_latency",))
         result = likelihood_ratio_test(full, reduced)
         chi2s.append(result.chi2)
         pvals.append(result.p_value)
@@ -315,14 +347,14 @@ def test_simulate_dataset_is_deterministic(trie_b):
     )
     first = simulate_dataset(traces, **kwargs)
     second = simulate_dataset(traces, **kwargs)
-    assert first == second
+    assert same_data(first, second)
     different = simulate_dataset(traces, **{**kwargs, "seed": 43})
-    assert first != different
+    assert not same_data(first, different)
 
 
 def test_simulate_dataset_shape_and_fields(trie_b):
     traces = build_trace_set(trie_b)
-    rows = simulate_dataset(
+    data = simulate_dataset(
         traces,
         position=2,
         generator="switch",
@@ -333,17 +365,19 @@ def test_simulate_dataset_shape_and_fields(trie_b):
         trials_per_subject=7,
         seed=1,
     )
-    assert len(rows) == 12 * 7
-    assert {r.subject_id for r in rows} == {f"s{i:02d}" for i in range(1, 13)}
-    assert {r.phoneme_pair for r in rows} == {"B-P"}
-    assert {r.ambiguity for r in rows} <= set(AMBIGUITY_LEVELS)
-    assert all(1 <= r.trial_number <= 7 for r in rows)
-    assert all(1 <= r.block_number <= 5 for r in rows)
+    assert not any(column.flags.writeable for column in data.columns.values())
+    columns = {name: data.columns[name].tolist() for name in REGRESSION_FIELDS}
+    assert len(data) == 12 * 7
+    assert set(columns["subject_id"]) == {f"s{i:02d}" for i in range(1, 13)}
+    assert set(columns["phoneme_pair"]) == {"B-P"}
+    assert set(columns["ambiguity"]) <= set(AMBIGUITY_LEVELS)
+    assert all(1 <= t <= 7 for t in columns["trial_number"])
+    assert all(1 <= b <= 5 for b in columns["block_number"])
 
 
 def test_simulate_dataset_noise_free_response_is_linear(trie_b):
     traces = build_trace_set(trie_b)
-    rows = simulate_dataset(
+    data = simulate_dataset(
         traces,
         position=2,
         generator="acoustic",
@@ -354,14 +388,17 @@ def test_simulate_dataset_noise_free_response_is_linear(trie_b):
         trials_per_subject=30,
         seed=9,
     )
-    for row in rows:
-        expected = 2.0 * row.acoustic_surprisal - 1.0 * row.acoustic_entropy
-        assert row.response == pytest.approx(expected, abs=1e-12)
+    columns = data.columns
+    for response, surprisal, entropy in zip(
+        columns["response"], columns["acoustic_surprisal"], columns["acoustic_entropy"]
+    ):
+        expected = 2.0 * surprisal - 1.0 * entropy
+        assert response == pytest.approx(expected, abs=1e-12)
 
 
 def test_simulate_dataset_null_betas_leave_metrics_uncorrelated(trie_sim):
     traces = build_trace_set(trie_sim)
-    rows = simulate_dataset(
+    data = simulate_dataset(
         traces,
         position=2,
         generator="acoustic",
@@ -372,9 +409,9 @@ def test_simulate_dataset_null_betas_leave_metrics_uncorrelated(trie_sim):
         trials_per_subject=600,
         seed=3,
     )
-    y = np.array([r.response for r in rows])
+    y = data.columns["response"]
     for name in METRIC_NAMES:
-        x = np.array([getattr(r, name) for r in rows])
+        x = data.columns[name]
         assert abs(float(np.corrcoef(x, y)[0, 1])) < 0.1
 
 
@@ -425,7 +462,7 @@ def test_simulate_dataset_rejects_bad_parameters_by_name(trie_b, override, name)
 
 def test_write_dataset_round_trip(tmp_path, trie_b):
     traces = build_trace_set(trie_b)
-    rows = simulate_dataset(
+    data = simulate_dataset(
         traces,
         position=2,
         generator="acoustic",
@@ -437,19 +474,19 @@ def test_write_dataset_round_trip(tmp_path, trie_b):
         seed=2,
     )
     path = tmp_path / "sim.csv"
-    write_dataset(rows, path)
+    write_dataset(data, path)
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
         assert tuple(reader.fieldnames) == REGRESSION_FIELDS
         parsed = list(reader)
-    assert len(parsed) == len(rows)
-    assert float(parsed[0]["response"]) == pytest.approx(rows[0].response)
-    assert parsed[0]["subject_id"] == rows[0].subject_id
+    assert len(parsed) == len(data)
+    assert float(parsed[0]["response"]) == pytest.approx(data.columns["response"][0])
+    assert parsed[0]["subject_id"] == data.columns["subject_id"][0]
 
 
 def test_compare_removals_detects_only_the_generator(trie_sim):
     traces = build_trace_set(trie_sim)
-    rows = simulate_dataset(
+    data = simulate_dataset(
         traces,
         position=2,
         generator="acoustic",
@@ -460,7 +497,7 @@ def test_compare_removals_detects_only_the_generator(trie_sim):
         trials_per_subject=400,
         seed=8,
     )
-    results = compare_removals(rows)
+    results = compare_removals(data)
     assert set(results) == {"acoustic", "switch"}
     assert results["acoustic"].df == 2
     assert results["switch"].df == 2
@@ -513,7 +550,7 @@ def test_model_recovery_small_run(trie_sim):
 
 def test_permutation_calibration_fraction_near_alpha(trie_sim):
     traces = build_trace_set(trie_sim)
-    rows = simulate_dataset(
+    data = simulate_dataset(
         traces,
         position=2,
         generator="acoustic",
@@ -524,7 +561,7 @@ def test_permutation_calibration_fraction_near_alpha(trie_sim):
         trials_per_subject=100,
         seed=6,
     )
-    result = permutation_calibration(rows, n_permutations=200, alpha=0.05, seed=44)
+    result = permutation_calibration(data, n_permutations=200, alpha=0.05, seed=44)
     assert isinstance(result, CalibrationResult)
     assert result.n_permutations == 200
     assert len(result.p_values) == 200
@@ -532,17 +569,17 @@ def test_permutation_calibration_fraction_near_alpha(trie_sim):
     # loose sanity band; the tight calibration check runs many more
     # permutations in the acceptance suite
     assert 0.0 <= result.fraction_below_alpha <= 0.15
-    repeat = permutation_calibration(rows, n_permutations=200, alpha=0.05, seed=44)
+    repeat = permutation_calibration(data, n_permutations=200, alpha=0.05, seed=44)
     assert repeat.p_values == result.p_values
     switch_side = permutation_calibration(
-        rows, n_permutations=10, alpha=0.05, seed=44, removed="switch"
+        data, n_permutations=10, alpha=0.05, seed=44, removed="switch"
     )
     assert len(switch_side.p_values) == 10
 
 
 def test_permutation_calibration_argument_validation(trie_sim):
     traces = build_trace_set(trie_sim)
-    rows = simulate_dataset(
+    data = simulate_dataset(
         traces,
         position=2,
         generator="acoustic",
@@ -554,41 +591,41 @@ def test_permutation_calibration_argument_validation(trie_sim):
         seed=6,
     )
     with pytest.raises(ValueError):
-        permutation_calibration(rows, n_permutations=0, alpha=0.05, seed=1)
+        permutation_calibration(data, n_permutations=0, alpha=0.05, seed=1)
     with pytest.raises(ValueError):
         permutation_calibration(
-            rows, n_permutations=5, alpha=0.05, seed=1, removed="hybrid"
+            data, n_permutations=5, alpha=0.05, seed=1, removed="hybrid"
         )
 
 
 def test_permutation_calibration_rejects_singular_design():
     rng = np.random.default_rng(14)
-    rows = [
-        dataclasses.replace(row, switch_surprisal=row.acoustic_surprisal)
-        for row in random_rows(rng, 40)
-    ]
+    data = random_dataset(rng, 40)
+    data = RegressionDataset(
+        {**data.columns, "switch_surprisal": data.columns["acoustic_surprisal"]}
+    )
     with pytest.raises(SingularDesignError, match="surprisal"):
-        ols_fit(rows, FULL_PREDICTORS)
+        ols_fit(data, FULL_PREDICTORS)
     with pytest.raises(SingularDesignError, match="surprisal"):
-        permutation_calibration(rows, n_permutations=5, alpha=0.05, seed=1)
+        permutation_calibration(data, n_permutations=5, alpha=0.05, seed=1)
 
 
 def test_least_squares_matches_lstsq_reference():
     # ols_fit and permutation_calibration share one QR factor-and-solve
     # path; pin both to an independent SVD least-squares solve.
     rng = np.random.default_rng(22)
-    rows = random_rows(rng, 120)
-    n = len(rows)
-    X_full, names = _design_matrix(_columns_of(rows), FULL_PREDICTORS)
-    X_reduced, _ = _design_matrix(_columns_of(rows), reduced_predictors("acoustic"))
-    y = np.array([r.response for r in rows])
+    data = random_dataset(rng, 120)
+    n = len(data)
+    X_full, names = _design_matrix(data, FULL_PREDICTORS)
+    X_reduced, _ = _design_matrix(data, reduced_predictors("acoustic"))
+    y = data.columns["response"]
 
     def sse(X, response):
         beta, *_ = np.linalg.lstsq(X, response, rcond=None)
         return float(np.sum((response - X @ beta) ** 2)), beta
 
     sse_full, beta_full = sse(X_full, y)
-    fit = ols_fit(rows, FULL_PREDICTORS)
+    fit = ols_fit(data, FULL_PREDICTORS)
     assert [fit.coefficients[name] for name in names] == pytest.approx(
         beta_full.tolist(), abs=1e-10
     )
@@ -600,7 +637,7 @@ def test_least_squares_matches_lstsq_reference():
         shuffled = y[permutations.permutation(n)]
         chi2 = n * math.log(sse(X_reduced, shuffled)[0] / sse(X_full, shuffled)[0])
         expected.append(chi_square_sf(max(0.0, chi2), 2))
-    result = permutation_calibration(rows, n_permutations=20, alpha=0.05, seed=5)
+    result = permutation_calibration(data, n_permutations=20, alpha=0.05, seed=5)
     assert result.p_values == pytest.approx(expected, abs=1e-9)
 
 
@@ -631,7 +668,7 @@ def reference_simulate_rows(traces, position, generator, betas, noise_sd,
                 beta_surprisal * surprisal + beta_entropy * entropy
                 + intercepts[s] + noise[k]
             )
-            rows.append(RegressionRow(
+            rows.append(dict(
                 response=float(response),
                 acoustic_surprisal=point.acoustic_surprisal,
                 acoustic_entropy=point.acoustic_entropy,
@@ -650,11 +687,19 @@ def reference_simulate_rows(traces, position, generator, betas, noise_sd,
     return rows
 
 
+def dataset_of(rows):
+    """A dataset built from per-row dicts, column by column."""
+    return RegressionDataset(
+        {name: [row[name] for row in rows] for name in REGRESSION_FIELDS}
+    )
+
+
 def reference_compare_removals(rows, df):
     """Three independent row fits, each building its own design."""
-    full = ols_fit(rows, FULL_PREDICTORS)
+    data = dataset_of(rows)
+    full = ols_fit(data, FULL_PREDICTORS)
     return {
-        model: likelihood_ratio_test(full, ols_fit(rows, reduced_predictors(model)), df=df)
+        model: likelihood_ratio_test(full, ols_fit(data, reduced_predictors(model)), df=df)
         for model in ("acoustic", "switch")
     }
 
@@ -669,7 +714,6 @@ def test_columnar_recovery_matches_row_reference(tmp_path, trie_sim, generator):
         position=2, generator=generator, betas=(1.0, -0.5), noise_sd=0.5,
         n_subjects=4, subject_sd=1.0, trials_per_subject=60,
     )
-    assert tuple(f.name for f in dataclasses.fields(RegressionRow)) == REGRESSION_FIELDS
     for df in (None, 1):
         summary = model_recovery(traces, n_sims=4, alpha=0.05, seed=30, df=df, **params)
         expected = []
@@ -682,18 +726,17 @@ def test_columnar_recovery_matches_row_reference(tmp_path, trie_sim, generator):
                     detected=result.p_value < 0.05,
                 ))
         assert summary.records == tuple(expected)
-    rows = simulate_dataset(traces, seed=31, **params)
+    data = simulate_dataset(traces, seed=31, **params)
     reference = reference_simulate_rows(traces, seed=31, **params)
-    assert rows == reference
-    assert [type(v) for v in dataclasses.astuple(rows[0])] == [
-        type(v) for v in dataclasses.astuple(reference[0])
-    ]
-    write_dataset(rows, tmp_path / "columnar.csv")
-    write_dataset(reference, tmp_path / "reference.csv")
+    assert tuple(data.columns) == REGRESSION_FIELDS
+    for name in REGRESSION_FIELDS:
+        assert data.columns[name].tolist() == [row[name] for row in reference]
+    write_dataset(data, tmp_path / "columnar.csv")
+    write_dataset(dataset_of(reference), tmp_path / "reference.csv")
     assert (tmp_path / "columnar.csv").read_bytes() == (
         tmp_path / "reference.csv"
     ).read_bytes()
-    assert compare_removals(rows) == reference_compare_removals(reference, None)
+    assert compare_removals(data) == reference_compare_removals(reference, None)
 
 
 def test_simulate_dataset_rejects_off_grid_evidence(trie_sim):
@@ -730,16 +773,17 @@ def test_negative_zero_spreads_act_as_zero(trie_sim):
         position=2, generator="acoustic", betas=(1.0, 1.0),
         n_subjects=2, trials_per_subject=5, seed=0,
     )
-    assert simulate_dataset(traces, noise_sd=-0.0, subject_sd=-0.0, **kwargs) == (
-        simulate_dataset(traces, noise_sd=0.0, subject_sd=0.0, **kwargs)
+    assert same_data(
+        simulate_dataset(traces, noise_sd=-0.0, subject_sd=-0.0, **kwargs),
+        simulate_dataset(traces, noise_sd=0.0, subject_sd=0.0, **kwargs),
     )
 
 
 def test_least_squares_rejects_overflowing_sse():
     # responses near 1e200 are finite, but their squares are not
     rng = np.random.default_rng(23)
-    rows = random_rows(rng, 60, response=(1e200 * rng.normal(size=60)).tolist())
+    data = random_dataset(rng, 60, response=(1e200 * rng.normal(size=60)).tolist())
     with pytest.raises(ValueError, match="residual sum of squares is not finite"):
-        ols_fit(rows, FULL_PREDICTORS)
+        ols_fit(data, FULL_PREDICTORS)
     with pytest.raises(ValueError, match="residual sum of squares is not finite"):
-        compare_removals(rows)
+        compare_removals(data)

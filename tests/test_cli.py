@@ -160,7 +160,10 @@ def test_compare_small_lexicon_warns_but_completes(capsys, tmp_path):
     assert all(r["kind"] == "divergence" for r in rows)
 
 
-def test_compare_constant_metric_exits_3(capsys, tmp_path):
+def test_compare_skips_constant_metric_with_warning(capsys, tmp_path):
+    # every word's values are equal at every position, so no correlation
+    # is defined: each cell is skipped with a warning and the divergence
+    # rankings still come out
     path = tmp_path / "mirror.tsv"
     write_lexicon(
         make_lexicon(
@@ -173,11 +176,66 @@ def test_compare_constant_metric_exits_3(capsys, tmp_path):
         ),
         path,
     )
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, ["compare", "--lexicon", str(path), "--pair", "B,P"]
     )
-    assert code == 3
-    assert "constant" in err
+    assert code == 0
+    assert err.splitlines() == [
+        f"warning: position {position}: constant {quantity} values, "
+        "correlation skipped"
+        for position in (1, 2, 3)
+        for quantity in ("surprisal", "entropy")
+    ]
+    rows = parse_csv(out)
+    assert all(r["kind"] == "divergence" for r in rows)
+    assert len(rows) == 3 * 2 * 4
+    first = [(r["word"], r["rank"], r["value"]) for r in rows[:4]]
+    assert first == [
+        ("ban", "1", "1.000000"),
+        ("bat", "2", "1.000000"),
+        ("pan", "3", "1.000000"),
+        ("pat", "4", "1.000000"),
+    ]
+
+
+def test_compare_skips_only_the_flat_cell(capsys, tmp_path):
+    path = tmp_path / "mixed.tsv"
+    write_lexicon(
+        make_lexicon(
+            [
+                ("bat", "B AE T", 2.0),
+                ("ban", "B AE N", 2.0),
+                ("pat", "P AE T", 2.0),
+                ("pan", "P AE N", 2.0),
+                ("bid", "B IH D", 1.0),
+                ("pid", "P IH D", 3.0),
+            ]
+        ),
+        path,
+    )
+    code, out, err = run_cli(
+        capsys, ["compare", "--lexicon", str(path), "--pair", "B,P", "--top-k", "1"]
+    )
+    assert code == 0
+    assert err == (
+        "warning: position 3: constant entropy values, correlation skipped\n"
+    )
+    rows = parse_csv(out)
+    correlations = {
+        (r["position"], r["quantity"]) for r in rows if r["kind"] == "correlation"
+    }
+    assert correlations == {
+        (position, quantity)
+        for position in ("1", "2", "3")
+        for quantity in ("surprisal", "entropy")
+    } - {("3", "entropy")}
+    divergence = [
+        (r["position"], r["quantity"], r["word"], r["value"])
+        for r in rows
+        if r["kind"] == "divergence"
+    ]
+    assert len(divergence) == 6
+    assert divergence[-1] == ("3", "entropy", "ban", "0.811278")
 
 
 def test_pairs_shared_phonemes(capsys, tmp_path):
@@ -279,6 +337,27 @@ def test_continuum_degenerate_curve_exits_3(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["continuum", "--in", str(curve_path)])
     assert code == 3
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "proportions, message",
+    [
+        ([0.0] * 10 + [1.0], "did not converge"),
+        ([0.5] * 10 + [0.51], "is not positive"),
+    ],
+    ids=["reversed", "nearly-flat"],
+)
+@pytest.mark.parametrize("mode", ["raw", "fitted"])
+def test_continuum_failed_fit_exits_3(capsys, tmp_path, proportions, message, mode):
+    curve_path = tmp_path / "bad.csv"
+    write_curve(curve_path, proportions)
+    code, out, err = run_cli(
+        capsys, ["continuum", "--in", str(curve_path), "--mode", mode]
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
 
 
 def test_simfit_small_run(capsys, tmp_path, sim_path):

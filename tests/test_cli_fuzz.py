@@ -1,8 +1,8 @@
 """Property test: every command line ends in a documented exit code.
 
-Arbitrary lexicon text and flag values go through `cli.main`; the run
-must end with exit code 0-3 and put no NaN or infinity in any numeric
-output cell.
+Arbitrary lexicon text, identification-curve text and flag values go
+through `cli.main`; the run must end with exit code 0-3 and put no NaN or
+infinity in any numeric output cell.
 """
 
 import contextlib
@@ -27,7 +27,7 @@ CODAS = ("D", "T", "G", "K", "N", "S")
 # Columns whose cells are words or labels rather than numbers.
 TEXT_COLUMNS = {
     "word", "word_a", "word_b", "onset_a", "onset_b", "phoneme",
-    "frequency_unit", "kind", "quantity", "removed", "detected",
+    "frequency_unit", "kind", "quantity", "removed", "detected", "item",
 }
 
 
@@ -145,6 +145,56 @@ def command_lines(draw):
     return argv + [flag("format", fmt)], fmt
 
 
+# Identification curves: 11 proportions in [0, 1] (sorted descending
+# half the time), steps 1..11 in any order. About one curve in four is
+# damaged: one cell replaced by arbitrary text, one row cut short, or one
+# row dropped. Several items, or arbitrary text in place of the CSV, come
+# up as well.
+odd_cell = st.one_of(
+    numbers.map(str), st.sampled_from(["", "x", "0.5.0", " 0.5 ", "0", "12", "1.5"])
+)
+
+
+@st.composite
+def curve_rows(draw, item):
+    """The CSV rows of one item."""
+    proportions = draw(st.lists(st.floats(0.0, 1.0), min_size=11, max_size=11))
+    if draw(st.booleans()):
+        proportions.sort(reverse=True)
+    rows = [
+        ([] if item is None else [item]) + [str(step), repr(proportion)]
+        for step, proportion in zip(
+            draw(st.permutations(range(1, 12))), proportions
+        )
+    ]
+    damage = draw(mostly(st.just(None), st.sampled_from(["cell", "short", "drop"])))
+    row = draw(st.integers(0, 10))
+    if damage == "cell":
+        rows[row][draw(st.integers(-2, -1))] = draw(odd_cell)
+    elif damage == "short":
+        rows[row] = rows[row][:-1]
+    elif damage == "drop":
+        del rows[row]
+    return rows
+
+
+@st.composite
+def structured_curves(draw):
+    items = draw(mostly(st.just([None]), st.lists(
+        st.text(alphabet="abxyz", min_size=1, max_size=3),
+        min_size=1, max_size=3, unique=True,
+    )))
+    rows = [row for item in items for row in draw(curve_rows(item))]
+    header = ["step", "proportion"] if items == [None] else ["item", "step", "proportion"]
+    return "\n".join(",".join(cells) for cells in [header] + rows) + "\n"
+
+
+curve_text = mostly(
+    structured_curves(),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=80),
+)
+
+
 def run_main(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -188,3 +238,29 @@ def test_cli_ends_in_documented_exit_with_finite_output(lexicon, command):
         assert out == ""
     for field, value in numeric_cells(out, fmt):
         assert math.isfinite(float(value)), (field, value, argv)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    curves=curve_text,
+    mode=st.sampled_from(["raw", "fitted"]),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_continuum_ends_in_documented_exit_with_finite_output(curves, mode, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "curves.csv"
+        path.write_text(curves, encoding="utf-8")
+        code, out, err = run_main(
+            ["continuum", "--in", str(path), flag("mode", mode), flag("format", fmt)]
+        )
+    assert code in (0, 1, 2, 3), (code, err)
+    if code != 0:
+        assert out == ""
+    for field, value in numeric_cells(out, fmt):
+        assert math.isfinite(float(value)), (field, value, curves)

@@ -70,6 +70,19 @@ def test_fit_constant_curve_degenerate():
         fit_psychometric(IdentificationCurve((0.5,) * 11))
 
 
+def test_fit_reversed_curve_does_not_converge():
+    # an ascending step at the last point drives the midpoint off to
+    # about -1.2e5 until the evaluation budget runs out
+    with pytest.raises(DegenerateCurveError, match="did not converge"):
+        fit_psychometric(IdentificationCurve((0.0,) * 10 + (1.0,)))
+
+
+def test_fit_nearly_flat_curve_has_no_positive_slope():
+    # converges, but to a slightly ascending curve (slope about -0.0018)
+    with pytest.raises(DegenerateCurveError, match="slope -0.001818 is not positive"):
+        fit_psychometric(IdentificationCurve((0.5,) * 10 + (0.51,)))
+
+
 def test_fit_deterministic():
     assert fit_psychometric(EXAMPLE) == fit_psychometric(EXAMPLE)
 
@@ -188,3 +201,11 @@ def test_read_rejects_incomplete_steps(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         read_identification_curves(path)
+
+
+def test_read_rejects_rows_with_missing_cells(tmp_path):
+    path = tmp_path / "short.csv"
+    for text in ("item,step,proportion\na,1\n", "step,proportion,item\n1,0.5\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="line 2: missing cells"):
+            read_identification_curves(path)

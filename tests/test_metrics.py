@@ -19,7 +19,6 @@ from cohortlex import (
     acoustic_entropy,
     acoustic_surprisal,
     acoustic_surprisal_onset,
-    acoustic_weighted_probs,
     build_trie,
     make_lexicon,
     metric_trace,
@@ -31,6 +30,7 @@ from cohortlex import (
 
 import cohortlex
 import naive_oracle as oracle
+from weighted_cohort import acoustic_weighted_probs
 
 # Hand-enumerated values, frozen at full precision by an independent
 # enumeration script before this module was written.
