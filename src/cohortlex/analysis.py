@@ -194,18 +194,10 @@ def ols_fit(dataset: RegressionDataset, predictors: Iterable[str]) -> FitResult:
     (SSE/n) floored at 1e-12 so exact fits stay finite. Rank-deficient
     designs raise SingularDesignError naming the collinear columns.
     """
+    predictors = frozenset(predictors)
     X, names = _design_matrix(dataset, predictors)
-    return _fit(X, names, dataset.columns["response"], frozenset(predictors))
-
-
-def _fit(
-    X: np.ndarray, names: list[str], y: np.ndarray, predictors: frozenset[str]
-) -> FitResult:
-    """ols_fit on a design matrix already built."""
     n, p = X.shape
-    if n <= p:
-        raise ValueError(f"need more rows than parameters: n={n}, p={p}")
-    beta, sse = _least_squares(X, names)(y)
+    beta, sse = _least_squares(X, names)(dataset.columns["response"])
     return FitResult(
         coefficients=dict(zip(names, beta.tolist())),
         residual_variance=max(sse / n, VARIANCE_FLOOR),
@@ -221,12 +213,15 @@ def _least_squares(
 ) -> Callable[[np.ndarray], tuple[np.ndarray, float]]:
     """Factor X once by pivoted QR; return a solver y -> (beta, SSE).
 
-    Raises SingularDesignError naming the collinear columns when X is
-    rank deficient. The SSE is summed from the explicit residuals; when
-    it is not finite (responses too large, or not finite) the solver
-    raises ValueError.
+    Raises ValueError unless X has more rows than columns, and
+    SingularDesignError naming the collinear columns when X is rank
+    deficient. The SSE is summed from the explicit residuals; when it is
+    not finite (responses too large, or not finite) the solver raises
+    ValueError.
     """
     n, p = X.shape
+    if n <= p:
+        raise ValueError(f"need more rows than parameters: n={n}, p={p}")
     q, r_matrix, pivots = linalg.qr(X, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r_matrix))
     tol = diag[0] * max(n, p) * np.finfo(float).eps if diag[0] > 0 else 0.0
@@ -273,15 +268,20 @@ def likelihood_ratio_test(
         )
     if full.n != reduced.n:
         raise NestingError(f"fits use different row counts: {full.n} vs {reduced.n}")
-    delta = full.log_likelihood - reduced.log_likelihood
-    chi2 = max(0.0, 2.0 * delta)
-    df_used = full.p - reduced.p if df is None else df
-    if df_used < 0:
-        raise NestingError(f"negative degrees of freedom: {df_used}")
-    p_value = 1.0 if df_used == 0 else chi_square_sf(chi2, df_used)
-    return ModelComparisonResult(
-        chi2=chi2, df=df_used, p_value=p_value, delta_loglik=delta
+    return _chi_square_test(
+        full.log_likelihood - reduced.log_likelihood,
+        full.p - reduced.p if df is None else df,
     )
+
+
+def _chi_square_test(delta: float, df: int) -> ModelComparisonResult:
+    """Chi-square test of a log-likelihood gain: chi2 = 2*delta clamped at
+    0, p = 1 at df 0; a negative df raises NestingError."""
+    if df < 0:
+        raise NestingError(f"negative degrees of freedom: {df}")
+    chi2 = max(0.0, 2.0 * delta)
+    p_value = 1.0 if df == 0 else chi_square_sf(chi2, df)
+    return ModelComparisonResult(chi2=chi2, df=df, p_value=p_value, delta_loglik=delta)
 
 
 def chi_square_sf(x: float, df: int) -> float:
@@ -490,34 +490,39 @@ def reduced_predictors(removed_model: str) -> tuple[str, ...]:
     return tuple(name for name in FULL_PREDICTORS if name not in removed)
 
 
-def _reduced_design(
-    X: np.ndarray, names: Sequence[str], removed_model: str
-) -> tuple[np.ndarray, list[str]]:
-    """The full design without one model's columns, as _design_matrix
-    would build it (same column order, same row-major layout)."""
-    removed = MODEL_PREDICTORS[removed_model]
-    keep = [j for j, name in enumerate(names) if name not in removed]
-    return np.ascontiguousarray(X[:, keep]), [names[j] for j in keep]
+def _removal_tests(
+    dataset: RegressionDataset, models: Iterable[str], df: int | None
+) -> Callable[[np.ndarray], dict[str, ModelComparisonResult]]:
+    """y -> {model: test of removing that model}, for each of `models`.
+
+    The full design is built and factored once, as is each reduced
+    design: the full design's columns without the model's two, in the
+    same order and row-major layout, so all fits share one dummy coding.
+    """
+    X, names = _design_matrix(dataset, FULL_PREDICTORS)
+    n, p = X.shape
+    solve_full = _least_squares(X, names)
+    reduced = {}
+    for model in models:
+        keep = [j for j, name in enumerate(names) if name not in MODEL_PREDICTORS[model]]
+        solve = _least_squares(np.ascontiguousarray(X[:, keep]), [names[j] for j in keep])
+        reduced[model] = solve, (p - len(keep) if df is None else df)
+
+    def test(y: np.ndarray) -> dict[str, ModelComparisonResult]:
+        loglik_full = _loglik_from_sse(n, solve_full(y)[1])
+        return {
+            model: _chi_square_test(loglik_full - _loglik_from_sse(n, solve(y)[1]), df_used)
+            for model, (solve, df_used) in reduced.items()
+        }
+
+    return test
 
 
 def compare_removals(
     dataset: RegressionDataset, df: int | None = None
 ) -> dict[str, ModelComparisonResult]:
-    """Fit the full model and both single-model removals, test each removal.
-
-    The full design is built once; each reduced design is a subset of its
-    columns.
-    """
-    X, names = _design_matrix(dataset, FULL_PREDICTORS)
-    y = dataset.columns["response"]
-    full_fit = _fit(X, names, y, frozenset(FULL_PREDICTORS))
-    results = {}
-    for model in ("acoustic", "switch"):
-        reduced_fit = _fit(
-            *_reduced_design(X, names, model), y, frozenset(reduced_predictors(model))
-        )
-        results[model] = likelihood_ratio_test(full_fit, reduced_fit, df=df)
-    return results
+    """Fit the full model and both single-model removals, test each removal."""
+    return _removal_tests(dataset, MODEL_PREDICTORS, df)(dataset.columns["response"])
 
 
 def model_recovery(
@@ -607,30 +612,23 @@ def permutation_calibration(
 
     Shuffling the response column breaks every response-predictor link,
     so the removal test's p-values should be roughly uniform and the
-    fraction below alpha should sit near alpha. The design matrices are
-    fixed across permutations and factored once; each round re-solves the
-    two least-squares problems against the shuffled response. A rank
-    deficient design raises SingularDesignError, as in ols_fit.
+    fraction below alpha should sit near alpha. Each round is
+    compare_removals' test of `removed` on the shuffled response; the
+    designs are fixed across permutations and factored once. Designs
+    compare_removals rejects (too few rows, rank deficient, a negative
+    df) raise the same errors here.
     """
     if removed not in MODEL_PREDICTORS:
         raise ValueError(f"removed must be 'acoustic' or 'switch', got {removed!r}")
     if n_permutations < 1:
         raise ValueError(f"need at least one permutation, got {n_permutations}")
-    X_full, full_names = _design_matrix(dataset, FULL_PREDICTORS)
-    X_reduced, reduced_names = _reduced_design(X_full, full_names, removed)
-    solve_full = _least_squares(X_full, full_names)
-    solve_reduced = _least_squares(X_reduced, reduced_names)
+    test = _removal_tests(dataset, (removed,), df)
     y = dataset.columns["response"]
-    n = len(y)
-    df_used = X_full.shape[1] - X_reduced.shape[1] if df is None else df
     rng = np.random.default_rng(seed)
-    p_values = []
-    for _ in range(n_permutations):
-        shuffled = y[rng.permutation(n)]
-        ll_full = _loglik_from_sse(n, solve_full(shuffled)[1])
-        ll_reduced = _loglik_from_sse(n, solve_reduced(shuffled)[1])
-        chi2 = max(0.0, 2.0 * (ll_full - ll_reduced))
-        p_values.append(1.0 if df_used == 0 else chi_square_sf(chi2, df_used))
+    p_values = [
+        test(y[rng.permutation(len(y))])[removed].p_value
+        for _ in range(n_permutations)
+    ]
     below = sum(1 for pv in p_values if pv < alpha)
     return CalibrationResult(
         n_permutations=n_permutations,

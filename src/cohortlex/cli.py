@@ -18,6 +18,8 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -79,13 +81,17 @@ def write_records(records, fieldnames, out_path: str | None, fmt: str) -> None:
     """Serialize records (dicts) as CSV rows or a JSON array.
 
     Floats are rounded to 6 decimals in both formats, so the two carry
-    identical values field for field.
+    identical values field for field. A CSV cell holding a comma or a
+    quote is quoted, so every row keeps one cell per field.
     """
     if fmt == "csv":
-        lines = [",".join(fieldnames)]
-        for record in records:
-            lines.append(",".join(_csv_cell(record.get(f)) for f in fieldnames))
-        text = "\n".join(lines) + "\n"
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(fieldnames)
+        writer.writerows(
+            [_csv_cell(record.get(f)) for f in fieldnames] for record in records
+        )
+        text = buffer.getvalue()
     elif fmt == "json":
         payload = [
             {f: _json_cell(record.get(f)) for f in fieldnames} for record in records

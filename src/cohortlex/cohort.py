@@ -156,10 +156,7 @@ class CohortTrie:
             raise ValueError("cannot build a trie from an empty lexicon")
         self.lexicon = lexicon
         self._root = _Node(0, lexicon.entries)
-        total = 0.0
-        for entry in lexicon.entries:
-            total += entry.frequency
-        self._root.cum_freq = total
+        self._root.cum_freq = lexicon.total_frequency
         self._root.n_entries = len(lexicon.entries)
 
     @property

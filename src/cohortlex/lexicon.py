@@ -90,16 +90,14 @@ class Lexicon:
         in_inventory = self.inventory.issuperset(
             chain.from_iterable(e.pron for e in self.entries)
         )
-        seen = set()
         by_orth: dict[str, list[LexiconEntry]] = {}
         total = 0.0
         for entry in self.entries:
-            key = (entry.orthography, entry.pron)
-            if key in seen:
+            spelled = by_orth.setdefault(entry.orthography, [])
+            if any(other.pron == entry.pron for other in spelled):
                 raise LexiconValidationError(
                     f"duplicate entry {entry.orthography!r} /{' '.join(entry.pron)}/"
                 )
-            seen.add(key)
             if not in_inventory:
                 missing = set(entry.pron) - self.inventory
                 if missing:
@@ -107,7 +105,7 @@ class Lexicon:
                         f"{entry.orthography!r} uses phonemes outside the inventory: "
                         f"{sorted(missing)}"
                     )
-            by_orth.setdefault(entry.orthography, []).append(entry)
+            spelled.append(entry)
             total += entry.frequency
         if not math.isfinite(total):
             raise LexiconValidationError("summed frequency overflows a float")

@@ -259,33 +259,16 @@ def acoustic_surprisal(
     """Acoustic-weighted surprisal of the final continuation phoneme.
 
     `continuation` is the post-onset phoneme sequence up to and including
-    the current position (so the current position is len(continuation)+1,
-    at least 2). Raises when neither onset admits the continuation.
+    the current position, so the current position is len(continuation)+1;
+    an empty continuation is the onset itself (position 1), whose
+    conditional terms are each onset's frequency over the lexicon total.
+    Raises when neither onset admits the continuation.
     """
     continuation = tuple(continuation)
-    if not continuation:
-        raise ValueError(
-            "empty continuation: use acoustic_surprisal_onset for position 1"
-        )
     node_a, before_a = _node_and_parent_freq(trie, (evidence.phoneme_a,) + continuation)
     node_b, before_b = _node_and_parent_freq(trie, (evidence.phoneme_b,) + continuation)
     return _acoustic_surprisal(
         evidence, node_a, node_b, before_a, before_b, continuation
-    )
-
-
-def acoustic_surprisal_onset(trie: CohortTrie, evidence: AcousticEvidence) -> float:
-    """Acoustic-weighted surprisal of the onset itself (position 1).
-
-    The conditional terms are onset frequency over total lexicon
-    frequency; Q is each onset's share of the two onsets' combined
-    frequency.
-    """
-    root = trie._root
-    node_a = _child(root, evidence.phoneme_a)
-    node_b = _child(root, evidence.phoneme_b)
-    return _acoustic_surprisal(
-        evidence, node_a, node_b, root.cum_freq, root.cum_freq, ()
     )
 
 

@@ -610,6 +610,55 @@ def test_permutation_calibration_rejects_singular_design():
         permutation_calibration(data, n_permutations=5, alpha=0.05, seed=1)
 
 
+def test_removal_tests_need_more_rows_than_parameters():
+    # 12 rows and 12 parameters: intercept, eight continuous columns, one
+    # ambiguity dummy and two subject dummies, with a single phoneme pair
+    data = random_dataset(np.random.default_rng(15), 12)
+    data = RegressionDataset({
+        **data.columns,
+        "phoneme_pair": ["B-P"] * 12,
+        "ambiguity": list(AMBIGUITY_LEVELS) * 6,
+        "subject_id": ["s1", "s2", "s3"] * 4,
+    })
+    assert _design_matrix(data, FULL_PREDICTORS)[0].shape == (12, 12)
+    message = r"need more rows than parameters: n=12, p=12"
+    with pytest.raises(ValueError, match=message):
+        ols_fit(data, FULL_PREDICTORS)
+    with pytest.raises(ValueError, match=message):
+        compare_removals(data)
+    with pytest.raises(ValueError, match=message):
+        permutation_calibration(data, n_permutations=5, alpha=0.05, seed=1)
+
+
+def test_removal_tests_reject_negative_df():
+    data = random_dataset(np.random.default_rng(16), 40)
+    message = r"negative degrees of freedom: -1"
+    with pytest.raises(NestingError, match=message):
+        compare_removals(data, df=-1)
+    with pytest.raises(NestingError, match=message):
+        permutation_calibration(data, n_permutations=5, alpha=0.05, seed=1, df=-1)
+
+
+@pytest.mark.parametrize("df", [None, 0, 1])
+@pytest.mark.parametrize("removed", ["acoustic", "switch"])
+def test_calibration_p_values_equal_compare_removals(removed, df):
+    # each permutation round is compare_removals on the permuted dataset
+    data = random_dataset(np.random.default_rng(17), 60)
+    result = permutation_calibration(
+        data, n_permutations=15, alpha=0.05, seed=9, removed=removed, df=df
+    )
+    y = data.columns["response"]
+    permutations = np.random.default_rng(9)
+    expected = []
+    for _ in range(15):
+        shuffled = RegressionDataset(
+            {**data.columns, "response": y[permutations.permutation(len(y))]}
+        )
+        expected.append(compare_removals(shuffled, df=df)[removed].p_value)
+    assert result.p_values == tuple(expected)
+    assert len(set(expected)) == (1 if df == 0 else 15)
+
+
 def test_least_squares_matches_lstsq_reference():
     # ols_fit and permutation_calibration share one QR factor-and-solve
     # path; pin both to an independent SVD least-squares solve.

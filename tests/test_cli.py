@@ -331,6 +331,32 @@ def test_continuum_fitted_mode_and_multiple_items(capsys, tmp_path):
         assert row["fitted_probability"] != ""
 
 
+def test_csv_labels_with_commas_and_quotes_stay_one_cell(capsys, tmp_path):
+    lexicon_path = tmp_path / "commas.tsv"
+    write_lexicon(make_lexicon([
+        ("b,at", "B AE T", 3.0), ('p"at', "P AE T", 2.0), ("bin", "B IH N", 1.0),
+    ]), lexicon_path)
+    code, out, _ = run_cli(
+        capsys, ["trace", "--all", "--pair", "B,P", "--lexicon", str(lexicon_path)]
+    )
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert all(len(row) == len(header) for row in rows)
+    assert {row[header.index("word")] for row in rows} == {"b,at", 'p"at', "bin"}
+
+    curve_path = tmp_path / "items.csv"
+    props = [1.0, 0.99, 0.97, 0.9, 0.8, 0.6, 0.4, 0.2, 0.08, 0.02, 0.0]
+    curve_path.write_text("item,step,proportion\n" + "".join(
+        f'"x,y",{step},{prop}\n' for step, prop in enumerate(props, start=1)
+    ), encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["continuum", "--in", str(curve_path)])
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert len(rows) == 5
+    assert all(len(row) == len(header) for row in rows)
+    assert {row[header.index("item")] for row in rows} == {"x,y"}
+
+
 def test_continuum_degenerate_curve_exits_3(capsys, tmp_path):
     curve_path = tmp_path / "flat.csv"
     write_curve(curve_path, [0.5] * 11)

@@ -46,7 +46,8 @@ frequency_text = st.one_of(
     numbers.map(str),
     st.sampled_from(["", "x", "1e999", "-inf", "nan", "1_0", " 3 "]),
 )
-orthography = st.text(alphabet="bcdgkptuy", min_size=1, max_size=5)
+# Commas and quotes in words must not shift the CSV columns.
+orthography = st.text(alphabet='bcdgkptuy,"', min_size=1, max_size=5)
 pronunciation = st.lists(st.sampled_from(PHONEMES), min_size=1, max_size=6).map(" ".join)
 valid_line = st.builds(
     lambda o, p, f: f"{o}\t{p}\t{f}", orthography, pronunciation, st.integers(1, 1_000)
@@ -84,13 +85,14 @@ mirrored_lexicon = st.lists(
         ),
         st.integers(1, 1_000),
         st.integers(1, 1_000),
+        orthography,
     ),
     min_size=2,
     max_size=12,
     unique_by=lambda row: row[0],
 ).map(lambda rows: "".join(
-    f"b{i}\tB {tail}\t{fb}\np{i}\tP {tail}\t{fp}\n"
-    for i, (tail, fb, fp) in enumerate(rows)
+    f"b{word}{i}\tB {tail}\t{fb}\np{word}{i}\tP {tail}\t{fp}\n"
+    for i, (tail, fb, fp, word) in enumerate(rows)
 ))
 raw_lexicon = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), max_size=80
@@ -212,6 +214,8 @@ def numeric_cells(text, fmt):
         records = json.loads(text)
     else:
         records = list(csv.DictReader(io.StringIO(text)))
+        # a row with more cells than the header keeps the rest under None
+        assert all(None not in record for record in records), text
     for record in records:
         for field, value in record.items():
             if field in TEXT_COLUMNS or value in (None, ""):
@@ -264,3 +268,27 @@ def test_continuum_ends_in_documented_exit_with_finite_output(curves, mode, fmt)
         assert out == ""
     for field, value in numeric_cells(out, fmt):
         assert math.isfinite(float(value)), (field, value, curves)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    lexicon=mirrored_lexicon,
+    command=st.sampled_from(
+        [["trace", "--all", "--pair=B,P"], ["compare", "--pair=B,P"], ["pairs"]]
+    ),
+)
+def test_csv_words_with_commas_and_quotes_keep_their_columns(lexicon, command):
+    # mirrored lexicons always trace and pair, so every run prints words
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lexicon.tsv"
+        path.write_text(lexicon, encoding="utf-8")
+        code, out, err = run_main(command + ["--lexicon", str(path)])
+    assert code == 0, err
+    for field, value in numeric_cells(out, "csv"):
+        assert math.isfinite(float(value)), (field, value, command)

@@ -18,7 +18,6 @@ from cohortlex import (
     UndefinedCorrelationError,
     acoustic_entropy,
     acoustic_surprisal,
-    acoustic_surprisal_onset,
     build_trie,
     make_lexicon,
     metric_trace,
@@ -218,9 +217,14 @@ def test_acoustic_surprisal_single_onset_reduces():
     assert close(got, -math.log2(0.75 * 1.0))
 
 
-def test_acoustic_surprisal_empty_continuation_rejected(trie_b):
-    with pytest.raises(ValueError, match="onset"):
-        acoustic_surprisal(trie_b, EV, ())
+def test_acoustic_surprisal_empty_continuation_is_the_onset(trie_b):
+    # an empty continuation is position 1, the value metric_trace reports
+    got = acoustic_surprisal(trie_b, EV, ())
+    assert close(got, TOY_B_ACOUSTIC_S_ONSET)
+    words = [e for e in trie_b.lexicon.entries if e.onset == EV.phoneme_a]
+    assert words
+    for word in words:
+        assert metric_trace(trie_b, word, EV).points[0].acoustic_surprisal == got
 
 
 def test_acoustic_surprisal_impossible(trie_b):
@@ -229,27 +233,27 @@ def test_acoustic_surprisal_impossible(trie_b):
 
 
 def test_acoustic_surprisal_onset_toy_b(trie_b):
-    assert close(acoustic_surprisal_onset(trie_b, EV), TOY_B_ACOUSTIC_S_ONSET)
+    assert close(acoustic_surprisal(trie_b, EV, ()), TOY_B_ACOUSTIC_S_ONSET)
 
 
 def test_acoustic_surprisal_onset_single_onset_reductions():
     lex = make_lexicon([("bat", "B AE T", 3.0), ("mat", "M AE T", 1.0)])
     trie = build_trie(lex)
-    got = acoustic_surprisal_onset(trie, AcousticEvidence("B", "P", 1.0))
+    got = acoustic_surprisal(trie, AcousticEvidence("B", "P", 1.0), ())
     assert close(got, -math.log2(3.0 / 4.0))
-    got = acoustic_surprisal_onset(trie, AcousticEvidence("P", "B", 0.0))
+    got = acoustic_surprisal(trie, AcousticEvidence("P", "B", 0.0), ())
     assert close(got, -math.log2(3.0 / 4.0))
 
 
 def test_acoustic_surprisal_onset_both_absent(trie_b):
-    with pytest.raises(ImpossibleContinuationError):
-        acoustic_surprisal_onset(trie_b, AcousticEvidence("Z", "ZH", 0.5))
+    with pytest.raises(ImpossibleContinuationError, match="nor /ZH/ starts any word"):
+        acoustic_surprisal(trie_b, AcousticEvidence("Z", "ZH", 0.5), ())
 
 
 def test_surprisal_nonnegative_across_sweep(trie_b):
     for p_a in np.linspace(0.0, 1.0, 21):
         ev = AcousticEvidence("B", "P", float(p_a))
-        assert acoustic_surprisal_onset(trie_b, ev) >= 0.0
+        assert acoustic_surprisal(trie_b, ev, ()) >= 0.0
         for continuation in [("AE",), ("IH",), ("IH", "N")]:
             assert acoustic_surprisal(trie_b, ev, continuation) >= 0.0
 
@@ -265,7 +269,7 @@ def test_metrics_continuous_in_p_a(trie_b):
     for fn in (
         lambda ev: acoustic_entropy(trie_b, ev, ("AE",)),
         lambda ev: acoustic_surprisal(trie_b, ev, ("AE",)),
-        lambda ev: acoustic_surprisal_onset(trie_b, ev),
+        lambda ev: acoustic_surprisal(trie_b, ev, ()),
     ):
         coarse = sweep(fn, 0.01)
         fine = sweep(fn, 0.001)
@@ -573,12 +577,12 @@ def test_metrics_match_naive_oracle_small():
                 except ValueError:
                     with pytest.raises(ImpossibleContinuationError):
                         if t == 1:
-                            acoustic_surprisal_onset(trie, ev)
+                            acoustic_surprisal(trie, ev, ())
                         else:
                             acoustic_surprisal(trie, ev, continuation)
                     continue
                 if t == 1:
-                    got = acoustic_surprisal_onset(trie, ev)
+                    got = acoustic_surprisal(trie, ev, ())
                 else:
                     got = acoustic_surprisal(trie, ev, continuation)
                 assert close(got, want)
@@ -632,7 +636,7 @@ def reference_metric_trace(trie, word, evidence):
         continuation = word.pron[1:position]
         switch_prefix = (committed,) + continuation
         if position == 1:
-            ac_surprisal = acoustic_surprisal_onset(trie, evidence)
+            ac_surprisal = acoustic_surprisal(trie, evidence, ())
         else:
             ac_surprisal = acoustic_surprisal(trie, evidence, continuation)
         ac_entropy = acoustic_entropy(trie, evidence, continuation)
