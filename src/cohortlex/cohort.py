@@ -152,8 +152,6 @@ class CohortTrie:
     """Phoneme prefix trie with cumulative frequency at every node."""
 
     def __init__(self, lexicon: Lexicon):
-        if len(lexicon) == 0:
-            raise ValueError("cannot build a trie from an empty lexicon")
         self.lexicon = lexicon
         self._root = _Node(0, lexicon.entries)
         self._root.cum_freq = lexicon.total_frequency

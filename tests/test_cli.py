@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 
@@ -555,3 +556,47 @@ def test_simfit_reports_skipped_traces_on_stderr(capsys, tmp_path, sim_path):
     code, _, err = run_cli(capsys, argv + ["--lexicon", sim_path])
     assert code == 0
     assert "warning" not in err
+
+
+@pytest.fixture
+def argv_by_exit(tmp_path, toy_path):
+    flat = tmp_path / "flat.csv"
+    write_curve(flat, [0.5] * 11)
+    return {
+        0: ["ingest-check", "--lexicon", toy_path],
+        1: ["ingest-check", "--lexicon", str(tmp_path / "missing.tsv")],
+        2: ["trace", "--lexicon", toy_path, "--word", "zzz", "--pair", "B,P"],
+        3: ["continuum", "--in", str(flat)],
+    }
+
+
+@pytest.mark.parametrize("code", [0, 1, 2, 3])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_main_restores_collector_state(capsys, monkeypatch, argv_by_exit, code, enabled):
+    # The command itself runs with the cyclic collector paused; main hands
+    # back the state it found, whichever way the command ends.
+    during = []
+    command = argv_by_exit[code][0]
+    func_name = "cmd_" + command.replace("-", "_")
+    func = getattr(cli, func_name)
+
+    def spy(args):
+        during.append(gc.isenabled())
+        return func(args)
+
+    monkeypatch.setattr(cli, func_name, spy)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run_cli(capsys, argv_by_exit[code])[0] == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert during == [False]
+
+
+def test_usage_error_leaves_collector_enabled(toy_path):
+    assert gc.isenabled()
+    with pytest.raises(SystemExit):
+        cli.main(["trace", "--lexicon", toy_path, "--pair", "B,P"])
+    assert gc.isenabled()

@@ -2,7 +2,8 @@
 
 Arbitrary lexicon text, identification-curve text and flag values go
 through `cli.main`; the run must end with exit code 0-3 and put no NaN or
-infinity in any numeric output cell.
+infinity in any numeric output cell. With valid flags, `pairs` CSV must
+read back as the reference pair search's pairs.
 """
 
 import contextlib
@@ -16,7 +17,8 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cohortlex import cli
+from cohortlex import cli, parse_lexicon
+from tests import word_pairs_reference as reference
 
 # Phonemes include the voicing-pair onsets, so that trace/compare/simfit
 # get past the "no word starts with" checks often enough to matter, and
@@ -93,6 +95,26 @@ mirrored_lexicon = st.lists(
 ).map(lambda rows: "".join(
     f"b{word}{i}\tB {tail}\t{fb}\np{word}{i}\tP {tail}\t{fp}\n"
     for i, (tail, fb, fp, word) in enumerate(rows)
+))
+# Every continuation under both B and P onsets, spelled from a few short
+# words with commas and quotes, so that homographs (one spelling under
+# both onsets, or under two continuations) come up in most draws.
+homograph_spelling = st.text(alphabet='bp,"', min_size=1, max_size=2)
+mirrored_homograph_lexicon = st.lists(
+    st.tuples(
+        st.builds(
+            lambda vowel, codas: " ".join((vowel, *codas)),
+            st.sampled_from(VOWELS),
+            st.lists(st.sampled_from(CODAS), min_size=1, max_size=3),
+        ),
+        homograph_spelling,
+        homograph_spelling,
+    ),
+    min_size=2,
+    max_size=12,
+    unique_by=lambda row: row[0],
+).map(lambda rows: "".join(
+    f"{b}\tB {tail}\t1\n{p}\tP {tail}\t1\n" for tail, b, p in rows
 ))
 raw_lexicon = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), max_size=80
@@ -292,3 +314,44 @@ def test_csv_words_with_commas_and_quotes_keep_their_columns(lexicon, command):
     assert code == 0, err
     for field, value in numeric_cells(out, "csv"):
         assert math.isfinite(float(value)), (field, value, command)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    lexicon=mirrored_homograph_lexicon,
+    min_shared=st.integers(1, 3),
+    keep_undiverged=st.booleans(),
+)
+def test_pairs_csv_reads_back_as_the_reference_pairs(lexicon, min_shared, keep_undiverged):
+    # valid flags only, so every run prints its pairs
+    argv = ["pairs", flag("min-shared", min_shared)]
+    if keep_undiverged:
+        argv.append("--keep-undiverged")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lexicon.tsv"
+        path.write_text(lexicon, encoding="utf-8")
+        code, out, err = run_main(argv + ["--lexicon", str(path)])
+        expected = reference.find_word_pairs(
+            parse_lexicon(path), min_shared, require_divergence=not keep_undiverged
+        )
+    assert code == 0, err
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == [
+        "word_a", "word_b", "onset_a", "onset_b", "shared_len", "divergence_point",
+    ]
+    assert rows[1:] == [
+        [
+            pair.entry_a.orthography,
+            pair.entry_b.orthography,
+            *pair.onset_pair,
+            str(pair.shared_len),
+            "" if pair.divergence_point is None else str(pair.divergence_point),
+        ]
+        for pair in expected
+    ]

@@ -120,10 +120,10 @@ def test_uniqueness_point_unknown_entry(trie_b):
 
 
 def test_empty_lexicon_rejected():
-    lex = make_lexicon([("a", "AH", 1.0)])
-    object.__setattr__(lex, "entries", ())
-    with pytest.raises(ValueError, match="empty"):
-        build_trie(lex)
+    # Lexicon validation is the one empty check: no trie is built from
+    # an empty lexicon because no empty Lexicon exists.
+    with pytest.raises(ValueError, match="empty lexicon"):
+        build_trie(make_lexicon([]))
 
 
 def _walk(node, path=()):

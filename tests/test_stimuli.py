@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cohortlex import divergence_point, find_word_pairs, make_lexicon
+from tests import word_pairs_reference as reference
 
 LONG_OVERLAP_ROWS = [
     ("balance", "B AE L AH N S", 10.0),
@@ -169,3 +172,54 @@ def test_reported_pairs_verified_by_direct_comparison():
             key = frozenset((a.orthography, b.orthography))
             assert key not in seen
             seen.add(key)
+
+
+# Few spellings and few, short tails, so that homographs (one spelling
+# under several onsets, such as a B-onset and a P-onset entry), shared
+# bucket keys and prefix embeddings (a tail cut short) come up in most
+# draws.
+SPELLINGS = ("ba", "pa", "bat", "pat", "da", "ta", "ga", "ka")
+ONSETS = ("B", "P", "D", "T", "G", "K", "S")
+
+
+@st.composite
+def pair_lexicons(draw):
+    stems = draw(st.lists(
+        st.lists(st.sampled_from(("AE", "N", "T")), min_size=1, max_size=4),
+        min_size=1,
+        max_size=2,
+    ))
+    rows = {}
+    for spelling, onset, stem, cut, frequency in draw(st.lists(
+        st.tuples(
+            st.sampled_from(SPELLINGS),
+            st.sampled_from(ONSETS),
+            st.sampled_from(stems),
+            st.integers(0, 2),
+            st.integers(1, 9),
+        ),
+        min_size=8,
+        max_size=30,
+    )):
+        pron = " ".join((onset, *stem[:max(1, len(stem) - cut)]))
+        rows.setdefault((spelling, pron), frequency)
+    return make_lexicon((spelling, pron, f) for (spelling, pron), f in rows.items())
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(lexicon=pair_lexicons())
+def test_pairs_match_reference_search(lexicon):
+    # WordPair equality compares whole entries, and two entries under one
+    # spelling differ in pronunciation, so this also pins which of two
+    # pairs with the same unordered orthographies is kept.
+    for min_shared in (1, 2, 3):
+        for require_divergence in (True, False):
+            assert find_word_pairs(
+                lexicon, min_shared, require_divergence
+            ) == reference.find_word_pairs(lexicon, min_shared, require_divergence)
