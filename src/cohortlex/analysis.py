@@ -538,13 +538,17 @@ def model_recovery(
     alpha: float,
     seed: int,
     df: int | None = None,
+    *,
+    on_dataset: Callable[[int, RegressionDataset], None] | None = None,
 ) -> RecoverySummary:
     """Repeated simulate-and-compare rounds scoring model detection.
 
     A model counts as detected in a simulation when removing its
     surprisal and entropy predictors from the full fit loses significant
     likelihood (p < alpha). Simulation i uses seed + i, so rounds are
-    independent and the whole run is reproducible.
+    independent and the whole run is reproducible. `on_dataset`, when
+    given, is called with each simulation's index and dataset before that
+    dataset is fitted.
     """
     if n_sims < 1:
         raise ValueError(f"need at least one simulation, got {n_sims}")
@@ -558,6 +562,8 @@ def model_recovery(
             traces, position, generator, betas, noise_sd,
             n_subjects, subject_sd, trials_per_subject, seed + sim,
         )
+        if on_dataset is not None:
+            on_dataset(sim, dataset)
         comparisons = compare_removals(dataset, df)
         detected = {}
         for model, result in comparisons.items():

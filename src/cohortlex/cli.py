@@ -31,13 +31,13 @@ import gc
 import io
 import json
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 from .analysis import (
     bonferroni_alpha,
     build_trace_set,
     model_recovery,
-    simulate_dataset,
     write_dataset,
     NestingError,
     SingularDesignError,
@@ -88,25 +88,40 @@ def _json_cell(value):
     return value
 
 
-def write_records(records, fieldnames, out_path: str | None, fmt: str) -> None:
-    """Serialize records (dicts) as CSV rows or a JSON array.
+# Cell types `csv.writer` already writes as `_csv_cell` would: str as is,
+# int through str, None as an empty cell.
+_PLAIN_CSV_TYPES = frozenset((str, int, type(None)))
+# Rows converted per block: converting the whole table at once would hold
+# every cell's text in memory next to the rows and the output buffer.
+_CSV_BLOCK_ROWS = 1024
 
-    Floats are rounded to 6 decimals in both formats, so the two carry
-    identical values field for field. A CSV cell holding a comma or a
-    quote is quoted, so every row keeps one cell per field.
+
+def _csv_column(cells):
+    if set(map(type, cells)) <= _PLAIN_CSV_TYPES:
+        return cells
+    return [_csv_cell(cell) for cell in cells]
+
+
+def write_records(rows, fieldnames, out_path: str | None, fmt: str) -> None:
+    """Serialize rows (a list of tuples in `fieldnames` order) as CSV rows or
+    a JSON array.
+
+    A field a row does not have is an explicit None: an empty CSV cell,
+    a JSON null. Floats are rounded to 6 decimals in both formats, so the
+    two carry identical values field for field. A CSV cell holding a
+    comma or a quote is quoted, so every row keeps one cell per field.
+    CSV cells are converted a column at a time, in blocks of rows.
     """
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(fieldnames)
-        writer.writerows(
-            [_csv_cell(record.get(f)) for f in fieldnames] for record in records
-        )
+        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = rows[start:start + _CSV_BLOCK_ROWS]
+            writer.writerows(zip(*(_csv_column(column) for column in zip(*block))))
         text = buffer.getvalue()
     elif fmt == "json":
-        payload = [
-            {f: _json_cell(record.get(f)) for f in fieldnames} for record in records
-        ]
+        payload = [dict(zip(fieldnames, map(_json_cell, row))) for row in rows]
         text = json.dumps(payload, indent=2) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
@@ -150,13 +165,14 @@ def _traces_for_pair(
 
 def cmd_ingest_check(args) -> int:
     lexicon = _load_lexicon(args)
-    record = {
-        "n_entries": len(lexicon),
-        "inventory_size": len(lexicon.inventory),
-        "total_frequency": float(lexicon.total_frequency),
-        "frequency_unit": lexicon.frequency_unit,
-    }
-    write_records([record], list(record), args.out, args.format)
+    fieldnames = ("n_entries", "inventory_size", "total_frequency", "frequency_unit")
+    row = (
+        len(lexicon),
+        len(lexicon.inventory),
+        float(lexicon.total_frequency),
+        lexicon.frequency_unit,
+    )
+    write_records([row], fieldnames, args.out, args.format)
     return EXIT_OK
 
 
@@ -176,14 +192,13 @@ def cmd_trace(args) -> int:
         traces = [metric_trace(trie, entry, evidence) for entry in entries]
     with_word = args.all or len(traces) > 1
     fieldnames = (("word",) if with_word else ()) + TRACE_FIELDS
-    records = []
-    for trace in traces:
-        for point in trace.points:
-            record = {f: getattr(point, f) for f in TRACE_FIELDS}
-            if with_word:
-                record["word"] = trace.word.orthography
-            records.append(record)
-    write_records(records, fieldnames, args.out, args.format)
+    cells = attrgetter(*TRACE_FIELDS)
+    rows = [
+        ((trace.word.orthography,) if with_word else ()) + cells(point)
+        for trace in traces
+        for point in trace.points
+    ]
+    write_records(rows, fieldnames, args.out, args.format)
     return EXIT_OK
 
 
@@ -198,7 +213,7 @@ def cmd_compare(args) -> int:
         _warn(f"only {len(traces)} traceable words; correlations need 3")
     max_position = max(len(t.points) for t in traces)
     fieldnames = ("kind", "position", "quantity", "n", "word", "rank", "value")
-    records = []
+    rows = []
     for position in range(1, max_position + 1):
         n_here = sum(1 for t in traces if t.point_at(position) is not None)
         for quantity in _QUANTITIES:
@@ -215,28 +230,15 @@ def cmd_compare(args) -> int:
                         "correlation skipped"
                     )
                 else:
-                    records.append(
-                        {
-                            "kind": "correlation",
-                            "position": position,
-                            "quantity": quantity,
-                            "n": n_here,
-                            "value": r,
-                        }
+                    rows.append(
+                        ("correlation", position, quantity, n_here, None, None, r)
                     )
             ranking = model_divergence_ranking(traces, position, quantity)
             for rank, (entry, gap) in enumerate(ranking[: args.top_k], start=1):
-                records.append(
-                    {
-                        "kind": "divergence",
-                        "position": position,
-                        "quantity": quantity,
-                        "word": entry.orthography,
-                        "rank": rank,
-                        "value": gap,
-                    }
+                rows.append(
+                    ("divergence", position, quantity, None, entry.orthography, rank, gap)
                 )
-    write_records(records, fieldnames, args.out, args.format)
+    write_records(rows, fieldnames, args.out, args.format)
     return EXIT_OK
 
 
@@ -253,18 +255,17 @@ def cmd_pairs(args) -> int:
         "shared_len",
         "divergence_point",
     )
-    records = [
-        {
-            "word_a": p.entry_a.orthography,
-            "word_b": p.entry_b.orthography,
-            "onset_a": p.onset_pair[0],
-            "onset_b": p.onset_pair[1],
-            "shared_len": p.shared_len,
-            "divergence_point": p.divergence_point,
-        }
+    rows = [
+        (
+            p.entry_a.orthography,
+            p.entry_b.orthography,
+            *p.onset_pair,
+            p.shared_len,
+            p.divergence_point,
+        )
         for p in pairs
     ]
-    write_records(records, fieldnames, args.out, args.format)
+    write_records(rows, fieldnames, args.out, args.format)
     return EXIT_OK
 
 
@@ -279,22 +280,22 @@ def cmd_continuum(args) -> int:
         "midpoint",
         "slope",
     )
-    records = []
+    rows = []
     for item in sorted(curves):
         continuum = resample_continuum(curves[item], mode=args.mode)
-        for point in continuum.points:
-            records.append(
-                {
-                    "item": item,
-                    "target": point.target,
-                    "step": point.step,
-                    "achieved_proportion": point.achieved_proportion,
-                    "fitted_probability": point.fitted_probability,
-                    "midpoint": continuum.midpoint,
-                    "slope": continuum.slope,
-                }
+        rows.extend(
+            (
+                item,
+                point.target,
+                point.step,
+                point.achieved_proportion,
+                point.fitted_probability,
+                continuum.midpoint,
+                continuum.slope,
             )
-    write_records(records, fieldnames, args.out, args.format)
+            for point in continuum.points
+        )
+    write_records(rows, fieldnames, args.out, args.format)
     return EXIT_OK
 
 
@@ -312,12 +313,11 @@ def cmd_simfit(args) -> int:
     if not traces:
         raise ValueError("no traceable voicing-onset words in the lexicon")
     betas = _parse_betas(args.betas)
-    if args.data_out:
-        dataset = simulate_dataset(
-            traces, args.position, args.generator, betas, args.noise,
-            args.subjects, args.subject_sd, args.trials, args.seed,
-        )
-        write_dataset(dataset, args.data_out)
+
+    def write_first(sim, dataset):
+        if sim == 0:
+            write_dataset(dataset, args.data_out)
+
     summary = model_recovery(
         traces,
         position=args.position,
@@ -331,30 +331,25 @@ def cmd_simfit(args) -> int:
         alpha=args.alpha,
         seed=args.seed,
         df=args.df,
+        on_dataset=write_first if args.data_out else None,
     )
     fieldnames = (
         "kind", "sim", "removed", "chi2", "df", "p_value",
         "delta_loglik", "detected", "rate",
     )
-    records = [
-        {
-            "kind": "sim",
-            "sim": rec.sim,
-            "removed": rec.removed,
-            "chi2": rec.chi2,
-            "df": rec.df,
-            "p_value": rec.p_value,
-            "delta_loglik": rec.delta_loglik,
-            "detected": rec.detected,
-        }
+    rows = [
+        (
+            "sim", rec.sim, rec.removed, rec.chi2, rec.df, rec.p_value,
+            rec.delta_loglik, rec.detected, None,
+        )
         for rec in summary.records
     ]
     for model, rate in (
         ("acoustic", summary.acoustic_detection_rate),
         ("switch", summary.switch_detection_rate),
     ):
-        records.append({"kind": "summary", "removed": model, "rate": rate})
-    write_records(records, fieldnames, args.out, args.format)
+        rows.append(("summary", None, model, None, None, None, None, None, rate))
+    write_records(rows, fieldnames, args.out, args.format)
     print(
         f"generator={summary.generator} sims={summary.n_sims} "
         f"alpha={summary.alpha:.6f} "

@@ -28,6 +28,7 @@ CONTINUUM_TARGETS = (1.0, 0.75, 0.5, 0.25, 0.0)
 
 _FIT_START = (6.0, 1.0)  # (midpoint, slope) initialization
 _FIT_MAX_EVALS = 200
+_FD_REL_STEP = np.finfo(np.float64).eps ** 0.5  # scipy's '2-point' relative step
 
 
 class DegenerateCurveError(ValueError):
@@ -96,18 +97,35 @@ class PerceptualContinuum:
 
 
 def logistic_identification(step, midpoint: float, slope: float):
-    """Two-parameter descending logistic: 1 / (1 + exp(slope*(step-midpoint)))."""
+    """Two-parameter descending logistic: 1 / (1 + exp(slope*(step-midpoint))),
+    broadcast over array arguments."""
     return 1.0 / (1.0 + np.exp(slope * (np.asarray(step, dtype=float) - midpoint)))
+
+
+def _forward_step(x: float) -> float:
+    """scipy's '2-point' absolute step: sqrt(eps) * sign(x) * max(1, |x|),
+    with sign(0) = +1."""
+    return _FD_REL_STEP * (1.0 if x >= 0 else -1.0) * max(abs(x), 1.0)
 
 
 def fit_psychometric(curve: IdentificationCurve) -> tuple[float, float]:
     """Least-squares logistic fit of an identification curve.
 
-    Returns (midpoint, slope). Deterministic: fixed start (6, 1) and a
-    fixed evaluation budget. Raises DegenerateCurveError for a constant
+    Returns (midpoint, slope). Deterministic: scipy's trust-region
+    reflective solver from the fixed start (6, 1) with a budget of 200
+    residual evaluations. Raises DegenerateCurveError for a constant
     curve (it has no midpoint), for a fit that does not converge within
     the budget, and for a fitted slope that is not positive (a curve that
     does not descend from the first category to the second).
+
+    The Jacobian is scipy's own `'2-point'` forward difference (step
+    sqrt(eps) * sign(x) * max(1, |x|), denominator (x + h) - x, numerator
+    f(x + h) - f(x)), with f at x and at both perturbed points computed
+    in one broadcast call. It is bit for bit the Jacobian `least_squares`
+    builds by default, so the solver takes the same steps within the same
+    budget (only residual calls count) and returns the same fit. A test
+    pins the result to a default-Jacobian `least_squares` call, so a
+    change in scipy's rule shows up there.
     """
     proportions = np.array(curve.proportions)
     if np.all(proportions == proportions[0]):
@@ -118,7 +136,21 @@ def fit_psychometric(curve: IdentificationCurve) -> tuple[float, float]:
         midpoint, slope = params
         return logistic_identification(steps, midpoint, slope) - proportions
 
-    result = least_squares(residual, _FIT_START, max_nfev=_FIT_MAX_EVALS)
+    def jacobian(params):
+        midpoint, slope = params.tolist()
+        shifted_midpoint = midpoint + _forward_step(midpoint)
+        shifted_slope = slope + _forward_step(slope)
+        # rows: the residual at x, at x + h0 e0 and at x + h1 e1
+        values = logistic_identification(
+            steps,
+            np.array([[midpoint], [shifted_midpoint], [midpoint]]),
+            np.array([[slope], [slope], [shifted_slope]]),
+        ) - proportions
+        delta = np.array([[shifted_midpoint - midpoint], [shifted_slope - slope]])
+        # built as (n, m) and transposed, the layout scipy returns
+        return ((values[1:] - values[0]) / delta).T
+
+    result = least_squares(residual, _FIT_START, jac=jacobian, max_nfev=_FIT_MAX_EVALS)
     if not result.success:
         raise DegenerateCurveError(
             f"logistic fit did not converge in {_FIT_MAX_EVALS} evaluations"

@@ -548,6 +548,32 @@ def test_model_recovery_small_run(trie_sim):
     assert all(models == {"acoustic", "switch"} for models in by_sim.values())
 
 
+def test_model_recovery_hands_each_dataset_over_before_fitting_it(trie_sim):
+    traces = build_trace_set(trie_sim)
+    params = dict(
+        position=2, generator="switch", betas=(1.0, 1.0), noise_sd=0.5,
+        n_subjects=3, subject_sd=1.0, trials_per_subject=40,
+    )
+    seen = []
+    summary = model_recovery(
+        traces, n_sims=3, alpha=0.05, seed=8,
+        on_dataset=lambda sim, data: seen.append((sim, data)), **params,
+    )
+    assert [sim for sim, _ in seen] == [0, 1, 2]
+    for sim, data in seen:
+        assert same_data(data, simulate_dataset(traces, seed=8 + sim, **params))
+    assert summary == model_recovery(traces, n_sims=3, alpha=0.05, seed=8, **params)
+    # too few rows for the full design: the fit fails after the hand-over
+    seen.clear()
+    with pytest.raises(ValueError, match="need more rows than parameters"):
+        model_recovery(
+            traces, n_sims=3, alpha=0.05, seed=8,
+            on_dataset=lambda sim, data: seen.append(sim),
+            **{**params, "n_subjects": 2, "trials_per_subject": 5},
+        )
+    assert seen == [0]
+
+
 def test_permutation_calibration_fraction_near_alpha(trie_sim):
     traces = build_trace_set(trie_sim)
     data = simulate_dataset(

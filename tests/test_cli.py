@@ -1,11 +1,17 @@
+import contextlib
 import csv
 import gc
 import io
 import json
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohortlex import cli, make_lexicon, write_lexicon
+from tests import records_reference as reference
 from tests.conftest import SIM_ROWS, TOY_B_ROWS
 
 # Disjoint post-onset continuations: nothing after a B onset exists after a
@@ -356,6 +362,146 @@ def test_csv_labels_with_commas_and_quotes_stay_one_cell(capsys, tmp_path):
     assert len(rows) == 5
     assert all(len(row) == len(header) for row in rows)
     assert {row[header.index("item")] for row in rows} == {"x,y"}
+
+
+# Three noisy descending curves whose 6-decimal midpoint, slope or fitted
+# probability moves by one last digit when the fit's Jacobian is the
+# analytic derivative instead of scipy's 2-point difference.
+GOLDEN_CURVES = {
+    "early": [0.945, 0.954, 0.939, 0.55, 0.094, 0.0, 0.0, 0.004, 0.0, 0.0, 0.0],
+    "dip": [1.0, 0.973, 0.958, 0.534, 0.064, 0.049, 0.0, 0.022, 0.038, 0.0, 0.002],
+    "late": [1.0, 1.0, 0.99, 0.927, 0.82, 0.357, 0.069, 0.036, 0.0, 0.003, 0.042],
+}
+
+GOLDEN_CONTINUUM = {
+    "raw": """\
+item,target,step,achieved_proportion,fitted_probability,midpoint,slope
+dip,1.000000,1,1.000000,0.999799,4.051099,2.790535
+dip,0.750000,3,0.958000,0.949460,4.051099,2.790535
+dip,0.500000,4,0.534000,0.535588,4.051099,2.790535
+dip,0.250000,5,0.064000,0.066116,4.051099,2.790535
+dip,0.000000,7,0.000000,0.000267,4.051099,2.790535
+early,1.000000,2,0.954000,0.993944,4.080962,2.451079
+early,0.750000,3,0.939000,0.933982,4.080962,2.451079
+early,0.500000,4,0.550000,0.549449,4.080962,2.451079
+early,0.250000,5,0.094000,0.095122,4.080962,2.451079
+early,0.000000,6,0.000000,0.008980,4.080962,2.451079
+late,1.000000,1,1.000000,0.999904,5.713753,1.961821
+late,0.750000,5,0.820000,0.802224,5.713753,1.961821
+late,0.500000,6,0.357000,0.363185,5.713753,1.961821
+late,0.250000,7,0.069000,0.074235,5.713753,1.961821
+late,0.000000,9,0.000000,0.001583,5.713753,1.961821
+""",
+    "fitted": """\
+item,target,step,achieved_proportion,fitted_probability,midpoint,slope
+dip,1.000000,1,1.000000,0.999799,4.051099,2.790535
+dip,0.750000,3,0.958000,0.949460,4.051099,2.790535
+dip,0.500000,4,0.534000,0.535588,4.051099,2.790535
+dip,0.250000,5,0.064000,0.066116,4.051099,2.790535
+dip,0.000000,11,0.002000,0.000000,4.051099,2.790535
+early,1.000000,1,0.945000,0.999475,4.080962,2.451079
+early,0.750000,3,0.939000,0.933982,4.080962,2.451079
+early,0.500000,4,0.550000,0.549449,4.080962,2.451079
+early,0.250000,5,0.094000,0.095122,4.080962,2.451079
+early,0.000000,11,0.000000,0.000000,4.080962,2.451079
+late,1.000000,1,1.000000,0.999904,5.713753,1.961821
+late,0.750000,5,0.820000,0.802224,5.713753,1.961821
+late,0.500000,6,0.357000,0.363185,5.713753,1.961821
+late,0.250000,7,0.069000,0.074235,5.713753,1.961821
+late,0.000000,11,0.042000,0.000031,5.713753,1.961821
+""",
+}
+
+
+@pytest.mark.parametrize("mode", ["raw", "fitted"])
+def test_continuum_output_bytes_are_pinned(capsys, tmp_path, mode):
+    curve_path = tmp_path / "golden.csv"
+    curve_path.write_text("item,step,proportion\n" + "".join(
+        f"{item},{step},{prop}\n"
+        for item, props in GOLDEN_CURVES.items()
+        for step, prop in enumerate(props, start=1)
+    ), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, ["continuum", "--in", str(curve_path), "--mode", mode]
+    )
+    assert (code, err) == (0, "")
+    assert out == GOLDEN_CONTINUUM[mode]
+
+
+class Label(str):
+    pass
+
+
+# Cells the writer passes to csv.writer as they are, and every other cell
+# type a command could hand it. numpy integers and booleans have no JSON
+# encoding, so those rows end in the same TypeError in both writers.
+plain_cells = st.one_of(
+    st.text(st.sampled_from(["a", " ", ",", '"', "\n", "\r"]), max_size=4),
+    st.integers(),
+    st.none(),
+)
+any_cells = st.one_of(
+    plain_cells,
+    st.booleans(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([-0.0, 1e300, np.float64(-0.0), np.float64(1e300)]),
+    st.text(max_size=3).map(Label),
+)
+
+
+@st.composite
+def record_tables(draw):
+    """Field names and rows as tuples; each column draws either plain cells
+    only or any cells, so both CSV column paths come up."""
+    n_fields = draw(st.integers(1, 4))
+    fieldnames = tuple(f"f{i}" for i in range(n_fields))
+    n_rows = draw(st.integers(0, 6))
+    columns = [
+        draw(st.lists(
+            plain_cells if draw(st.booleans()) else any_cells,
+            min_size=n_rows, max_size=n_rows,
+        ))
+        for _ in fieldnames
+    ]
+    return fieldnames, list(zip(*columns))
+
+
+def written(write, rows, fieldnames, fmt):
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            write(rows, fieldnames, None, fmt)
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+    return out.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(table=record_tables(), drop_none=st.booleans())
+def test_rows_write_the_bytes_of_the_dict_writer(table, drop_none):
+    # The dict writer read a field a record lacks as None, so a dict may
+    # also leave out its None cells.
+    fieldnames, rows = table
+    records = [
+        {f: v for f, v in zip(fieldnames, row) if not (drop_none and v is None)}
+        for row in rows
+    ]
+    for fmt in ("csv", "json"):
+        expected = written(reference.write_records, records, fieldnames, fmt)
+        assert written(cli.write_records, rows, fieldnames, fmt) == expected
+        # blocks of two rows, so a column's cell types change across blocks
+        with mock.patch.object(cli, "_CSV_BLOCK_ROWS", 2):
+            assert written(cli.write_records, rows, fieldnames, fmt) == expected
+
+
+def test_no_rows_write_the_header_or_an_empty_array():
+    fieldnames = ("a", "b")
+    for write in (cli.write_records, reference.write_records):
+        assert written(write, [], fieldnames, "csv") == "a,b\n"
+        assert written(write, [], fieldnames, "json") == "[]\n"
 
 
 def test_continuum_degenerate_curve_exits_3(capsys, tmp_path):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
 from cohortlex import (
     CONTINUUM_TARGETS,
@@ -209,3 +212,80 @@ def test_read_rejects_rows_with_missing_cells(tmp_path):
         path.write_text(text)
         with pytest.raises(ValueError, match="line 2: missing cells"):
             read_identification_curves(path)
+
+
+def default_jacobian_fit(curve):
+    """`fit_psychometric`'s outcome with scipy's default `jac='2-point'`:
+    (midpoint, slope), or the DegenerateCurveError message."""
+    proportions = np.array(curve.proportions)
+    if np.all(proportions == proportions[0]):
+        return "all identification proportions are equal"
+    steps = np.arange(1, N_STEPS + 1, dtype=float)
+
+    def residual(params):
+        midpoint, slope = params
+        return logistic_identification(steps, midpoint, slope) - proportions
+
+    result = least_squares(residual, (6.0, 1.0), max_nfev=200)
+    if not result.success:
+        return "logistic fit did not converge in 200 evaluations"
+    midpoint, slope = (float(x) for x in result.x)
+    if not slope > 0:
+        return f"fitted slope {slope:.6f} is not positive: the curve does not descend"
+    return midpoint, slope
+
+
+proportion = st.floats(0.0, 1.0)
+
+
+@st.composite
+def pin_curves(draw):
+    """Descending logistics (slope 0.05-30, optionally noisy and rounded),
+    saturated 0/1 runs, flat and near-flat curves, and curves whose last
+    step ascends."""
+    kind = draw(st.sampled_from(["logistic", "saturated", "flat", "near-flat", "last-up"]))
+    if kind == "logistic":
+        midpoint = draw(st.floats(-2.0, 14.0))
+        slope = draw(st.floats(0.05, 30.0))
+        noise = draw(st.sampled_from([0.0, 0.01, 0.05]))
+        values = logistic_identification(np.arange(1, N_STEPS + 1), midpoint, slope)
+        values = values + noise * np.array(
+            draw(st.lists(st.floats(-1.0, 1.0), min_size=N_STEPS, max_size=N_STEPS))
+        )
+        values = np.clip(values, 0.0, 1.0)
+        if draw(st.booleans()):
+            values = np.round(values, 3)
+        return tuple(float(v) for v in values)
+    if kind == "saturated":
+        ones = draw(st.integers(0, N_STEPS))
+        return (1.0,) * ones + (0.0,) * (N_STEPS - ones)
+    if kind == "flat":
+        return (draw(proportion),) * N_STEPS
+    if kind == "near-flat":
+        level = draw(st.floats(0.01, 0.99))
+        bump = draw(st.floats(1e-6, 0.01)) * draw(st.sampled_from([1.0, -1.0]))
+        values = [level] * N_STEPS
+        values[draw(st.integers(0, N_STEPS - 1))] = level + bump
+        return tuple(values)
+    descending = sorted(
+        draw(st.lists(proportion, min_size=N_STEPS - 1, max_size=N_STEPS - 1)),
+        reverse=True,
+    )
+    return tuple(descending) + (draw(st.floats(descending[-1], 1.0)),)
+
+
+def bits(outcome):
+    return outcome if isinstance(outcome, str) else tuple(x.hex() for x in outcome)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(proportions=pin_curves())
+def test_fit_matches_default_jacobian_least_squares(proportions):
+    # the fit's own Jacobian is scipy's '2-point' rule in one call; equal
+    # bits here mean the solver took the same steps
+    curve = IdentificationCurve(proportions)
+    try:
+        got = fit_psychometric(curve)
+    except DegenerateCurveError as exc:
+        got = str(exc)
+    assert bits(got) == bits(default_jacobian_fit(curve))
