@@ -19,7 +19,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import linalg
+from scipy import linalg, special
 
 from .cohort import CohortTrie, ImpossibleContinuationError
 from .lexicon import PLOSIVE_VOICING_PAIRS, LexiconEntry
@@ -287,57 +287,15 @@ def _chi_square_test(delta: float, df: int) -> ModelComparisonResult:
 def chi_square_sf(x: float, df: int) -> float:
     """Upper-tail probability of the chi-square distribution.
 
-    Regularized upper incomplete gamma Q(df/2, x/2): power series for
-    small arguments, Lentz continued fraction for large. Absolute error
-    well under 1e-10 on the df <= 20, x <= 100 range.
+    scipy's `special.chdtrc`, the regularized upper incomplete gamma
+    Q(df/2, x/2); the test suite pins it to the closed forms for df 1-10.
+    A NaN statistic or df is rejected; x = inf gives 0.0 and x = 0 gives 1.0.
     """
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    if df < 1:
+    if not df >= 1:
         raise ValueError(f"df must be >= 1, got {df}")
-    shape = df / 2.0
-    t = x / 2.0
-    if t == 0.0:
-        return 1.0
-    if t < shape + 1.0:
-        return min(1.0, max(0.0, 1.0 - _gamma_p_series(shape, t)))
-    return min(1.0, max(0.0, _gamma_q_continued_fraction(shape, t)))
-
-
-def _gamma_p_series(shape: float, t: float) -> float:
-    term = 1.0 / shape
-    total = term
-    denom = shape
-    for _ in range(500):
-        denom += 1.0
-        term *= t / denom
-        total += term
-        if abs(term) < abs(total) * 1e-17:
-            break
-    return total * math.exp(-t + shape * math.log(t) - math.lgamma(shape))
-
-
-def _gamma_q_continued_fraction(shape: float, t: float) -> float:
-    tiny = 1e-300
-    b = t + 1.0 - shape
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0 else 1.0 / tiny
-    h = d
-    for i in range(1, 500):
-        a_i = -i * (i - shape)
-        b += 2.0
-        d = a_i * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + a_i / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h * math.exp(-t + shape * math.log(t) - math.lgamma(shape))
+    return float(special.chdtrc(df, x))
 
 
 def bonferroni_alpha(alpha: float, n_comparisons: int = 6) -> float:

@@ -2,8 +2,8 @@
 
 Emits plot-ready tables, no plots. All numeric output is printed with 6
 decimal places, in CSV (default) or JSON carrying identical values. Every
-run is deterministic given its flags; randomness flows from --seed, which
-defaults to 0 rather than entropy.
+run is deterministic given its flags; simfit's randomness flows from
+--seed, which defaults to 0 rather than entropy.
 
 A command runs with the cyclic garbage collector paused (`gc.disable`),
 and `main` restores the collector's prior state when the command ends:
@@ -375,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", default=None, help="output file (default: stdout)")
     output.add_argument("--format", choices=("csv", "json"), default="csv")
-    output.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
 
     lex = argparse.ArgumentParser(add_help=False)
     lex.add_argument("--lexicon", required=True, help="lexicon TSV path")
@@ -451,6 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=500,
                    help="trials per subject (default 500)")
     p.add_argument("--sims", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--position", type=int, default=2,
                    help="phoneme position the responses are generated from")

@@ -6,12 +6,15 @@ of a failure report). Statistical checks run at fixed seeds so the suite
 is deterministic; timed suites assert their runtime budgets.
 """
 
+import ast
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cohortlex
 from cohortlex import (
     AcousticEvidence,
     ImpossibleContinuationError,
@@ -344,3 +347,17 @@ def test_paired_stimulus_search_fixture():
         "PASS stimulus fixture: balance/palate shares phonemes 2-4 and "
         "diverges at position 5"
     )
+
+
+def test_package_checks_survive_python_optimize():
+    # `python -O` strips assert statements, so a check written as one
+    # would vanish; every check in the package raises instead
+    sources = sorted(Path(cohortlex.__file__).parent.glob("*.py"))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert sources and found == [], f"assert statements in the package: {found}"
+    print(f"PASS no assert statements in {len(sources)} package modules")

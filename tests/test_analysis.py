@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.stats
 
 from cohortlex import (
     AMBIGUITY_LEVELS,
@@ -288,11 +287,24 @@ def test_chi_square_sf_df2_closed_form():
         assert abs(chi_square_sf(x, 2) - math.exp(-x / 2.0)) < 1e-12
 
 
-def test_chi_square_sf_matches_scipy():
-    for df in (1, 2, 3, 5, 10, 30):
-        for x in (0.05, 0.8, 2.0, 4.0, 9.0, 25.0, 80.0):
+def chi_square_sf_closed_form(x, df):
+    """Chi-square upper tail from its finite-sum closed forms."""
+    t = x / 2.0
+    if df % 2 == 0:
+        terms = [math.exp(-t) * t**k / math.factorial(k) for k in range(df // 2)]
+    else:
+        terms = [math.erfc(math.sqrt(t))] + [
+            math.exp(-t) * t ** (k - 0.5) / math.gamma(k + 0.5)
+            for k in range(1, (df - 1) // 2 + 1)
+        ]
+    return math.fsum(terms)
+
+
+def test_chi_square_sf_matches_closed_forms():
+    for df in range(1, 11):
+        for x in (0.0, 0.05, 0.8, 2.0, 4.0, 9.0, 25.0, 80.0, 200.0):
             assert chi_square_sf(x, df) == pytest.approx(
-                float(scipy.stats.chi2.sf(x, df)), abs=1e-10
+                chi_square_sf_closed_form(x, df), abs=1e-12
             )
 
 
@@ -309,6 +321,7 @@ def test_chi_square_sf_monotone():
 def test_chi_square_sf_extremes_stay_in_unit_interval():
     assert 0.0 <= chi_square_sf(800.0, 1) < 1e-100
     assert chi_square_sf(1e-12, 3) <= 1.0
+    assert chi_square_sf(math.inf, 3) == 0.0
 
 
 def test_chi_square_sf_rejects_bad_arguments():
@@ -316,6 +329,15 @@ def test_chi_square_sf_rejects_bad_arguments():
         chi_square_sf(-0.1, 1)
     with pytest.raises(ValueError):
         chi_square_sf(1.0, 0)
+    # a NaN statistic is an error, not the smallest possible p-value
+    with pytest.raises(ValueError):
+        chi_square_sf(math.nan, 1)
+    with pytest.raises(ValueError):
+        chi_square_sf(1.0, math.nan)
+
+
+def test_chi_square_sf_returns_python_floats():
+    assert type(chi_square_sf(3.0, 2)) is float
 
 
 def test_bonferroni_alpha():
@@ -545,6 +567,9 @@ def test_model_recovery_small_run(trie_sim):
     by_sim = {}
     for record in summary.records:
         by_sim.setdefault(record.sim, set()).add(record.removed)
+        # the CSV and JSON writers print bool and float cells by exact type
+        assert type(record.p_value) is float
+        assert type(record.detected) is bool
     assert all(models == {"acoustic", "switch"} for models in by_sim.values())
 
 

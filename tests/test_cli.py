@@ -567,6 +567,247 @@ def test_simfit_rejects_bad_alpha(capsys, sim_path):
     assert "alpha" in err
 
 
+# simfit output of the SIM_ROWS lexicon at --subjects 3 --trials 60 --sims 3
+# --seed 7, with the default and a single-df likelihood-ratio test. Six
+# decimals hide the last bits of the chi-square tail and the fits, so a
+# change in p-values, degrees of freedom or the regression shows up here.
+GOLDEN_SIMFIT_ERR = (
+    "generator=acoustic sims=3 alpha=0.050000 bonferroni_alpha=0.008333\n"
+    "detection rates: acoustic=0.666667 switch=0.000000 generating=0.666667\n"
+)
+GOLDEN_SIMFIT = {
+    (None, "csv"): """\
+kind,sim,removed,chi2,df,p_value,delta_loglik,detected,rate
+sim,0,acoustic,3.738715,2,0.154223,1.869357,false,
+sim,0,switch,0.587195,2,0.745577,0.293597,false,
+sim,1,acoustic,8.015792,2,0.018172,4.007896,true,
+sim,1,switch,0.186983,2,0.910746,0.093492,false,
+sim,2,acoustic,8.650878,2,0.013228,4.325439,true,
+sim,2,switch,1.779622,2,0.410733,0.889811,false,
+summary,,acoustic,,,,,,0.666667
+summary,,switch,,,,,,0.000000
+""",
+    (None, "json"): """\
+[
+  {
+    "kind": "sim",
+    "sim": 0,
+    "removed": "acoustic",
+    "chi2": 3.738715,
+    "df": 2,
+    "p_value": 0.154223,
+    "delta_loglik": 1.869357,
+    "detected": false,
+    "rate": null
+  },
+  {
+    "kind": "sim",
+    "sim": 0,
+    "removed": "switch",
+    "chi2": 0.587195,
+    "df": 2,
+    "p_value": 0.745577,
+    "delta_loglik": 0.293597,
+    "detected": false,
+    "rate": null
+  },
+  {
+    "kind": "sim",
+    "sim": 1,
+    "removed": "acoustic",
+    "chi2": 8.015792,
+    "df": 2,
+    "p_value": 0.018172,
+    "delta_loglik": 4.007896,
+    "detected": true,
+    "rate": null
+  },
+  {
+    "kind": "sim",
+    "sim": 1,
+    "removed": "switch",
+    "chi2": 0.186983,
+    "df": 2,
+    "p_value": 0.910746,
+    "delta_loglik": 0.093492,
+    "detected": false,
+    "rate": null
+  },
+  {
+    "kind": "sim",
+    "sim": 2,
+    "removed": "acoustic",
+    "chi2": 8.650878,
+    "df": 2,
+    "p_value": 0.013228,
+    "delta_loglik": 4.325439,
+    "detected": true,
+    "rate": null
+  },
+  {
+    "kind": "sim",
+    "sim": 2,
+    "removed": "switch",
+    "chi2": 1.779622,
+    "df": 2,
+    "p_value": 0.410733,
+    "delta_loglik": 0.889811,
+    "detected": false,
+    "rate": null
+  },
+  {
+    "kind": "summary",
+    "sim": null,
+    "removed": "acoustic",
+    "chi2": null,
+    "df": null,
+    "p_value": null,
+    "delta_loglik": null,
+    "detected": null,
+    "rate": 0.666667
+  },
+  {
+    "kind": "summary",
+    "sim": null,
+    "removed": "switch",
+    "chi2": null,
+    "df": null,
+    "p_value": null,
+    "delta_loglik": null,
+    "detected": null,
+    "rate": 0.0
+  }
+]
+""",
+    ("1", "csv"): """\
+kind,sim,removed,chi2,df,p_value,delta_loglik,detected,rate
+sim,0,acoustic,3.738715,1,0.053165,1.869357,false,
+sim,0,switch,0.587195,1,0.443506,0.293597,false,
+sim,1,acoustic,8.015792,1,0.004637,4.007896,true,
+sim,1,switch,0.186983,1,0.665439,0.093492,false,
+sim,2,acoustic,8.650878,1,0.003269,4.325439,true,
+sim,2,switch,1.779622,1,0.182196,0.889811,false,
+summary,,acoustic,,,,,,0.666667
+summary,,switch,,,,,,0.000000
+""",
+    ("1", "json"): """\
+[
+  {
+    "kind": "sim",
+    "sim": 0,
+    "removed": "acoustic",
+    "chi2": 3.738715,
+    "df": 1,
+    "p_value": 0.053165,
+    "delta_loglik": 1.869357,
+    "detected": false,
+    "rate": null
+  },
+  {
+    "kind": "sim",
+    "sim": 0,
+    "removed": "switch",
+    "chi2": 0.587195,
+    "df": 1,
+    "p_value": 0.443506,
+    "delta_loglik": 0.293597,
+    "detected": false,
+    "rate": null
+  },
+  {
+    "kind": "sim",
+    "sim": 1,
+    "removed": "acoustic",
+    "chi2": 8.015792,
+    "df": 1,
+    "p_value": 0.004637,
+    "delta_loglik": 4.007896,
+    "detected": true,
+    "rate": null
+  },
+  {
+    "kind": "sim",
+    "sim": 1,
+    "removed": "switch",
+    "chi2": 0.186983,
+    "df": 1,
+    "p_value": 0.665439,
+    "delta_loglik": 0.093492,
+    "detected": false,
+    "rate": null
+  },
+  {
+    "kind": "sim",
+    "sim": 2,
+    "removed": "acoustic",
+    "chi2": 8.650878,
+    "df": 1,
+    "p_value": 0.003269,
+    "delta_loglik": 4.325439,
+    "detected": true,
+    "rate": null
+  },
+  {
+    "kind": "sim",
+    "sim": 2,
+    "removed": "switch",
+    "chi2": 1.779622,
+    "df": 1,
+    "p_value": 0.182196,
+    "delta_loglik": 0.889811,
+    "detected": false,
+    "rate": null
+  },
+  {
+    "kind": "summary",
+    "sim": null,
+    "removed": "acoustic",
+    "chi2": null,
+    "df": null,
+    "p_value": null,
+    "delta_loglik": null,
+    "detected": null,
+    "rate": 0.666667
+  },
+  {
+    "kind": "summary",
+    "sim": null,
+    "removed": "switch",
+    "chi2": null,
+    "df": null,
+    "p_value": null,
+    "delta_loglik": null,
+    "detected": null,
+    "rate": 0.0
+  }
+]
+""",
+}
+
+
+@pytest.mark.parametrize("df", [None, "1"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simfit_output_bytes_are_pinned(capsys, sim_path, df, fmt):
+    argv = ["simfit", "--lexicon", sim_path, "--subjects", "3", "--trials", "60",
+            "--sims", "3", "--seed", "7", "--format", fmt]
+    if df is not None:
+        argv += ["--df", df]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, GOLDEN_SIMFIT_ERR)
+    assert out == GOLDEN_SIMFIT[df, fmt]
+
+
+def test_seed_belongs_to_simfit_only(capsys, toy_path, sim_path):
+    # only simfit draws random numbers; its seed-7 output is pinned above
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["trace", "--lexicon", toy_path, "--all", "--pair", "B,P", "--seed", "1"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, ["simfit", "--lexicon", sim_path, "--subjects", "3",
+                                    "--trials", "60", "--sims", "3", "--seed", "8"])
+    assert code == 0 and out != GOLDEN_SIMFIT[None, "csv"]
+
+
 def test_csv_and_json_outputs_carry_identical_values(capsys, tmp_path, toy_path):
     csv_path = tmp_path / "trace.csv"
     json_path = tmp_path / "trace.json"
