@@ -141,7 +141,10 @@ class ComparisonRecord:
 
 @dataclass(frozen=True)
 class RecoverySummary:
-    """Detection rates over repeated simulate-fit-compare rounds."""
+    """Detection rates over repeated simulate-fit-compare rounds: per model,
+    the share of simulations in which removing it lost significant
+    likelihood (the generating rate is the generator's). `records` holds
+    every removal test."""
 
     generator: str
     n_sims: int
@@ -149,9 +152,6 @@ class RecoverySummary:
     acoustic_detection_rate: float
     switch_detection_rate: float
     generating_detection_rate: float
-    other_detection_rate: float
-    exclusive_generating_rate: float
-    either_rate: float
     records: tuple[ComparisonRecord, ...]
 
 
@@ -260,7 +260,7 @@ def likelihood_ratio_test(
 
     df defaults to the parameter-count difference; pass an explicit df to
     override (the reported statistics elsewhere imply single-df tests, so
-    both conventions are supported).
+    both conventions are supported). A NaN log-likelihood raises ValueError.
     """
     if not reduced.predictors <= full.predictors:
         raise NestingError(
@@ -276,9 +276,12 @@ def likelihood_ratio_test(
 
 def _chi_square_test(delta: float, df: int) -> ModelComparisonResult:
     """Chi-square test of a log-likelihood gain: chi2 = 2*delta clamped at
-    0, p = 1 at df 0; a negative df raises NestingError."""
+    0, p = 1 at df 0; a negative df raises NestingError and a NaN gain
+    raises ValueError."""
     if df < 0:
         raise NestingError(f"negative degrees of freedom: {df}")
+    if math.isnan(delta):
+        raise ValueError("log-likelihood gain is NaN")
     chi2 = max(0.0, 2.0 * delta)
     p_value = 1.0 if df == 0 else chi_square_sf(chi2, df)
     return ModelComparisonResult(chi2=chi2, df=df, p_value=p_value, delta_loglik=delta)
@@ -298,9 +301,9 @@ def chi_square_sf(x: float, df: int) -> float:
     return float(special.chdtrc(df, x))
 
 
-def bonferroni_alpha(alpha: float, n_comparisons: int = 6) -> float:
-    """Alpha corrected for testing multiple phoneme positions."""
-    return alpha / n_comparisons
+def bonferroni_alpha(alpha: float) -> float:
+    """Alpha divided by 6, the number of phoneme positions tested."""
+    return alpha / 6
 
 
 def build_trace_set(
@@ -442,12 +445,6 @@ def simulate_dataset(
     return dataset
 
 
-def reduced_predictors(removed_model: str) -> tuple[str, ...]:
-    """The full predictor set minus one model's surprisal and entropy."""
-    removed = MODEL_PREDICTORS[removed_model]
-    return tuple(name for name in FULL_PREDICTORS if name not in removed)
-
-
 def _removal_tests(
     dataset: RegressionDataset, models: Iterable[str], df: int | None
 ) -> Callable[[np.ndarray], dict[str, ModelComparisonResult]]:
@@ -510,11 +507,8 @@ def model_recovery(
     """
     if n_sims < 1:
         raise ValueError(f"need at least one simulation, got {n_sims}")
-    other = "switch" if generator == "acoustic" else "acoustic"
     records = []
     tallies = {"acoustic": 0, "switch": 0}
-    exclusive = 0
-    either = 0
     for sim in range(n_sims):
         dataset = simulate_dataset(
             traces, position, generator, betas, noise_sd,
@@ -522,11 +516,9 @@ def model_recovery(
         )
         if on_dataset is not None:
             on_dataset(sim, dataset)
-        comparisons = compare_removals(dataset, df)
-        detected = {}
-        for model, result in comparisons.items():
-            detected[model] = result.p_value < alpha
-            tallies[model] += detected[model]
+        for model, result in compare_removals(dataset, df).items():
+            detected = result.p_value < alpha
+            tallies[model] += detected
             records.append(
                 ComparisonRecord(
                     sim=sim,
@@ -535,11 +527,9 @@ def model_recovery(
                     df=result.df,
                     p_value=result.p_value,
                     delta_loglik=result.delta_loglik,
-                    detected=detected[model],
+                    detected=detected,
                 )
             )
-        exclusive += detected[generator] and not detected[other]
-        either += detected[generator] or detected[other]
     return RecoverySummary(
         generator=generator,
         n_sims=n_sims,
@@ -547,9 +537,6 @@ def model_recovery(
         acoustic_detection_rate=tallies["acoustic"] / n_sims,
         switch_detection_rate=tallies["switch"] / n_sims,
         generating_detection_rate=tallies[generator] / n_sims,
-        other_detection_rate=tallies[other] / n_sims,
-        exclusive_generating_rate=exclusive / n_sims,
-        either_rate=either / n_sims,
         records=tuple(records),
     )
 

@@ -17,8 +17,7 @@ Exit codes:
     0  requested computation completed
     1  input errors: unreadable files, lexicon parse or validation
        failures, bad parameter values
-    2  lookup and usage errors: unknown word or continuum target, bad
-       command line
+    2  lookup and usage errors: unknown word, bad command line
     3  domain errors: impossible continuation, degenerate identification
        curve, singular design, non-nested fits
 """
@@ -44,7 +43,7 @@ from .analysis import (
 )
 from .cohort import CohortTrie, ImpossibleContinuationError, build_trie
 from .continuum import DegenerateCurveError, read_identification_curves, resample_continuum
-from .lexicon import Lexicon, LexiconError, parse_lexicon
+from .lexicon import LexiconError, parse_lexicon
 from .metrics import (
     TRACE_FIELDS,
     AcousticEvidence,
@@ -145,26 +144,26 @@ def _parse_betas(raw: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
-def _load_lexicon(args) -> Lexicon:
-    return parse_lexicon(args.lexicon, smoothing=args.smoothing)
-
-
 def _traces_for_pair(
     trie: CohortTrie, pair: tuple[str, str], p_a: float
 ) -> list[MetricTrace]:
     """build_trace_set over one onset pair at one evidence level, warning
-    once for each word whose committed path dies (and so has no trace)."""
+    once for each word whose committed path dies (and so has no trace).
+    Raises ValueError when no word is left to trace."""
 
     def warn_skip(entry, _p_a):
         _warn(f"{entry.orthography}: committed path leaves the lexicon, skipped")
 
-    return build_trace_set(
+    traces = build_trace_set(
         trie, ambiguities=(p_a,), pairs=(pair,), min_length=1, on_skip=warn_skip
     )
+    if not traces:
+        raise ValueError(f"no traceable word starts with {pair[0]} or {pair[1]}")
+    return traces
 
 
 def cmd_ingest_check(args) -> int:
-    lexicon = _load_lexicon(args)
+    lexicon = parse_lexicon(args.lexicon, smoothing=args.smoothing)
     fieldnames = ("n_entries", "inventory_size", "total_frequency", "frequency_unit")
     row = (
         len(lexicon),
@@ -177,13 +176,11 @@ def cmd_ingest_check(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    lexicon = _load_lexicon(args)
+    lexicon = parse_lexicon(args.lexicon, smoothing=args.smoothing)
     trie = build_trie(lexicon)
     pair = _parse_pair(args.pair)
     if args.all:
         traces = _traces_for_pair(trie, pair, args.p_a)
-        if not traces:
-            raise ValueError(f"no word in the lexicon starts with {pair[0]} or {pair[1]}")
     else:
         entries = lexicon.lookup(args.word)
         if not entries:
@@ -203,12 +200,10 @@ def cmd_trace(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    lexicon = _load_lexicon(args)
+    lexicon = parse_lexicon(args.lexicon, smoothing=args.smoothing)
     trie = build_trie(lexicon)
     pair = _parse_pair(args.pair)
     traces = _traces_for_pair(trie, pair, args.p_a)
-    if not traces:
-        raise ValueError(f"no traceable word starts with {pair[0]} or {pair[1]}")
     if len(traces) < 3:
         _warn(f"only {len(traces)} traceable words; correlations need 3")
     max_position = max(len(t.points) for t in traces)
@@ -243,7 +238,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_pairs(args) -> int:
-    lexicon = _load_lexicon(args)
+    lexicon = parse_lexicon(args.lexicon, smoothing=args.smoothing)
     pairs = find_word_pairs(
         lexicon, args.min_shared, require_divergence=not args.keep_undiverged
     )
@@ -300,7 +295,7 @@ def cmd_continuum(args) -> int:
 
 
 def cmd_simfit(args) -> int:
-    lexicon = _load_lexicon(args)
+    lexicon = parse_lexicon(args.lexicon, smoothing=args.smoothing)
     trie = build_trie(lexicon)
     skipped = []
     traces = build_trace_set(trie, on_skip=lambda *attempt: skipped.append(attempt))

@@ -54,10 +54,6 @@ class Cohort:
     def size(self) -> int:
         return len(self.members)
 
-    def probability_of(self, orthography: str) -> float:
-        """Summed probability of members spelled `orthography` (0 if absent)."""
-        return sum(p for e, p in self.members if e.orthography == orthography)
-
 
 class _Node:
     __slots__ = (
@@ -156,10 +152,6 @@ class CohortTrie:
         self._root = _Node(0, lexicon.entries)
         self._root.cum_freq = lexicon.total_frequency
         self._root.n_entries = len(lexicon.entries)
-
-    @property
-    def total_frequency(self) -> float:
-        return self._root.cum_freq
 
     def _node_at(self, prefix: PhonemeSeq) -> _Node | None:
         node = self._root

@@ -3,8 +3,8 @@
 A behavioral pretest yields, per continuum step, the proportion of
 listeners labelling the onset as the first category. Those proportions
 turn the 11-step acoustic continuum into a 5-step perceptually defined
-one by picking the steps closest to the target probabilities, and they
-supply the evidence weights handed to the activation metrics.
+one by picking the steps closest to the target probabilities; each
+point keeps its target, achieved proportion and fitted probability.
 """
 
 from __future__ import annotations
@@ -15,9 +15,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.optimize import least_squares
-
-from .lexicon import Phoneme
-from .metrics import AcousticEvidence
 
 N_STEPS = 11
 
@@ -85,15 +82,6 @@ class PerceptualContinuum:
     points: tuple[ContinuumPoint, ...]
     midpoint: float
     slope: float
-
-    def point_for(self, target: float) -> ContinuumPoint:
-        for point in self.points:
-            if point.target == target:
-                return point
-        raise KeyError(
-            f"target {target} is not on the continuum "
-            f"(targets: {[p.target for p in self.points]})"
-        )
 
 
 def logistic_identification(step, midpoint: float, slope: float):
@@ -198,33 +186,16 @@ def resample_continuum(
     return PerceptualContinuum(tuple(points), midpoint, slope)
 
 
-def evidence_for_target(
-    continuum: PerceptualContinuum,
-    target: float,
-    pair: tuple[Phoneme, Phoneme],
-    use_achieved: bool = False,
-) -> AcousticEvidence:
-    """Evidence weights for one continuum step.
-
-    By default p_a is the design-level target probability; set
-    `use_achieved` to use the step's achieved pretest proportion instead
-    (sensitivity analysis). Raises KeyError for a target not on the
-    continuum.
-    """
-    point = continuum.point_for(target)
-    p_a = point.achieved_proportion if use_achieved else point.target
-    return AcousticEvidence(pair[0], pair[1], p_a)
-
-
 def read_identification_curves(path: str | Path) -> dict[str, IdentificationCurve]:
     """Read identification curves from CSV.
 
     Two layouts: `step,proportion` (one curve, keyed by the file stem) or
     long-format `item,step,proportion`. Column order is free; headers are
-    required, and a row with fewer cells than the header is rejected.
+    required, and a row with fewer cells than the header is rejected. A
+    leading UTF-8 byte-order mark is ignored.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty file")

@@ -79,8 +79,8 @@ class Lexicon:
     entries: tuple[LexiconEntry, ...]
     inventory: frozenset[Phoneme]
     frequency_unit: str = "counts"
-    _by_orthography: dict = field(default=None, repr=False, compare=False)
-    _total_frequency: float = field(default=None, repr=False, compare=False)
+    _by_orthography: dict = field(init=False, repr=False, compare=False)
+    _total_frequency: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entries:
@@ -148,7 +148,7 @@ def parse_lexicon(path: str | Path, smoothing: float = 0.0) -> Lexicon:
     unit = "counts"
     declared_inventory: frozenset[Phoneme] | None = None
     entries: list[LexiconEntry] = []
-    with path.open(encoding="utf-8") as handle:
+    with path.open(encoding="utf-8-sig") as handle:
         for line_number, line in enumerate(handle, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line.strip():
@@ -206,14 +206,12 @@ def write_lexicon(lexicon: Lexicon, path: str | Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def make_lexicon(
-    rows: Iterable[tuple[str, str | PhonemeSeq, float]],
-    frequency_unit: str = "counts",
-) -> Lexicon:
+def make_lexicon(rows: Iterable[tuple[str, str | PhonemeSeq, float]]) -> Lexicon:
     """Build a Lexicon from (orthography, pron, frequency) triples.
 
-    `pron` may be a space-separated string or a phoneme tuple. Convenience
-    constructor for tests and embedding callers.
+    `pron` may be a space-separated string or a phoneme tuple; the
+    frequency unit is "counts" and the inventory is the phonemes used.
+    Convenience constructor for tests and embedding callers.
     """
     entries = []
     for orthography, pron, frequency in rows:
@@ -223,4 +221,4 @@ def make_lexicon(
             pron = tuple(p.upper() for p in pron)
         entries.append(LexiconEntry(orthography, pron, float(frequency)))
     inventory = frozenset(ph for e in entries for ph in e.pron)
-    return Lexicon(tuple(entries), inventory, frequency_unit)
+    return Lexicon(tuple(entries), inventory)

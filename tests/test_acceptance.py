@@ -7,7 +7,9 @@ is deterministic; timed suites assert their runtime budgets.
 """
 
 import ast
+import inspect
 import math
+import re
 import time
 from pathlib import Path
 
@@ -111,7 +113,7 @@ def test_trie_matches_naive_enumeration_suite():
         rows = oracle.random_rows(rng, size)
         trie, naive = build_both(rows)
         inventory = sorted(naive.symbol_id)
-        close(trie.total_frequency, naive.total_frequency())
+        close(trie.prefix_frequency(()), naive.total_frequency())
         for prefix in naive.all_prefixes():
             close(trie.prefix_frequency(prefix), naive.prefix_frequency(prefix))
             expected = naive.cohort(prefix)
@@ -361,3 +363,39 @@ def test_package_checks_survive_python_optimize():
     ]
     assert sources and found == [], f"assert statements in the package: {found}"
     print(f"PASS no assert statements in {len(sources)} package modules")
+
+
+def test_all_lists_exactly_the_public_functions_and_classes():
+    modules = ("lexicon", "cohort", "metrics", "stimuli", "continuum", "analysis")
+    defined = {
+        name
+        for module in modules
+        for name, value in vars(getattr(cohortlex, module)).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__ == f"cohortlex.{module}"
+    }
+    exported = {name: getattr(cohortlex, name) for name in cohortlex.__all__}
+    assert len(exported) == len(cohortlex.__all__)
+    listed = {
+        name for name, value in exported.items()
+        if inspect.isfunction(value) or inspect.isclass(value)
+    }
+    assert listed == defined
+    print(f"PASS __all__ lists {len(listed)} functions and classes, no others")
+
+
+def test_readme_library_tour_runs_and_prints_its_values():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1]
+    code = tour.split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    commented = [
+        (match[1], float(match[2]))
+        for match in re.finditer(r"^(.+?)\s+# ([0-9.]+) bits", code, re.MULTILINE)
+    ]
+    assert [value for _, value in commented] == [0.415037, 1.678072, 2.362570]
+    for expression, value in commented:
+        assert f"{eval(expression, namespace):.6f}" == f"{value:.6f}", expression
+    print(f"PASS README library tour: {len(commented)} commented values reproduced")

@@ -11,6 +11,7 @@ from cohortlex import (
     REGRESSION_FIELDS,
     CalibrationResult,
     ComparisonRecord,
+    FitResult,
     NestingError,
     RegressionDataset,
     SingularDesignError,
@@ -22,7 +23,6 @@ from cohortlex import (
     model_recovery,
     ols_fit,
     permutation_calibration,
-    reduced_predictors,
     simulate_dataset,
     write_dataset,
 )
@@ -49,6 +49,11 @@ COLUMN_DEFAULTS = {
     "ambiguity": 0.75,
     "subject_id": "s1",
 }
+
+
+def without_model(model):
+    """The full predictor set minus one model's surprisal and entropy."""
+    return tuple(name for name in FULL_PREDICTORS if name not in MODEL_PREDICTORS[model])
 
 
 def make_dataset(response, **overrides):
@@ -209,7 +214,7 @@ def test_lrt_default_df_is_parameter_difference():
     rng = np.random.default_rng(17)
     data = random_dataset(rng, 100)
     full = ols_fit(data, FULL_PREDICTORS)
-    reduced = ols_fit(data, reduced_predictors("acoustic"))
+    reduced = ols_fit(data, without_model("acoustic"))
     result = likelihood_ratio_test(full, reduced)
     assert result.df == 2
     assert result.chi2 >= 0.0
@@ -229,6 +234,19 @@ def test_lrt_df_override():
     assert result.p_value == pytest.approx(chi_square_sf(result.chi2, 3), abs=1e-15)
     with pytest.raises(NestingError):
         likelihood_ratio_test(full, reduced, df=-1)
+
+
+@pytest.mark.parametrize("df", [None, 0])
+def test_lrt_nan_gain_raises_and_negative_gain_clamps(df):
+    def fit(log_likelihood, predictors):
+        return FitResult({}, 1.0, log_likelihood, n=10, p=1 + len(predictors),
+                         predictors=frozenset(predictors))
+
+    reduced = fit(-5.0, ("acoustic_surprisal",))
+    with pytest.raises(ValueError, match="NaN"):
+        likelihood_ratio_test(fit(math.nan, METRIC_NAMES), reduced, df=df)
+    result = likelihood_ratio_test(fit(-6.0, METRIC_NAMES), reduced, df=df)
+    assert (result.chi2, result.delta_loglik) == (0.0, -1.0)
 
 
 def test_lrt_rejects_non_nested_models():
@@ -342,7 +360,6 @@ def test_chi_square_sf_returns_python_floats():
 
 def test_bonferroni_alpha():
     assert bonferroni_alpha(0.05) == pytest.approx(0.05 / 6)
-    assert bonferroni_alpha(0.05, n_comparisons=3) == pytest.approx(0.05 / 3)
 
 
 def test_build_trace_set_orients_evidence_per_word(trie_b):
@@ -527,14 +544,6 @@ def test_compare_removals_detects_only_the_generator(trie_sim):
     assert results["acoustic"].chi2 > results["switch"].chi2
 
 
-def test_reduced_predictors_removes_both_model_terms():
-    for model, terms in MODEL_PREDICTORS.items():
-        remaining = reduced_predictors(model)
-        assert len(remaining) == len(FULL_PREDICTORS) - 2
-        for term in terms:
-            assert term not in remaining
-
-
 def test_model_recovery_small_run(trie_sim):
     traces = build_trace_set(trie_sim)
     summary = model_recovery(
@@ -553,15 +562,8 @@ def test_model_recovery_small_run(trie_sim):
     assert summary.n_sims == 4
     assert len(summary.records) == 8
     assert summary.generating_detection_rate == summary.acoustic_detection_rate
-    assert summary.other_detection_rate == summary.switch_detection_rate
-    for rate in (
-        summary.acoustic_detection_rate,
-        summary.switch_detection_rate,
-        summary.exclusive_generating_rate,
-        summary.either_rate,
-    ):
+    for rate in (summary.acoustic_detection_rate, summary.switch_detection_rate):
         assert 0.0 <= rate <= 1.0
-    assert summary.either_rate >= summary.generating_detection_rate
     # strong signal, low noise: the generator should be found every time
     assert summary.generating_detection_rate == 1.0
     by_sim = {}
@@ -717,7 +719,7 @@ def test_least_squares_matches_lstsq_reference():
     data = random_dataset(rng, 120)
     n = len(data)
     X_full, names = _design_matrix(data, FULL_PREDICTORS)
-    X_reduced, _ = _design_matrix(data, reduced_predictors("acoustic"))
+    X_reduced, _ = _design_matrix(data, without_model("acoustic"))
     y = data.columns["response"]
 
     def sse(X, response):
@@ -799,7 +801,7 @@ def reference_compare_removals(rows, df):
     data = dataset_of(rows)
     full = ols_fit(data, FULL_PREDICTORS)
     return {
-        model: likelihood_ratio_test(full, ols_fit(data, reduced_predictors(model)), df=df)
+        model: likelihood_ratio_test(full, ols_fit(data, without_model(model)), df=df)
         for model in ("acoustic", "switch")
     }
 

@@ -871,6 +871,43 @@ def test_trace_all_warns_and_drops_words_whose_committed_path_dies(capsys, tmp_p
     assert {r["word"] for r in parse_csv(out)} == {"bat", "pat"}
 
 
+@pytest.mark.parametrize("command", [["trace", "--all"], ["compare"]])
+def test_all_skipped_pair_names_the_untraceable_words(capsys, tmp_path, command):
+    # At p_a 0.25 "bat" commits to /P AE/ and "pin" to /B IH/: both words
+    # start with B or P, and neither has a trace.
+    path = tmp_path / "all_skipped.tsv"
+    path.write_text("bat\tB AE T\t1\npin\tP IH N\t1\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, [*command, "--lexicon", str(path), "--pair", "B,P", "--p-a", "0.25"]
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "warning: bat: committed path leaves the lexicon, skipped\n"
+        "warning: pin: committed path leaves the lexicon, skipped\n"
+        "error: no traceable word starts with B or P\n"
+    )
+
+
+@pytest.mark.parametrize("command", [["trace", "--all"], ["compare"]])
+def test_pair_without_words_exits_1(capsys, tmp_path, command):
+    path = tmp_path / "no_bp.tsv"
+    path.write_text("dot\tD AA T\t1\ntot\tT AA T\t1\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, [*command, "--lexicon", str(path), "--pair", "B,P"])
+    assert (code, out) == (1, "")
+    assert err == "error: no traceable word starts with B or P\n"
+
+
+def test_trace_word_in_lexicon_with_byte_order_mark(capsys, tmp_path):
+    path = tmp_path / "bom.tsv"
+    path.write_text("bat\tB AE T\t3\npat\tP AE T\t1\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    code, out, _ = run_cli(
+        capsys, ["trace", "--lexicon", str(path), "--word", "bat", "--pair", "B,P"]
+    )
+    assert code == 0
+    assert [r["phoneme"] for r in parse_csv(out)] == ["B", "AE", "T"]
+
+
 def test_compare_rejects_negative_top_k(capsys, disjoint_path):
     code, out, err = run_cli(
         capsys,

@@ -11,7 +11,6 @@ from cohortlex import (
     DegenerateCurveError,
     IdentificationCurve,
     N_STEPS,
-    evidence_for_target,
     fit_psychometric,
     logistic_identification,
     read_identification_curves,
@@ -95,8 +94,9 @@ def test_resample_example_curve():
     assert [p.step for p in continuum.points] == [1, 5, 6, 8, 11]
     assert [p.target for p in continuum.points] == list(CONTINUUM_TARGETS)
     # the 0.5 target ties between 0.6 (step 6) and 0.4 (step 7)
-    assert continuum.point_for(0.5).step == 6
-    assert continuum.point_for(0.5).achieved_proportion == 0.6
+    middle = continuum.points[CONTINUUM_TARGETS.index(0.5)]
+    assert middle.step == 6
+    assert middle.achieved_proportion == 0.6
 
 
 def test_resample_exact_hits():
@@ -143,25 +143,14 @@ def test_resample_unknown_mode():
         resample_continuum(EXAMPLE, mode="spline")
 
 
-def test_evidence_for_target():
-    continuum = resample_continuum(EXAMPLE)
-    evidence = evidence_for_target(continuum, 0.75, ("B", "P"))
-    assert evidence.phoneme_a == "B"
-    assert evidence.phoneme_b == "P"
-    assert evidence.p_a == 0.75
-    assert evidence_for_target(continuum, 1.0, ("B", "P")).p_a == 1.0
-
-
-def test_evidence_for_target_achieved_mode():
-    continuum = resample_continuum(EXAMPLE)
-    evidence = evidence_for_target(continuum, 0.75, ("B", "P"), use_achieved=True)
-    assert evidence.p_a == 0.8
-
-
-def test_evidence_for_unknown_target():
-    continuum = resample_continuum(EXAMPLE)
-    with pytest.raises(KeyError):
-        evidence_for_target(continuum, 0.4, ("B", "P"))
+def test_read_long_format_with_byte_order_mark(tmp_path):
+    path = tmp_path / "curves.csv"
+    lines = ["item,step,proportion"] + [
+        f"bp,{s},{p}" for s, p in zip(range(1, 12), EXAMPLE.proportions)
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read_identification_curves(path) == {"bp": EXAMPLE}
 
 
 def test_read_single_curve(tmp_path):

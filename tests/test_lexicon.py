@@ -118,6 +118,15 @@ def test_unit_header(tmp_path):
     assert parse_lexicon(path).frequency_unit == "per-million"
 
 
+def test_byte_order_mark_is_ignored(tmp_path):
+    path = tmp_path / "bom.tsv"
+    path.write_text(TOY_TSV, encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert parse_lexicon(path) == parse_lexicon(write(tmp_path, TOY_TSV))
+    path.write_text("#unit: per-million\n" + TOY_TSV, encoding="utf-8-sig")
+    assert parse_lexicon(path).frequency_unit == "per-million"
+
+
 def test_unknown_unit_rejected(tmp_path):
     path = write(tmp_path, "#unit: logfreq\nbat\tB AE T\t3\n")
     with pytest.raises(LexiconParseError, match="unknown frequency unit"):
@@ -200,6 +209,15 @@ def test_lexicon_rejects_pron_outside_inventory():
     entry = LexiconEntry("bat", ("B", "AE", "T"), 3.0)
     with pytest.raises(LexiconValidationError, match="outside the inventory"):
         Lexicon((entry,), frozenset({"B", "AE"}))
+
+
+def test_lexicon_index_and_total_are_not_constructor_parameters():
+    entry = LexiconEntry("bat", ("B", "AE", "T"), 3.0)
+    with pytest.raises(TypeError):
+        Lexicon((entry,), frozenset(entry.pron), "counts", {}, 99.0)
+    with pytest.raises(TypeError):
+        Lexicon((entry,), frozenset(entry.pron), _total_frequency=99.0)
+    assert Lexicon((entry,), frozenset(entry.pron)).total_frequency == 3.0
 
 
 def test_entry_copies_pickles_and_replaces():
