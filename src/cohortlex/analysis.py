@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import linalg, special
@@ -126,9 +126,9 @@ class ModelComparisonResult:
     delta_loglik: float
 
 
-@dataclass(frozen=True)
-class ComparisonRecord:
-    """One removal test inside a recovery simulation."""
+class ComparisonRecord(NamedTuple):
+    """One removal test inside a recovery simulation, fields in the order
+    `simfit` prints them."""
 
     sim: int
     removed: str
@@ -519,17 +519,10 @@ def model_recovery(
         for model, result in compare_removals(dataset, df).items():
             detected = result.p_value < alpha
             tallies[model] += detected
-            records.append(
-                ComparisonRecord(
-                    sim=sim,
-                    removed=model,
-                    chi2=result.chi2,
-                    df=result.df,
-                    p_value=result.p_value,
-                    delta_loglik=result.delta_loglik,
-                    detected=detected,
-                )
-            )
+            records.append(ComparisonRecord(
+                sim, model, result.chi2, result.df, result.p_value,
+                result.delta_loglik, detected,
+            ))
     return RecoverySummary(
         generator=generator,
         n_sims=n_sims,

@@ -30,10 +30,10 @@ import gc
 import io
 import json
 import sys
-from operator import attrgetter
 from pathlib import Path
 
 from .analysis import (
+    ComparisonRecord,
     bonferroni_alpha,
     build_trace_set,
     model_recovery,
@@ -42,7 +42,9 @@ from .analysis import (
     SingularDesignError,
 )
 from .cohort import CohortTrie, ImpossibleContinuationError, build_trie
-from .continuum import DegenerateCurveError, read_identification_curves, resample_continuum
+from .continuum import (
+    ContinuumPoint, DegenerateCurveError, read_identification_curves, resample_continuum,
+)
 from .lexicon import LexiconError, parse_lexicon
 from .metrics import (
     TRACE_FIELDS,
@@ -53,7 +55,7 @@ from .metrics import (
     model_correlation,
     model_divergence_ranking,
 )
-from .stimuli import find_word_pairs
+from .stimuli import WordPair, find_word_pairs
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -189,9 +191,8 @@ def cmd_trace(args) -> int:
         traces = [metric_trace(trie, entry, evidence) for entry in entries]
     with_word = args.all or len(traces) > 1
     fieldnames = (("word",) if with_word else ()) + TRACE_FIELDS
-    cells = attrgetter(*TRACE_FIELDS)
     rows = [
-        ((trace.word.orthography,) if with_word else ()) + cells(point)
+        ((trace.word.orthography,) if with_word else ()) + point
         for trace in traces
         for point in trace.points
     ]
@@ -242,52 +243,18 @@ def cmd_pairs(args) -> int:
     pairs = find_word_pairs(
         lexicon, args.min_shared, require_divergence=not args.keep_undiverged
     )
-    fieldnames = (
-        "word_a",
-        "word_b",
-        "onset_a",
-        "onset_b",
-        "shared_len",
-        "divergence_point",
-    )
-    rows = [
-        (
-            p.entry_a.orthography,
-            p.entry_b.orthography,
-            *p.onset_pair,
-            p.shared_len,
-            p.divergence_point,
-        )
-        for p in pairs
-    ]
-    write_records(rows, fieldnames, args.out, args.format)
+    write_records(pairs, WordPair._fields, args.out, args.format)
     return EXIT_OK
 
 
 def cmd_continuum(args) -> int:
     curves = read_identification_curves(args.curve)
-    fieldnames = (
-        "item",
-        "target",
-        "step",
-        "achieved_proportion",
-        "fitted_probability",
-        "midpoint",
-        "slope",
-    )
+    fieldnames = ("item", *ContinuumPoint._fields, "midpoint", "slope")
     rows = []
     for item in sorted(curves):
         continuum = resample_continuum(curves[item], mode=args.mode)
         rows.extend(
-            (
-                item,
-                point.target,
-                point.step,
-                point.achieved_proportion,
-                point.fitted_probability,
-                continuum.midpoint,
-                continuum.slope,
-            )
+            (item, *point, continuum.midpoint, continuum.slope)
             for point in continuum.points
         )
     write_records(rows, fieldnames, args.out, args.format)
@@ -328,17 +295,8 @@ def cmd_simfit(args) -> int:
         df=args.df,
         on_dataset=write_first if args.data_out else None,
     )
-    fieldnames = (
-        "kind", "sim", "removed", "chi2", "df", "p_value",
-        "delta_loglik", "detected", "rate",
-    )
-    rows = [
-        (
-            "sim", rec.sim, rec.removed, rec.chi2, rec.df, rec.p_value,
-            rec.delta_loglik, rec.detected, None,
-        )
-        for rec in summary.records
-    ]
+    fieldnames = ("kind", *ComparisonRecord._fields, "rate")
+    rows = [("sim", *rec, None) for rec in summary.records]
     for model, rate in (
         ("acoustic", summary.acoustic_detection_rate),
         ("switch", summary.switch_detection_rate),
@@ -396,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--pair", required=True, help="onset candidates, e.g. B,P")
     p.add_argument("--p-a", type=float, default=0.75, dest="p_a",
-                   help="evidence weight for the first onset (default 0.75)")
+                   help="evidence weight for the first --pair onset; with --all, "
+                   "for each word's own onset (default 0.75)")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser(

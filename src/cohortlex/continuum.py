@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -67,8 +68,9 @@ class IdentificationCurve:
         return self.proportions[step - 1]
 
 
-@dataclass(frozen=True)
-class ContinuumPoint:
+class ContinuumPoint(NamedTuple):
+    """One step of a resampled continuum, fields in `continuum` column order."""
+
     target: float
     step: int
     achieved_proportion: float
@@ -175,14 +177,9 @@ def resample_continuum(
             key=lambda s: (abs(reference[s - 1] - target), s),
         )
         used.add(step)
-        points.append(
-            ContinuumPoint(
-                target=target,
-                step=step,
-                achieved_proportion=curve.proportion_at(step),
-                fitted_probability=float(fitted[step - 1]),
-            )
-        )
+        points.append(ContinuumPoint(
+            target, step, curve.proportion_at(step), float(fitted[step - 1])
+        ))
     return PerceptualContinuum(tuple(points), midpoint, slope)
 
 
@@ -191,33 +188,47 @@ def read_identification_curves(path: str | Path) -> dict[str, IdentificationCurv
 
     Two layouts: `step,proportion` (one curve, keyed by the file stem) or
     long-format `item,step,proportion`. Column order is free; headers are
-    required, and a row with fewer cells than the header is rejected. A
-    leading UTF-8 byte-order mark is ignored.
+    required, blank lines are skipped, and a row whose cell count differs
+    from the header's is rejected. Errors name the offending row's line,
+    or the item whose step set is incomplete. A leading UTF-8 byte-order
+    mark is ignored.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: empty file")
-        fields = {name.strip().lower() for name in reader.fieldnames}
-        if not {"step", "proportion"} <= fields:
+        column = {name.strip().lower(): i for i, name in enumerate(header)}
+        if not {"step", "proportion"} <= column.keys():
             raise ValueError(
                 f"{path}: expected columns step,proportion (plus optional item), "
-                f"got {sorted(fields)}"
+                f"got {sorted(column)}"
             )
-        has_item = "item" in fields
+        item_at = column.get("item")
+        step_at, proportion_at = column["step"], column["proportion"]
         rows_by_item: dict[str, list[tuple[int, float]]] = {}
-        for row in reader:
-            row = {k.strip().lower(): v for k, v in row.items() if k is not None}
-            if None in row.values():
-                raise ValueError(f"{path}: line {reader.line_num}: missing cells")
-            item = row["item"].strip() if has_item else path.stem
-            rows_by_item.setdefault(item, []).append(
-                (int(row["step"]), float(row["proportion"]))
-            )
+        for cells in reader:
+            if not cells:
+                continue
+            where = f"{path}: line {reader.line_num}"
+            if len(cells) != len(header):
+                problem = "missing" if len(cells) < len(header) else "extra"
+                raise ValueError(
+                    f"{where}: {problem} cells (expected {len(header)}, got {len(cells)})"
+                )
+            item = cells[item_at].strip() if item_at is not None else path.stem
+            try:
+                pair = (int(cells[step_at]), float(cells[proportion_at]))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            rows_by_item.setdefault(item, []).append(pair)
     if not rows_by_item:
         raise ValueError(f"{path}: no data rows")
-    return {
-        item: IdentificationCurve.from_pairs(pairs)
-        for item, pairs in rows_by_item.items()
-    }
+    curves = {}
+    for item, pairs in rows_by_item.items():
+        try:
+            curves[item] = IdentificationCurve.from_pairs(pairs)
+        except ValueError as exc:
+            raise ValueError(f"{path}: item {item!r}: {exc}") from None
+    return curves

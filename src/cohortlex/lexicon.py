@@ -40,7 +40,13 @@ class LexiconParseError(LexiconError):
 
 
 class LexiconValidationError(LexiconError):
-    """Well-formed row violating a lexicon invariant."""
+    """Well-formed row violating a lexicon invariant. `entry_index` is the
+    offending entry's index in `Lexicon.entries`, or None when the error is
+    not about one entry of a lexicon."""
+
+    def __init__(self, message: str, entry_index: int | None = None):
+        super().__init__(message)
+        self.entry_index = entry_index
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,18 +98,20 @@ class Lexicon:
         )
         by_orth: dict[str, list[LexiconEntry]] = {}
         total = 0.0
-        for entry in self.entries:
+        for index, entry in enumerate(self.entries):
             spelled = by_orth.setdefault(entry.orthography, [])
             if any(other.pron == entry.pron for other in spelled):
                 raise LexiconValidationError(
-                    f"duplicate entry {entry.orthography!r} /{' '.join(entry.pron)}/"
+                    f"duplicate entry {entry.orthography!r} /{' '.join(entry.pron)}/",
+                    index,
                 )
             if not in_inventory:
                 missing = set(entry.pron) - self.inventory
                 if missing:
                     raise LexiconValidationError(
                         f"{entry.orthography!r} uses phonemes outside the inventory: "
-                        f"{sorted(missing)}"
+                        f"{sorted(missing)}",
+                        index,
                     )
             spelled.append(entry)
             total += entry.frequency
@@ -140,7 +148,8 @@ def parse_lexicon(path: str | Path, smoothing: float = 0.0) -> Lexicon:
 
     Raises LexiconParseError for malformed rows (with the line number) and
     LexiconValidationError for invariant violations, including an empty
-    lexicon. Errors raised for a single row carry its line number.
+    lexicon. Errors raised for a single row carry its line number. Each row's
+    fields are checked as it is read, duplicates and the inventory after.
     """
     if smoothing < 0:
         raise ValueError(f"smoothing must be >= 0, got {smoothing}")
@@ -148,6 +157,7 @@ def parse_lexicon(path: str | Path, smoothing: float = 0.0) -> Lexicon:
     unit = "counts"
     declared_inventory: frozenset[Phoneme] | None = None
     entries: list[LexiconEntry] = []
+    entry_lines: list[int] = []
     with path.open(encoding="utf-8-sig") as handle:
         for line_number, line in enumerate(handle, start=1):
             line = line.rstrip("\n").rstrip("\r")
@@ -191,9 +201,15 @@ def parse_lexicon(path: str | Path, smoothing: float = 0.0) -> Lexicon:
                 ))
             except LexiconValidationError as exc:
                 raise LexiconValidationError(f"line {line_number}: {exc}") from None
+            entry_lines.append(line_number)
     observed = frozenset(chain.from_iterable(e.pron for e in entries))
     inventory = declared_inventory if declared_inventory is not None else observed
-    return Lexicon(tuple(entries), inventory, unit)
+    try:
+        return Lexicon(tuple(entries), inventory, unit)
+    except LexiconValidationError as exc:
+        if exc.entry_index is None:
+            raise
+        raise LexiconValidationError(f"line {entry_lines[exc.entry_index]}: {exc}") from None
 
 
 def write_lexicon(lexicon: Lexicon, path: str | Path) -> None:

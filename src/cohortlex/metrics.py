@@ -22,22 +22,12 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cohort import CohortTrie, ImpossibleContinuationError, _child, _subtree_entropy
 from .lexicon import LexiconEntry, Phoneme, PhonemeSeq
 
 _INNER_TOL = 1e-12
-
-TRACE_FIELDS = (
-    "position",
-    "phoneme",
-    "switch_surprisal",
-    "acoustic_surprisal",
-    "switch_entropy",
-    "acoustic_entropy",
-    "switch_cohort_size",
-    "joint_cohort_size",
-)
 
 
 class UndefinedCorrelationError(ValueError):
@@ -75,9 +65,9 @@ class AcousticEvidence:
         return self.phoneme_a if self.p_a >= 0.5 else self.phoneme_b
 
 
-@dataclass(frozen=True)
-class MetricPoint:
-    """Both models' values at one phoneme position of a trace."""
+class MetricPoint(NamedTuple):
+    """Both models' values at one phoneme position of a trace: one row of
+    `trace`, fields in column order."""
 
     position: int
     phoneme: Phoneme
@@ -87,6 +77,9 @@ class MetricPoint:
     acoustic_entropy: float
     switch_cohort_size: int
     joint_cohort_size: int
+
+
+TRACE_FIELDS = MetricPoint._fields
 
 
 @dataclass(frozen=True)

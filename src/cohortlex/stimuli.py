@@ -7,23 +7,24 @@ genuinely diverges so listeners get a point of disambiguation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .lexicon import PLOSIVE_VOICING_PAIRS, Lexicon, LexiconEntry, Phoneme, PhonemeSeq
+from .lexicon import PLOSIVE_VOICING_PAIRS, Lexicon, Phoneme, PhonemeSeq
 
 
-@dataclass(frozen=True)
-class WordPair:
-    """A voiced/voiceless onset pair with a shared post-onset stretch.
+class WordPair(NamedTuple):
+    """A voiced/voiceless onset pair with a shared post-onset stretch: one
+    row of `pairs`, fields in column order.
 
-    `entry_a` is always the voiced member. `divergence_point` is the
+    `word_a` is always the voiced member. `divergence_point` is the
     1-based position of the first post-onset mismatch, or None when one
     pronunciation is a prefix of the other (they never diverge).
     """
 
-    entry_a: LexiconEntry
-    entry_b: LexiconEntry
-    onset_pair: tuple[Phoneme, Phoneme]
+    word_a: str
+    word_b: str
+    onset_a: Phoneme
+    onset_b: Phoneme
     shared_len: int
     divergence_point: int | None
 
@@ -88,7 +89,7 @@ def find_word_pairs(
         spelled.add(entry.orthography)
     results: list[WordPair] = []
     seen: set[frozenset[str]] = set()
-    for onset_pair, buckets in by_pair:
+    for (voiced, voiceless), buckets in by_pair:
         for voiced_entries, voiceless_entries in buckets.values():
             for entry_a in voiced_entries:
                 pron_a = entry_a.pron
@@ -114,14 +115,9 @@ def find_word_pairs(
                         if orth_key in seen:
                             continue
                         seen.add(orth_key)
-                    results.append(
-                        WordPair(entry_a, entry_b, onset_pair, shared_len, point)
-                    )
-    results.sort(
-        key=lambda pair: (
-            -pair.shared_len,
-            pair.entry_a.orthography,
-            pair.entry_b.orthography,
-        )
-    )
+                    results.append(WordPair(
+                        entry_a.orthography, entry_b.orthography,
+                        voiced, voiceless, shared_len, point,
+                    ))
+    results.sort(key=lambda pair: (-pair.shared_len, pair.word_a, pair.word_b))
     return results

@@ -339,11 +339,13 @@ def test_paired_stimulus_search_fixture():
     pairs = find_word_pairs(lexicon, min_shared=3)
     assert len(pairs) == 1
     pair = pairs[0]
-    assert pair.entry_a.orthography == "balance"
-    assert pair.entry_b.orthography == "palate"
-    assert pair.onset_pair == ("B", "P")
+    assert pair.word_a == "balance"
+    assert pair.word_b == "palate"
+    assert (pair.onset_a, pair.onset_b) == ("B", "P")
     assert pair.shared_len == 3
-    assert pair.entry_a.pron[1:4] == pair.entry_b.pron[1:4]
+    (entry_a,) = lexicon.lookup(pair.word_a)
+    (entry_b,) = lexicon.lookup(pair.word_b)
+    assert entry_a.pron[1:4] == entry_b.pron[1:4]
     assert pair.divergence_point == 5
     print(
         "PASS stimulus fixture: balance/palate shares phonemes 2-4 and "

@@ -119,6 +119,18 @@ def test_trace_all_words(capsys, toy_path):
     assert {r["word"] for r in rows} == {"bat", "bin", "pat", "pin"}
 
 
+def test_trace_csv_header_order_is_pinned(capsys, toy_path):
+    columns = (
+        "position,phoneme,switch_surprisal,acoustic_surprisal,"
+        "switch_entropy,acoustic_entropy,switch_cohort_size,joint_cohort_size\n"
+    )
+    base = ["trace", "--lexicon", toy_path, "--pair", "B,P"]
+    for selection, header in ((["--word", "bat"], columns), (["--all"], "word," + columns)):
+        code, out, _ = run_cli(capsys, base + selection)
+        assert code == 0
+        assert out[:len(header)] == header
+
+
 def test_trace_rejects_out_of_range_evidence(capsys, toy_path):
     code, _, err = run_cli(
         capsys,

@@ -347,9 +347,10 @@ def test_pairs_csv_reads_back_as_the_reference_pairs(lexicon, min_shared, keep_u
     ]
     assert rows[1:] == [
         [
-            pair.entry_a.orthography,
-            pair.entry_b.orthography,
-            *pair.onset_pair,
+            pair.word_a,
+            pair.word_b,
+            pair.onset_a,
+            pair.onset_b,
             str(pair.shared_len),
             "" if pair.divergence_point is None else str(pair.divergence_point),
         ]

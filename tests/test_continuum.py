@@ -203,6 +203,51 @@ def test_read_rejects_rows_with_missing_cells(tmp_path):
             read_identification_curves(path)
 
 
+def write_long_curves(path, rows):
+    """An item,step,proportion file: items a and b with steps 1..11 each,
+    then `rows` (lines without their newline) appended."""
+    lines = ["item,step,proportion"] + [
+        f"{item},{step},{1 - step / 12:.2f}" for item in "ab" for step in range(1, 12)
+    ]
+    path.write_text("\n".join(lines + rows) + "\n")
+
+
+def test_read_rejects_rows_with_extra_cells(tmp_path):
+    path = tmp_path / "curves.csv"
+    path.write_text("item,step,proportion\n" + "".join(
+        f"a,{step},0.5\n" if step != 4 else "a,4,0.70,99\n" for step in range(1, 12)
+    ))
+    with pytest.raises(
+        ValueError, match=r"curves.csv: line 5: extra cells \(expected 3, got 4\)$"
+    ):
+        read_identification_curves(path)
+
+
+def test_read_names_the_line_of_a_bad_cell(tmp_path):
+    path = tmp_path / "curves.csv"
+    for row, message in (
+        ("c,x,0.5", "invalid literal for int"),
+        ("c,1,high", "could not convert string to float"),
+    ):
+        write_long_curves(path, [row])
+        with pytest.raises(ValueError, match=rf"curves.csv: line 24: {message}"):
+            read_identification_curves(path)
+
+
+def test_read_names_the_item_with_an_incomplete_step_set(tmp_path):
+    path = tmp_path / "curves.csv"
+    write_long_curves(path, [])
+    text = path.read_text().replace("b,11,0.08\n", "\n")
+    path.write_text(text)
+    with pytest.raises(
+        ValueError, match=r"curves.csv: item 'b': step indices must be exactly 1..11"
+    ):
+        read_identification_curves(path)
+    path.write_text(text + "b,10,0.10\n")
+    with pytest.raises(ValueError, match=r"curves.csv: item 'b': duplicate step index 10"):
+        read_identification_curves(path)
+
+
 def default_jacobian_fit(curve):
     """`fit_psychometric`'s outcome with scipy's default `jac='2-point'`:
     (midpoint, slope), or the DegenerateCurveError message."""

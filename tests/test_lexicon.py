@@ -100,6 +100,19 @@ def test_duplicate_orthography_pron_rejected(tmp_path):
         parse_lexicon(path)
 
 
+def test_duplicate_entry_error_names_its_line(tmp_path):
+    path = write(tmp_path, "bat\tB AE T\t3\n# note\n\nbin\tB IH N\t1\nbat\tB AE T\t5\n")
+    with pytest.raises(
+        LexiconValidationError, match=r"^line 5: duplicate entry 'bat' /B AE T/$"
+    ):
+        parse_lexicon(path)
+    # A row's own fields are checked while the file is read, duplicates
+    # after it, so a later empty pronunciation is reported first.
+    path = write(tmp_path, "bat\tB AE T\t3\nbat\tB AE T\t5\nbin\t \t1\n")
+    with pytest.raises(LexiconValidationError, match="^line 3: 'bin': empty pronunciation$"):
+        parse_lexicon(path)
+
+
 def test_homophones_are_distinct_entries(tmp_path):
     path = write(tmp_path, "bear\tB EH R\t3\nbare\tB EH R\t5\n")
     lex = parse_lexicon(path)
@@ -136,6 +149,15 @@ def test_unknown_unit_rejected(tmp_path):
 def test_declared_inventory_is_enforced(tmp_path):
     path = write(tmp_path, "#inventory: B AE\nbat\tB AE T\t3\n")
     with pytest.raises(LexiconValidationError, match="outside the inventory"):
+        parse_lexicon(path)
+
+
+def test_inventory_error_names_its_line(tmp_path):
+    path = write(tmp_path, "#inventory: B AE T\nbat\tB AE T\t3\nbin\tB IH N\t1\n")
+    with pytest.raises(
+        LexiconValidationError,
+        match=r"^line 3: 'bin' uses phonemes outside the inventory: \['IH', 'N'\]$",
+    ):
         parse_lexicon(path)
 
 

@@ -14,7 +14,6 @@ from cohortlex import (
     LexiconEntry,
     MetricPoint,
     MetricTrace,
-    TRACE_FIELDS,
     UndefinedCorrelationError,
     acoustic_entropy,
     acoustic_surprisal,
@@ -333,10 +332,6 @@ def test_metric_trace_entropy_zero_iff_single_member(trie_b, toy_b):
         for point in metric_trace(trie_b, word, ev).points:
             assert (point.acoustic_entropy == 0.0) == (point.joint_cohort_size == 1)
             assert (point.switch_entropy == 0.0) == (point.switch_cohort_size == 1)
-
-
-def test_trace_fields_mirror_point_attributes():
-    assert TRACE_FIELDS == tuple(MetricPoint.__dataclass_fields__)
 
 
 # ------------------------------------------------- correlation and ranking

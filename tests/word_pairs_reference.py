@@ -60,9 +60,10 @@ def find_word_pairs(
                     seen.add(orth_key)
                     results.append(
                         WordPair(
-                            entry_a=entry_a,
-                            entry_b=entry_b,
-                            onset_pair=(voiced, voiceless),
+                            word_a=entry_a.orthography,
+                            word_b=entry_b.orthography,
+                            onset_a=voiced,
+                            onset_b=voiceless,
                             shared_len=_shared_len(entry_a.pron, entry_b.pron, point),
                             divergence_point=point,
                         )
@@ -70,8 +71,8 @@ def find_word_pairs(
     results.sort(
         key=lambda pair: (
             -pair.shared_len,
-            pair.entry_a.orthography,
-            pair.entry_b.orthography,
+            pair.word_a,
+            pair.word_b,
         )
     )
     return results
