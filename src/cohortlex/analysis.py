@@ -326,13 +326,17 @@ def build_trace_set(
     for first, second in pairs:
         partner[first] = second
         partner[second] = first
+    lexicon = trie.lexicon
+    onsets = map(lexicon.phonemes.__getitem__, lexicon.codes[lexicon.offsets[:-1]].tolist())
+    lengths = np.diff(lexicon.offsets).tolist()
     traces = []
-    for entry in trie.lexicon.entries:
-        other = partner.get(entry.onset)
-        if other is None or len(entry.pron) < min_length:
+    for index, (onset, length) in enumerate(zip(onsets, lengths)):
+        other = partner.get(onset)
+        if other is None or length < min_length:
             continue
+        entry = lexicon.entry(index)
         for p_a in ambiguities:
-            evidence = AcousticEvidence(entry.onset, other, p_a)
+            evidence = AcousticEvidence(onset, other, p_a)
             try:
                 traces.append(metric_trace(trie, entry, evidence))
             except ImpossibleContinuationError:

@@ -8,23 +8,25 @@ either: each node memoizes its subtree entropy, computed on first query
 from its children's by the grouping rule, so every node is computed at
 most once. Only `cohort_at` lists members.
 
-The trie is expanded lazily. Building it sums the root total and hands
-the root the lexicon's entries; a node groups its pending entries by
-their next phoneme on its first visit, which sets each child's total,
-entry count and pending entries (all in lexicon order) and the node's
-own terminal entries. A query therefore expands only the nodes on its
-path, plus the subtree below a node whose entropy or cohort it reads, and
-its values are bitwise those of a fully built trie. A trie is safe to
-share across threads without a lock: a visit reads `pending` once,
-publishes `children` and `terminals` before clearing it, and a thread
-that loses the race rebuilds equal values; the entropy memo writes are
-idempotent in the same way.
+The trie is expanded lazily and reads the lexicon's columns, not entry
+objects. Building it takes the root total from the lexicon and hands the
+root every entry index; a node groups its pending entry indices by their
+next phoneme on its first visit, which sets each child's total, entry
+count and pending indices (all in lexicon order) and the node's own
+terminal indices. A query therefore expands only the nodes on its path,
+plus the subtree below a node whose entropy or cohort it reads, and its
+values are bitwise those of a fully built trie. A trie is safe to share
+across threads without a lock: a visit reads `pending` once, publishes
+`children` and `terminals` before clearing it, and a thread that loses
+the race rebuilds equal values; the entropy memo writes are idempotent
+in the same way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lexicon import Lexicon, LexiconEntry, PhonemeSeq
 
@@ -55,19 +57,33 @@ class Cohort:
         return len(self.members)
 
 
+class _Columns(NamedTuple):
+    """The lexicon columns a trie's nodes read, as lists, which index
+    faster than the arrays. `phonemes` is the code column decoded through
+    the lexicon's code table (`Lexicon.flat_phonemes`): a node's children
+    are keyed by phoneme, and grouping on the table's own strings keys
+    them without a second pass over each node's groups."""
+
+    phonemes: list[str]
+    offsets: list[int]
+    frequencies: list[float]
+
+
 class _Node:
     __slots__ = (
         "children", "cum_freq", "n_entries", "terminals", "entropy", "depth", "pending",
+        "columns",
     )
 
-    def __init__(self, depth: int, pending):
+    def __init__(self, columns: _Columns, depth: int, pending):
         self.children: dict[str, _Node] | None = None  # set on first visit
         self.cum_freq = 0.0
         self.n_entries = 0
-        self.terminals: list[LexiconEntry] | None = None  # set on first visit
+        self.terminals: list[int] | None = None  # entry indices, set on first visit
         self.entropy: float | None = None  # subtree entropy, set on first query
         self.depth = depth  # phonemes on the path from the root
-        self.pending = pending  # entries passing through, until the first visit
+        self.pending = pending  # indices of entries passing through, until the first visit
+        self.columns = columns
 
 
 def _expanded(node: _Node) -> _Node:
@@ -82,19 +98,21 @@ def _expanded(node: _Node) -> _Node:
     pending = node.pending
     if pending is None:
         return node
+    columns = node.columns
+    phonemes, offsets, frequencies = columns
     depth = node.depth
     children: dict[str, _Node] = {}
     terminals = []
-    for entry in pending:
-        pron = entry.pron
-        if len(pron) == depth:
-            terminals.append(entry)
+    for index in pending:
+        at = offsets[index] + depth
+        if at == offsets[index + 1]:
+            terminals.append(index)
             continue
-        child = children.get(pron[depth])
+        child = children.get(phonemes[at])
         if child is None:
-            child = children[pron[depth]] = _Node(depth + 1, [])
-        child.pending.append(entry)
-        child.cum_freq += entry.frequency
+            child = children[phonemes[at]] = _Node(columns, depth + 1, [])
+        child.pending.append(index)
+        child.cum_freq += frequencies[index]
     for child in children.values():
         child.n_entries = len(child.pending)
     node.children = children
@@ -119,6 +137,7 @@ def _subtree_entropy(node: _Node) -> float:
     resolved first with an explicit stack (no recursion limit on
     pronunciation length) and each result is memoized on its node.
     """
+    frequencies = node.columns.frequencies
     stack = [node] if node.entropy is None else []
     while stack:
         current = stack[-1]
@@ -136,8 +155,8 @@ def _subtree_entropy(node: _Node) -> float:
             w = child.cum_freq / total
             if w > 0:
                 h += w * (child.entropy - math.log2(w))
-        for entry in current.terminals:
-            w = entry.frequency / total
+        for index in current.terminals:
+            w = frequencies[index] / total
             if w > 0:
                 h -= w * math.log2(w)
         current.entropy = max(0.0, h)
@@ -149,9 +168,14 @@ class CohortTrie:
 
     def __init__(self, lexicon: Lexicon):
         self.lexicon = lexicon
-        self._root = _Node(0, lexicon.entries)
+        columns = _Columns(
+            lexicon.flat_phonemes(),
+            lexicon.offsets.tolist(),
+            lexicon.frequencies.tolist(),
+        )
+        self._root = _Node(columns, 0, range(len(lexicon)))
         self._root.cum_freq = lexicon.total_frequency
-        self._root.n_entries = len(lexicon.entries)
+        self._root.n_entries = len(lexicon)
 
     def _node_at(self, prefix: PhonemeSeq) -> _Node | None:
         node = self._root
@@ -194,7 +218,8 @@ class CohortTrie:
         stack = [node]
         while stack:
             current = _expanded(stack.pop())
-            for entry in current.terminals:
+            for index in current.terminals:
+                entry = self.lexicon.entry(index)
                 members.append((entry, entry.frequency / total))
             stack.extend(reversed(current.children.values()))
         return Cohort(prefix, tuple(members))

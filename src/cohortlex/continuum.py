@@ -188,8 +188,9 @@ def read_identification_curves(path: str | Path) -> dict[str, IdentificationCurv
 
     Two layouts: `step,proportion` (one curve, keyed by the file stem) or
     long-format `item,step,proportion`. Column order is free; headers are
-    required, blank lines are skipped, and a row whose cell count differs
-    from the header's is rejected. Errors name the offending row's line,
+    required, blank lines are skipped, and a header that names a column
+    twice (after stripping and lower-casing) or a row whose cell count
+    differs from the header's is rejected. Errors name the offending row's line,
     or the item whose step set is incomplete. A leading UTF-8 byte-order
     mark is ignored.
     """
@@ -199,7 +200,12 @@ def read_identification_curves(path: str | Path) -> dict[str, IdentificationCurv
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file")
-        column = {name.strip().lower(): i for i, name in enumerate(header)}
+        column = {}
+        for i, name in enumerate(header):
+            name = name.strip().lower()
+            if name in column:
+                raise ValueError(f"{path}: column {name!r} is named more than once")
+            column[name] = i
         if not {"step", "proportion"} <= column.keys():
             raise ValueError(
                 f"{path}: expected columns step,proportion (plus optional item), "

@@ -4,15 +4,21 @@ The on-disk format is TSV: ``orthography<TAB>PH1 PH2 ...<TAB>frequency``.
 Lines starting with '#' are headers; ``#unit:`` declares the frequency unit
 and ``#inventory:`` pins an explicit phoneme inventory. All downstream math
 works on frequency ratios, so counts and per-million files behave the same.
+
+A `Lexicon` holds columns: orthographies, integer phoneme codes with
+per-entry offsets, and a frequency array. `parse_lexicon` fills them as it
+reads the file; `LexiconEntry` values are built only when asked for.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 Phoneme = str
 PhonemeSeq = tuple[Phoneme, ...]
@@ -49,6 +55,20 @@ class LexiconValidationError(LexiconError):
         self.entry_index = entry_index
 
 
+def _check_row(orthography: str, pron, frequency: float) -> None:
+    """The one check of a word's own fields, run by `LexiconEntry` and by
+    `parse_lexicon` on each row it reads: a non-blank orthography, at
+    least one phoneme and a finite positive frequency."""
+    if not orthography.strip():
+        raise LexiconValidationError(f"{orthography!r}: empty orthography")
+    if not pron:
+        raise LexiconValidationError(f"{orthography!r}: empty pronunciation")
+    if not 0 < frequency < math.inf:
+        raise LexiconValidationError(
+            f"{orthography!r}: frequency must be finite and > 0, got {frequency}"
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class LexiconEntry:
     """One word: spelling, phoneme pronunciation, finite positive frequency."""
@@ -58,89 +78,236 @@ class LexiconEntry:
     frequency: float
 
     def __post_init__(self):
-        if not self.orthography.strip():
-            raise LexiconValidationError(f"{self.orthography!r}: empty orthography")
-        if not self.pron:
-            raise LexiconValidationError(f"{self.orthography!r}: empty pronunciation")
-        if not 0 < self.frequency < math.inf:
-            raise LexiconValidationError(
-                f"{self.orthography!r}: frequency must be finite and > 0, "
-                f"got {self.frequency}"
-            )
+        _check_row(self.orthography, self.pron, self.frequency)
 
     @property
     def onset(self) -> Phoneme:
         return self.pron[0]
 
 
-@dataclass(frozen=True)
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class Lexicon:
-    """Immutable word list plus its phoneme inventory.
+    """Immutable word list plus its phoneme inventory, held as columns.
+
+    Entry i is spelled `orthographies[i]`, is pronounced by the phonemes
+    `phonemes[c]` for the codes c in `codes[offsets[i]:offsets[i + 1]]`,
+    and has the frequency `frequencies[i]`. `phonemes` numbers the
+    phonemes the entries use in order of first use; `inventory` is the
+    phoneme alphabet, which may hold more. The arrays are read-only.
+    `LexiconEntry` values are built on demand by `entry`, `lookup` and
+    `entries` (which keeps the tuple it builds).
 
     Homophones (same pronunciation, different orthography) are distinct
     entries; the same orthography+pronunciation pair may appear only once.
     A lexicon has at least one entry, and its summed frequency is finite.
     """
 
-    entries: tuple[LexiconEntry, ...]
+    orthographies: tuple[str, ...]
+    phonemes: tuple[Phoneme, ...]
+    codes: np.ndarray
+    offsets: np.ndarray
+    frequencies: np.ndarray
     inventory: frozenset[Phoneme]
-    frequency_unit: str = "counts"
-    _by_orthography: dict = field(init=False, repr=False, compare=False)
-    _total_frequency: float = field(init=False, repr=False, compare=False)
+    frequency_unit: str
 
-    def __post_init__(self):
-        if not self.entries:
-            raise LexiconValidationError("empty lexicon")
-        # One superset test; entries are scanned for the offender only
-        # when it fails, so errors keep their entry order.
-        in_inventory = self.inventory.issuperset(
-            chain.from_iterable(e.pron for e in self.entries)
+    def __init__(
+        self,
+        entries: Iterable[LexiconEntry],
+        inventory: Iterable[Phoneme],
+        frequency_unit: str = "counts",
+    ):
+        entries = tuple(entries)
+        self._set_columns(
+            [e.orthography for e in entries],
+            [phoneme for e in entries for phoneme in e.pron],
+            [len(e.pron) for e in entries],
+            [e.frequency for e in entries],
+            frozenset(inventory),
+            frequency_unit,
         )
-        by_orth: dict[str, list[LexiconEntry]] = {}
-        total = 0.0
-        for index, entry in enumerate(self.entries):
-            spelled = by_orth.setdefault(entry.orthography, [])
-            if any(other.pron == entry.pron for other in spelled):
-                raise LexiconValidationError(
-                    f"duplicate entry {entry.orthography!r} /{' '.join(entry.pron)}/",
-                    index,
-                )
-            if not in_inventory:
-                missing = set(entry.pron) - self.inventory
-                if missing:
-                    raise LexiconValidationError(
-                        f"{entry.orthography!r} uses phonemes outside the inventory: "
-                        f"{sorted(missing)}",
-                        index,
-                    )
-            spelled.append(entry)
-            total += entry.frequency
+
+    @classmethod
+    def _from_columns(cls, *columns) -> Lexicon:
+        """The lexicon of `_set_columns`'s arguments, built without entries."""
+        lexicon = cls.__new__(cls)
+        lexicon._set_columns(*columns)
+        return lexicon
+
+    def _set_columns(
+        self, orthographies, flat_phonemes, lengths, frequencies, inventory, frequency_unit
+    ) -> None:
+        """Code, store and validate the columns.
+
+        `flat_phonemes` is every entry's phonemes in entry order, and
+        `lengths` the entries' phoneme counts; an `inventory` of None is
+        the phonemes used. The checks run over whole columns. An error
+        about one entry names the first entry that breaks a rule, checking
+        an entry for a duplicate before its phonemes; the summed frequency
+        is checked last.
+        """
+        if not orthographies:
+            raise LexiconValidationError("empty lexicon")
+        phonemes = tuple(dict.fromkeys(flat_phonemes))
+        code_of = {phoneme: code for code, phoneme in enumerate(phonemes)}
+        dtype = np.int16 if len(phonemes) <= 1 << 15 else np.int32
+        codes = np.fromiter(map(code_of.__getitem__, flat_phonemes), dtype, len(flat_phonemes))
+        offsets = np.zeros(len(lengths) + 1, np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        columns = {
+            "orthographies": tuple(orthographies),
+            "phonemes": phonemes,
+            "codes": _read_only(codes),
+            "offsets": _read_only(offsets),
+            "frequencies": _read_only(np.array(frequencies, np.float64)),
+            "inventory": frozenset(phonemes) if inventory is None else inventory,
+            "frequency_unit": frequency_unit,
+        }
+        self.__dict__.update(columns)
+        # Every index of each spelling used more than once; only those
+        # entries can be duplicates.
+        homographs: dict[str, list[int]] = {}
+        if len(set(self.orthographies)) < len(self):
+            for i, orthography in enumerate(self.orthographies):
+                homographs.setdefault(orthography, []).append(i)
+            homographs = {o: g for o, g in homographs.items() if len(g) > 1}
+        self.__dict__["_homographs"] = homographs
+
+        duplicate = None
+        for group in homographs.values():
+            seen = set()
+            for i in group:
+                pron = self._codes_of(i).tobytes()
+                if pron in seen:
+                    duplicate = i if duplicate is None else min(duplicate, i)
+                    break
+                seen.add(pron)
+        outside = [code for code, p in enumerate(phonemes) if p not in self.inventory]
+        # Codes number phonemes in order of first use, so the first entry
+        # using a phoneme outside the inventory uses the lowest such code.
+        offender = None
+        if outside:
+            first_use = int(np.argmax(codes == outside[0]))
+            offender = int(np.searchsorted(offsets, first_use, side="right")) - 1
+        if duplicate is not None and (offender is None or duplicate <= offender):
+            raise LexiconValidationError(
+                f"duplicate entry {self.orthographies[duplicate]!r} "
+                f"/{' '.join(self._pron(duplicate))}/",
+                duplicate,
+            )
+        if offender is not None:
+            missing = set(self._pron(offender)) - self.inventory
+            raise LexiconValidationError(
+                f"{self.orthographies[offender]!r} uses phonemes outside the inventory: "
+                f"{sorted(missing)}",
+                offender,
+            )
+        # A cumulative sum adds left to right, as a loop over the entries
+        # would; `np.sum` adds pairwise and could differ in the last bits.
+        with np.errstate(over="ignore"):
+            total = float(np.cumsum(self.frequencies)[-1])
         if not math.isfinite(total):
             raise LexiconValidationError("summed frequency overflows a float")
-        object.__setattr__(self, "_by_orthography", by_orth)
-        object.__setattr__(self, "_total_frequency", total)
+        self.__dict__["_total_frequency"] = total
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: Lexicon is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: Lexicon is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Lexicon):
+            return NotImplemented
+        # Equal entries code their phonemes alike, so equal columns and
+        # equal phoneme tables mean equal entries.
+        return (
+            self.orthographies == other.orthographies
+            and self.phonemes == other.phonemes
+            and np.array_equal(self.codes, other.codes)
+            and np.array_equal(self.offsets, other.offsets)
+            and np.array_equal(self.frequencies, other.frequencies)
+            and self.inventory == other.inventory
+            and self.frequency_unit == other.frequency_unit
+        )
+
+    def __reduce__(self):
+        # Pickles and deep copies are rebuilt from the columns, so their
+        # arrays are read-only too.
+        return Lexicon._from_columns, (
+            self.orthographies,
+            self.flat_phonemes(),
+            np.diff(self.offsets).tolist(),
+            self.frequencies.tolist(),
+            self.inventory,
+            self.frequency_unit,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.orthographies, self.inventory, self.frequency_unit))
+
+    def __repr__(self) -> str:
+        return (
+            f"Lexicon({len(self)} entries, {len(self.inventory)} phonemes, "
+            f"{self.frequency_unit!r})"
+        )
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.orthographies)
+
+    def flat_phonemes(self) -> list[Phoneme]:
+        """Every entry's phonemes in entry order, as one list decoded from
+        `codes`: entry i's are items `offsets[i]` to `offsets[i + 1]`."""
+        return np.array(self.phonemes, dtype=object)[self.codes].tolist()
+
+    def _codes_of(self, index: int) -> np.ndarray:
+        return self.codes[self.offsets[index]:self.offsets[index + 1]]
+
+    def _pron(self, index: int) -> PhonemeSeq:
+        return tuple(map(self.phonemes.__getitem__, self._codes_of(index).tolist()))
 
     @property
     def total_frequency(self) -> float:
         """Summed frequency, added up in entry order."""
         return self._total_frequency
 
+    def entry(self, index: int) -> LexiconEntry:
+        """Entry `index` (negative counts from the end), built on each call."""
+        index = range(len(self))[index]
+        return LexiconEntry(
+            self.orthographies[index], self._pron(index), self.frequencies.item(index)
+        )
+
+    @cached_property
+    def entries(self) -> tuple[LexiconEntry, ...]:
+        """Every entry in lexicon order, built on first access and kept."""
+        return tuple(map(self.entry, range(len(self))))
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        """The last index of each spelling, built on the first lookup."""
+        return dict(zip(self.orthographies, range(len(self))))
+
     def lookup(self, orthography: str) -> tuple[LexiconEntry, ...]:
-        """All entries spelled `orthography` (empty tuple if absent)."""
-        return tuple(self._by_orthography.get(orthography, ()))
+        """All entries spelled `orthography`, in lexicon order (empty tuple if absent)."""
+        indices = self._homographs.get(orthography)
+        if indices is None:
+            index = self._index.get(orthography)
+            indices = () if index is None else (index,)
+        return tuple(map(self.entry, indices))
 
 
-def _normalize_pron(raw: str) -> PhonemeSeq:
+def _split_pron(raw: str) -> list[Phoneme]:
     # Upper-casing never creates or removes whitespace, so this splits
     # exactly as upper-casing each token would.
-    return tuple(raw.upper().split())
+    return raw.upper().split()
 
 
 def parse_lexicon(path: str | Path, smoothing: float = 0.0) -> Lexicon:
-    """Parse a TSV lexicon file.
+    """Parse a TSV lexicon file into a `Lexicon`'s columns.
 
     `smoothing` adds a constant to every frequency (add-lambda), letting
     files with zero counts through; with the default 0.0 a non-positive
@@ -156,7 +323,10 @@ def parse_lexicon(path: str | Path, smoothing: float = 0.0) -> Lexicon:
     path = Path(path)
     unit = "counts"
     declared_inventory: frozenset[Phoneme] | None = None
-    entries: list[LexiconEntry] = []
+    orthographies: list[str] = []
+    flat_phonemes: list[Phoneme] = []
+    lengths: list[int] = []
+    frequencies: list[float] = []
     entry_lines: list[int] = []
     with path.open(encoding="utf-8-sig") as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -175,7 +345,7 @@ def parse_lexicon(path: str | Path, smoothing: float = 0.0) -> Lexicon:
                         )
                 elif header.lower().startswith("inventory:"):
                     declared_inventory = frozenset(
-                        _normalize_pron(header[len("inventory:"):])
+                        _split_pron(header[len("inventory:"):])
                     )
                 continue
             fields = line.split("\t")
@@ -195,17 +365,21 @@ def parse_lexicon(path: str | Path, smoothing: float = 0.0) -> Lexicon:
                 raise LexiconValidationError(
                     f"line {line_number}: negative frequency {raw_freq}"
                 )
+            pron = _split_pron(pron_field)
+            frequency = raw_freq + smoothing
             try:
-                entries.append(LexiconEntry(
-                    orthography, _normalize_pron(pron_field), raw_freq + smoothing
-                ))
+                _check_row(orthography, pron, frequency)
             except LexiconValidationError as exc:
                 raise LexiconValidationError(f"line {line_number}: {exc}") from None
+            orthographies.append(orthography)
+            flat_phonemes += pron
+            lengths.append(len(pron))
+            frequencies.append(frequency)
             entry_lines.append(line_number)
-    observed = frozenset(chain.from_iterable(e.pron for e in entries))
-    inventory = declared_inventory if declared_inventory is not None else observed
     try:
-        return Lexicon(tuple(entries), inventory, unit)
+        return Lexicon._from_columns(
+            orthographies, flat_phonemes, lengths, frequencies, declared_inventory, unit
+        )
     except LexiconValidationError as exc:
         if exc.entry_index is None:
             raise
@@ -217,8 +391,12 @@ def write_lexicon(lexicon: Lexicon, path: str | Path) -> None:
     path = Path(path)
     lines = [f"#unit: {lexicon.frequency_unit}"]
     lines.append(f"#inventory: {' '.join(sorted(lexicon.inventory))}")
-    for e in lexicon.entries:
-        lines.append(f"{e.orthography}\t{' '.join(e.pron)}\t{e.frequency!r}")
+    phonemes = lexicon.flat_phonemes()
+    offsets = lexicon.offsets.tolist()
+    for orthography, start, end, frequency in zip(
+        lexicon.orthographies, offsets, offsets[1:], lexicon.frequencies.tolist()
+    ):
+        lines.append(f"{orthography}\t{' '.join(phonemes[start:end])}\t{frequency!r}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -232,7 +410,7 @@ def make_lexicon(rows: Iterable[tuple[str, str | PhonemeSeq, float]]) -> Lexicon
     entries = []
     for orthography, pron, frequency in rows:
         if isinstance(pron, str):
-            pron = _normalize_pron(pron)
+            pron = tuple(_split_pron(pron))
         else:
             pron = tuple(p.upper() for p in pron)
         entries.append(LexiconEntry(orthography, pron, float(frequency)))

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+import numpy as np
+
 from .lexicon import PLOSIVE_VOICING_PAIRS, Lexicon, Phoneme, PhonemeSeq
 
 
@@ -58,49 +60,54 @@ def find_word_pairs(
     if min_shared < 1:
         raise ValueError(f"min_shared must be >= 1, got {min_shared}")
     start = 1 + min_shared
+    orthographies = lexicon.orthographies
+    codes = memoryview(lexicon.codes)
+    raw = lexicon.codes.tobytes()
+    width = lexicon.codes.itemsize
+    offsets = lexicon.offsets.tolist()
+    code_of = {phoneme: code for code, phoneme in enumerate(lexicon.phonemes)}
     # One pass over the lexicon fills every voicing pair's buckets. A
     # bucket holds the voiced and the voiceless entries sharing one
-    # post-onset stretch, each list in lexicon order.
+    # post-onset stretch of codes, each list in lexicon order.
     by_pair: list[tuple[tuple[Phoneme, Phoneme], dict]] = []
-    side_of: dict[Phoneme, tuple[dict, int]] = {}
+    side_of: dict[int, tuple[dict, int]] = {}
     for onset_pair in PLOSIVE_VOICING_PAIRS:
-        buckets: dict[PhonemeSeq, tuple[list, list]] = {}
+        buckets: dict[bytes, tuple[list, list]] = {}
         by_pair.append((onset_pair, buckets))
-        side_of[onset_pair[0]] = (buckets, 0)
-        side_of[onset_pair[1]] = (buckets, 1)
+        for side, onset in enumerate(onset_pair):
+            if onset in code_of:
+                side_of[code_of[onset]] = (buckets, side)
+    onsets = lexicon.codes[lexicon.offsets[:-1]]
+    long_enough = np.diff(lexicon.offsets) >= start
+    candidates = np.flatnonzero(np.isin(onsets, list(side_of)) & long_enough)
     # Two candidates can share an unordered orthography pair only through
     # a spelling with two bucketed entries, so only such pairs are
     # checked against (and added to) the dedupe set.
     spelled: set[str] = set()
     homographs: set[str] = set()
-    for entry in lexicon.entries:
-        pron = entry.pron
-        side = side_of.get(pron[0])
-        if side is None or len(pron) < start:
-            continue
-        buckets, index = side
-        key = pron[1:start]
+    for index in candidates.tolist():
+        first = offsets[index]
+        buckets, side = side_of[codes[first]]
+        # The codes of positions 2..start, as bytes: a hashable run.
+        key = raw[(first + 1) * width:(first + start) * width]
         bucket = buckets.get(key)
         if bucket is None:
             bucket = buckets[key] = ([], [])
-        bucket[index].append(entry)
-        if entry.orthography in spelled:
-            homographs.add(entry.orthography)
-        spelled.add(entry.orthography)
+        bucket[side].append((orthographies[index], first, offsets[index + 1] - first))
+        if orthographies[index] in spelled:
+            homographs.add(orthographies[index])
+        spelled.add(orthographies[index])
     results: list[WordPair] = []
     seen: set[frozenset[str]] = set()
     for (voiced, voiceless), buckets in by_pair:
         for voiced_entries, voiceless_entries in buckets.values():
-            for entry_a in voiced_entries:
-                pron_a = entry_a.pron
-                len_a = len(pron_a)
-                homograph_a = entry_a.orthography in homographs
-                for entry_b in voiceless_entries:
+            for orth_a, first_a, len_a in voiced_entries:
+                homograph_a = orth_a in homographs
+                for orth_b, first_b, len_b in voiceless_entries:
                     # The bucket key already matches up to `start`.
-                    pron_b = entry_b.pron
-                    end = min(len_a, len(pron_b))
+                    end = min(len_a, len_b)
                     index = start
-                    while index < end and pron_a[index] == pron_b[index]:
+                    while index < end and codes[first_a + index] == codes[first_b + index]:
                         index += 1
                     if index < end:
                         point = index + 1
@@ -110,14 +117,13 @@ def find_word_pairs(
                     else:
                         point = None
                         shared_len = end - 1
-                    if homograph_a or entry_b.orthography in homographs:
-                        orth_key = frozenset((entry_a.orthography, entry_b.orthography))
+                    if homograph_a or orth_b in homographs:
+                        orth_key = frozenset((orth_a, orth_b))
                         if orth_key in seen:
                             continue
                         seen.add(orth_key)
                     results.append(WordPair(
-                        entry_a.orthography, entry_b.orthography,
-                        voiced, voiceless, shared_len, point,
+                        orth_a, orth_b, voiced, voiceless, shared_len, point,
                     ))
     results.sort(key=lambda pair: (-pair.shared_len, pair.word_a, pair.word_b))
     return results

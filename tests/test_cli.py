@@ -524,6 +524,17 @@ def test_continuum_degenerate_curve_exits_3(capsys, tmp_path):
     assert "error" in err
 
 
+def test_continuum_column_named_twice_exits_1(capsys, tmp_path):
+    curve_path = tmp_path / "twice.csv"
+    lines = ["step,proportion,step"] + [
+        f"{s},{1 - (s - 1) / 10},{12 - s}" for s in range(1, 12)
+    ]
+    curve_path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, ["continuum", "--in", str(curve_path)])
+    assert (code, out) == (1, "")
+    assert err == f"error: {curve_path}: column 'step' is named more than once\n"
+
+
 @pytest.mark.parametrize(
     "proportions, message",
     [

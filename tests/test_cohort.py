@@ -137,7 +137,7 @@ def test_node_frequency_invariant():
     trie = build_trie(make_lexicon(rows))
     for path, node in _walk(trie._root):
         child_sum = sum(c.cum_freq for c in node.children.values())
-        terminal_sum = sum(e.frequency for e in node.terminals)
+        terminal_sum = sum(trie.lexicon.frequencies[i] for i in node.terminals)
         assert math.isclose(
             node.cum_freq, child_sum + terminal_sum, rel_tol=0, abs_tol=1e-9
         ), path

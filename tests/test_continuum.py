@@ -187,6 +187,18 @@ def test_read_rejects_missing_columns(tmp_path):
         read_identification_curves(path)
 
 
+def test_read_rejects_a_column_named_twice(tmp_path):
+    # The third column counts down, so reading it as the steps would fit
+    # a rising curve instead of naming the header fault.
+    path = tmp_path / "twice.csv"
+    lines = ["step,proportion, STEP "] + [
+        f"{s},{1 - (s - 1) / 10},{12 - s}" for s in range(1, 12)
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"twice\.csv: column 'step' is named more than once$"):
+        read_identification_curves(path)
+
+
 def test_read_rejects_incomplete_steps(tmp_path):
     path = tmp_path / "short.csv"
     lines = ["step,proportion"] + [f"{s},0.5" for s in range(1, 11)]

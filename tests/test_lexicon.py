@@ -2,9 +2,15 @@ import copy
 import dataclasses
 import math
 import pickle
+import random
 import sys
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cohortlex import (
     Lexicon,
@@ -13,10 +19,13 @@ from cohortlex import (
     LexiconParseError,
     LexiconValidationError,
     PLOSIVE_VOICING_PAIRS,
+    build_trie,
+    find_word_pairs,
     make_lexicon,
     parse_lexicon,
     write_lexicon,
 )
+from tests import lexicon_reference as reference
 
 TOY_TSV = "bat\tB AE T\t3\nban\tB AE N\t1\npat\tP AE T\t4\n"
 
@@ -284,3 +293,196 @@ def test_lookup_missing_word_returns_empty():
 def test_errors_share_a_base_class(tmp_path):
     with pytest.raises(LexiconError):
         parse_lexicon(write(tmp_path, "bat only\n"))
+
+
+# Columnar parse against the entry-based reference parse.
+
+# Upper- and lower-case spellings of a few phonemes, so that duplicates
+# and homophones come up, some only after upper-casing.
+PHONEME_TOKENS = ("B", "P", "AE", "T", "IH", "b", "ae", "t")
+pronunciations = st.lists(st.sampled_from(PHONEME_TOKENS), min_size=1, max_size=3).map(" ".join)
+valid_row_lines = st.builds(
+    lambda o, p, f: f"{o}\t{p}\t{f!r}",
+    st.text(alphabet="bpa", min_size=1, max_size=3),
+    pronunciations,
+    st.floats(1e-3, 1e6),
+)
+# Zero, negative, non-finite and non-numeric frequencies, and two that
+# pass.
+frequency_texts = st.sampled_from(["0", "-1", "-0.5", "nan", "inf", "-inf", "x", "", "2", "3.5"])
+row_lines = st.builds(
+    lambda o, p, f: f"{o}\t{p}\t{f}",
+    st.sampled_from(["ba", "pa", "Ba", " ", ""]),
+    pronunciations | st.just(""),
+    frequency_texts,
+)
+header_lines = st.sampled_from([
+    "#unit: counts", "#unit: per-million", "#inventory: B P AE T IH",
+    "#INVENTORY: b p ae t", "# note", "", "  ",
+])
+other_lines = header_lines | st.sampled_from([
+    "#", "#unit: zipf", "ba\tB AE", "ba\tB AE\t3\textra", "ba B AE 3",
+])
+# One line breaking each rule checked while the file is read.
+broken_lines = st.sampled_from([
+    "ba\tB AE", "ba\tB AE\t3\textra", "ba B AE 3", "ba\tB AE\tmany", "ba\tB AE\t",
+    "ba\tB AE\t-1", "ba\tB AE\t0", "ba\tB AE\tnan", "ba\tB AE\tinf", " \tB AE\t2",
+    "\tB AE\t2", "ba\t \t2", "#unit: zipf",
+])
+FILE_KINDS = ("valid", "broken lines", "arbitrary lines", "duplicate", "overflow")
+
+
+@st.composite
+def lexicon_files(draw):
+    """Up to two header lines, then valid rows (in about half the files at
+    least 8, enough for a pairwise sum to differ from a sequential one),
+    then by the file's kind nothing more, or inserted among them:
+    - broken lines: one or two lines, each breaking a rule checked while
+      the file is read;
+    - arbitrary lines: one to three rows, header, comment or blank lines;
+    - duplicate: a copy of an earlier line, and the one row using ZH
+      under an inventory without ZH, so that a phoneme outside the
+      inventory comes before or after the duplicate;
+    - overflow: two rows whose frequencies sum past the float maximum.
+    """
+    lines = draw(st.lists(header_lines, max_size=2))
+    lines += draw(
+        st.lists(valid_row_lines, max_size=4) | st.lists(valid_row_lines, min_size=8, max_size=30)
+    )
+    kind = draw(st.sampled_from(FILE_KINDS))
+    extras = []
+    if kind == "broken lines":
+        extras = draw(st.lists(broken_lines, min_size=1, max_size=2))
+    elif kind == "arbitrary lines":
+        extras = draw(st.lists(row_lines | other_lines, min_size=1, max_size=3))
+    elif kind == "duplicate":
+        extras = [None, "zha\tZH AE\t2"]
+        lines.insert(0, "#inventory: B P AE T IH")
+    elif kind == "overflow":
+        extras = ["big\tB\t1e308", "bog\tB\t1.5e308"]
+    for line in extras:
+        at = draw(st.integers(0, len(lines)))
+        if line is None:  # a copy of an earlier line
+            line = lines[draw(st.integers(0, at - 1))] if at else ""
+        lines.insert(at, line)
+    return "\n".join(lines) + "\n"
+
+
+def _parse_outcome(parse, path, smoothing):
+    try:
+        return parse(path, smoothing), None
+    except Exception as exc:  # the outcomes compared include the error
+        return None, exc
+
+
+# Every rule and ordering is in the drawn files; these pin the ones a
+# rule-order or summation mistake would change.
+ORDERING_EXAMPLES = (
+    # A duplicate, then a phoneme outside the inventory: the duplicate.
+    "#inventory: B AE T\nba\tB AE\t1\nba\tb ae\t2\nzha\tZH AE\t2\n",
+    # The other way round: the phoneme.
+    "#inventory: B AE T\nzha\tZH AE\t2\nba\tB AE\t1\nba\tB AE\t2\n",
+    # A duplicate, then two broken rows: the first broken row.
+    "ba\tB AE\t3\nba\tB AE\t5\n\n# note\nbi\t \t1\npa\tP\tnan\n",
+    # Frequencies sqrt(1..10), whose pairwise sum differs in the last bit.
+    "".join(f"w{i}\tB AE\t{math.sqrt(i)!r}\n" for i in range(1, 11)),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(text=lexicon_files(), smoothing=st.sampled_from([0.0, 0.0, 0.5, 1.0]))
+@example(text=ORDERING_EXAMPLES[0], smoothing=0.0)
+@example(text=ORDERING_EXAMPLES[1], smoothing=0.0)
+@example(text=ORDERING_EXAMPLES[2], smoothing=0.0)
+@example(text=ORDERING_EXAMPLES[3], smoothing=0.0)
+def test_columnar_parse_matches_entry_reference(text, smoothing):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lexicon.tsv"
+        path.write_text(text, encoding="utf-8")
+        got, got_error = _parse_outcome(parse_lexicon, path, smoothing)
+        want, want_error = _parse_outcome(reference.parse_lexicon, path, smoothing)
+    if want_error is not None:
+        assert got_error is not None, text
+        assert (type(got_error), str(got_error)) == (type(want_error), str(want_error))
+        return
+    assert got_error is None, (text, got_error)
+    assert got.entries == want.entries
+    assert got.inventory == want.inventory
+    assert got.frequency_unit == want.frequency_unit
+    assert got.total_frequency.hex() == want.total_frequency.hex()
+    assert Lexicon(want.entries, want.inventory, want.frequency_unit) == got
+    for orthography in {e.orthography for e in want.entries}:
+        assert got.lookup(orthography) == tuple(
+            e for e in want.entries if e.orthography == orthography
+        )
+
+
+# Parsing, the trie, the pair search and writing build no entry objects.
+
+
+def _generated_rows(seed: int, n_words: int) -> list[str]:
+    """Rows of a synthetic consonant-vowel lexicon with stress-marked
+    vowels and Zipf-like integer counts, in `bench/gen.py`'s style."""
+    rng = random.Random(seed)
+    onsets = ["B", "P", "D", "T", "G", "K", "M", "S", "L"]
+    vowels = [f"{v}{s}" for v in ("AE", "IH", "UW", "AO") for s in "012"]
+    codas = ["N", "T", "K", "S", "R"]
+    rows, taken = [], set()
+    while len(rows) < n_words:
+        pron = [rng.choice(onsets)]
+        for _ in range(rng.randint(1, 3)):
+            pron += [rng.choice(vowels), rng.choice(codas)]
+        spelling = "".join(pron).lower()
+        if spelling in taken:
+            continue
+        taken.add(spelling)
+        rows.append(f"{spelling}\t{' '.join(pron)}\t{int(1 / (1 - rng.random()))}")
+    return rows
+
+
+def test_hot_paths_build_no_entries(tmp_path, monkeypatch):
+    toy = write(tmp_path, TOY_TSV, "toy.tsv")
+    generated = write(tmp_path, "#unit: counts\n" + "\n".join(_generated_rows(7, 2_000)) + "\n")
+
+    def refuse(entry):
+        raise AssertionError(f"built an entry for {entry.orthography!r}")
+
+    monkeypatch.setattr(LexiconEntry, "__post_init__", refuse)
+    with pytest.raises(AssertionError, match="built an entry"):
+        LexiconEntry("bat", ("B", "AE", "T"), 3.0)
+    for path in (toy, generated):
+        lex = parse_lexicon(path)
+        trie = build_trie(lex)
+        for index in range(0, len(lex), 7):
+            codes = lex.codes[lex.offsets[index]:lex.offsets[index + 1]].tolist()
+            pron = tuple(lex.phonemes[code] for code in codes)
+            for end in range(len(pron) + 1):
+                assert trie.prefix_frequency(pron[:end]) > 0
+                assert trie.cohort_size(pron[:end]) >= 1
+                assert trie.entropy(pron[:end]) >= 0
+        find_word_pairs(lex, 1, require_divergence=False)
+        write_lexicon(lex, tmp_path / "out.tsv")
+        assert parse_lexicon(tmp_path / "out.tsv") == lex
+
+
+def test_lexicon_copies_pickles_and_stays_read_only():
+    lex = make_lexicon([("bat", "B AE T", 3.0), ("bat", "B AA T", 0.1), ("pat", "P AE T", 2.0)])
+    for other in (copy.copy(lex), copy.deepcopy(lex), pickle.loads(pickle.dumps(lex))):
+        assert other == lex and hash(other) == hash(lex)
+        assert other.lookup("bat") == lex.lookup("bat")
+        for column in (other.codes, other.offsets, other.frequencies):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+    with pytest.raises(AttributeError, match="immutable"):
+        lex.frequency_unit = "per-million"
+    assert lex != make_lexicon([("bat", "B AE T", 3.0)])
+
+
+def test_more_phonemes_than_int16_codes_hold(tmp_path):
+    rows = [(f"w{i}", f"P{i} AA", 1.0) for i in range(40_000)]
+    lex = make_lexicon(rows)
+    assert lex.codes.dtype == np.int32 and len(lex.phonemes) == 40_001
+    assert lex.lookup("w39999")[0].pron == ("P39999", "AA")
+    assert build_trie(lex).cohort_size(("P39999",)) == 1
+    write_lexicon(lex, tmp_path / "wide.tsv")
+    assert parse_lexicon(tmp_path / "wide.tsv") == lex
