@@ -19,7 +19,6 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy import linalg, special
 
 from .cohort import CohortTrie, ImpossibleContinuationError
 from .lexicon import PLOSIVE_VOICING_PAIRS, LexiconEntry
@@ -219,6 +218,8 @@ def _least_squares(
     not finite (responses too large, or not finite) the solver raises
     ValueError.
     """
+    from scipy import linalg  # here: `import cohortlex` never loads scipy
+
     n, p = X.shape
     if n <= p:
         raise ValueError(f"need more rows than parameters: n={n}, p={p}")
@@ -298,6 +299,8 @@ def chi_square_sf(x: float, df: int) -> float:
         raise ValueError(f"x must be >= 0, got {x}")
     if not df >= 1:
         raise ValueError(f"df must be >= 1, got {df}")
+    from scipy import special
+
     return float(special.chdtrc(df, x))
 
 
@@ -590,7 +593,7 @@ def write_dataset(dataset: RegressionDataset, path: str | Path) -> None:
     """One CSV row per observation, headed by the REGRESSION_FIELDS names."""
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(REGRESSION_FIELDS)
         writer.writerows(
             zip(*(dataset.columns[name].tolist() for name in REGRESSION_FIELDS))

@@ -47,8 +47,8 @@ from .continuum import (
 )
 from .lexicon import LexiconError, parse_lexicon
 from .metrics import (
-    TRACE_FIELDS,
     AcousticEvidence,
+    MetricPoint,
     MetricTrace,
     UndefinedCorrelationError,
     metric_trace,
@@ -190,7 +190,7 @@ def cmd_trace(args) -> int:
         evidence = AcousticEvidence(pair[0], pair[1], args.p_a)
         traces = [metric_trace(trie, entry, evidence) for entry in entries]
     with_word = args.all or len(traces) > 1
-    fieldnames = (("word",) if with_word else ()) + TRACE_FIELDS
+    fieldnames = (("word",) if with_word else ()) + MetricPoint._fields
     rows = [
         ((trace.word.orthography,) if with_word else ()) + point
         for trace in traces

@@ -126,6 +126,20 @@ def _child(node: _Node, phoneme: str) -> _Node | None:
     return _expanded(node).children.get(phoneme)
 
 
+def _freq(node: _Node | None) -> float:
+    """The node's total, or 0.0 where no word continues (`node` is None)."""
+    return node.cum_freq if node is not None else 0.0
+
+
+def _conditional(node: _Node | None, before: float, prefix: tuple) -> float:
+    """P(last phoneme of `prefix` | the rest): `node`'s total over its parent's, `before`."""
+    if before == 0:
+        raise ImpossibleContinuationError(
+            f"prefix /{' '.join(prefix[:-1])}/ has no cohort"
+        )
+    return _freq(node) / before
+
+
 def _subtree_entropy(node: _Node) -> float:
     """Entropy in bits of the frequency-normalized words below `node`.
 
@@ -185,6 +199,15 @@ class CohortTrie:
                 return None
         return node
 
+    def _node_and_parent_freq(self, prefix: tuple) -> tuple[_Node | None, float]:
+        """The node at non-empty `prefix` and its parent's total."""
+        if not prefix:
+            raise ValueError("prefix must have length >= 1")
+        parent = self._node_at(prefix[:-1])
+        if parent is None:
+            return None, 0.0
+        return _child(parent, prefix[-1]), parent.cum_freq
+
     def _cohort_node(self, prefix: tuple) -> _Node:
         node = self._node_at(prefix)
         if node is None:
@@ -198,8 +221,7 @@ class CohortTrie:
 
         The empty prefix returns the total lexicon frequency.
         """
-        node = self._node_at(tuple(prefix))
-        return node.cum_freq if node is not None else 0.0
+        return _freq(self._node_at(tuple(prefix)))
 
     def cohort_size(self, prefix: PhonemeSeq) -> int:
         """Number of entries whose pronunciation starts with `prefix`."""
@@ -224,14 +246,6 @@ class CohortTrie:
             stack.extend(reversed(current.children.values()))
         return Cohort(prefix, tuple(members))
 
-    def entropy(self, prefix: PhonemeSeq) -> float:
-        """Entropy in bits of the cohort at `prefix`, without listing it.
-
-        Equals the entropy of `cohort_at(prefix)`'s member probabilities.
-        Raises ImpossibleContinuationError when no word survives.
-        """
-        return _subtree_entropy(self._cohort_node(tuple(prefix)))
-
     def conditional_prob(self, prefix: PhonemeSeq) -> float:
         """P(last phoneme | preceding phonemes) by prefix-frequency ratio.
 
@@ -240,14 +254,7 @@ class CohortTrie:
         impossible and raises ImpossibleContinuationError.
         """
         prefix = tuple(prefix)
-        if len(prefix) < 1:
-            raise ValueError("conditional_prob needs a prefix of length >= 1")
-        denominator = self.prefix_frequency(prefix[:-1])
-        if denominator == 0:
-            raise ImpossibleContinuationError(
-                f"prefix /{' '.join(prefix[:-1])}/ has no cohort"
-            )
-        return self.prefix_frequency(prefix) / denominator
+        return _conditional(*self._node_and_parent_freq(prefix), prefix)
 
     def uniqueness_point(self, entry: LexiconEntry) -> int | None:
         """Earliest position at which `entry` is the only surviving word.

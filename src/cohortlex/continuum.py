@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 N_STEPS = 11
 
@@ -117,6 +116,8 @@ def fit_psychometric(curve: IdentificationCurve) -> tuple[float, float]:
     pins the result to a default-Jacobian `least_squares` call, so a
     change in scipy's rule shows up there.
     """
+    from scipy.optimize import least_squares  # here: `import cohortlex` never loads scipy
+
     proportions = np.array(curve.proportions)
     if np.all(proportions == proportions[0]):
         raise DegenerateCurveError("all identification proportions are equal")

@@ -311,15 +311,16 @@ def parse_lexicon(path: str | Path, smoothing: float = 0.0) -> Lexicon:
 
     `smoothing` adds a constant to every frequency (add-lambda), letting
     files with zero counts through; with the default 0.0 a non-positive
-    frequency is rejected.
+    frequency is rejected. A negative or non-finite `smoothing` raises
+    ValueError before the file is read.
 
     Raises LexiconParseError for malformed rows (with the line number) and
     LexiconValidationError for invariant violations, including an empty
     lexicon. Errors raised for a single row carry its line number. Each row's
     fields are checked as it is read, duplicates and the inventory after.
     """
-    if smoothing < 0:
-        raise ValueError(f"smoothing must be >= 0, got {smoothing}")
+    if not (math.isfinite(smoothing) and smoothing >= 0):
+        raise ValueError(f"smoothing must be finite and >= 0, got {smoothing}")
     path = Path(path)
     unit = "counts"
     declared_inventory: frozenset[Phoneme] | None = None

@@ -24,7 +24,9 @@ import statistics
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cohort import CohortTrie, ImpossibleContinuationError, _child, _subtree_entropy
+from .cohort import (
+    CohortTrie, ImpossibleContinuationError, _child, _conditional, _freq, _subtree_entropy,
+)
 from .lexicon import LexiconEntry, Phoneme, PhonemeSeq
 
 _INNER_TOL = 1e-12
@@ -79,9 +81,6 @@ class MetricPoint(NamedTuple):
     joint_cohort_size: int
 
 
-TRACE_FIELDS = MetricPoint._fields
-
-
 @dataclass(frozen=True)
 class MetricTrace:
     """Per-position metric values for one word under fixed onset evidence."""
@@ -107,7 +106,7 @@ def switch_entropy(trie: CohortTrie, prefix: PhonemeSeq) -> float:
     Read from the trie's memoized subtree entropy, which the grouping
     rule builds from child-subtree entropies; no cohort is listed.
     """
-    return trie.entropy(prefix)
+    return _subtree_entropy(trie._cohort_node(tuple(prefix)))
 
 
 # Node-level helpers. The public per-prefix functions walk the trie to
@@ -116,23 +115,11 @@ def switch_entropy(trie: CohortTrie, prefix: PhonemeSeq) -> float:
 # A node is None where no word continues the prefix.
 
 
-def _freq(node) -> float:
-    return node.cum_freq if node is not None else 0.0
-
-
 def _no_onset_admits(evidence: AcousticEvidence, continuation: PhonemeSeq):
     return ImpossibleContinuationError(
         f"neither /{evidence.phoneme_a}/ nor /{evidence.phoneme_b}/ admits "
         f"the continuation /{' '.join(continuation)}/"
     )
-
-
-def _node_and_parent_freq(trie: CohortTrie, prefix: PhonemeSeq):
-    """The node at non-empty `prefix` and its parent's frequency."""
-    parent = trie._node_at(prefix[:-1])
-    if parent is None:
-        return None, 0.0
-    return _child(parent, prefix[-1]), parent.cum_freq
 
 
 def _acoustic_entropy_and_size(evidence, node_a, node_b, continuation):
@@ -180,11 +167,7 @@ def acoustic_entropy(
 
 def _switch_surprisal(node, before: float, prefix: PhonemeSeq) -> float:
     """Surprisal of `prefix`'s last phoneme from its node and its parent's total."""
-    if before == 0:
-        raise ImpossibleContinuationError(
-            f"prefix /{' '.join(prefix[:-1])}/ has no cohort"
-        )
-    conditional = _freq(node) / before
+    conditional = _conditional(node, before, prefix)
     if conditional == 0:
         raise ImpossibleContinuationError(
             f"/{' '.join(prefix)}/ has no surviving cohort"
@@ -199,10 +182,7 @@ def switch_surprisal(trie: CohortTrie, prefix: PhonemeSeq) -> float:
     conditional probability is an impossible continuation and raises.
     """
     prefix = tuple(prefix)
-    if len(prefix) < 1:
-        raise ValueError("conditional_prob needs a prefix of length >= 1")
-    node, before = _node_and_parent_freq(trie, prefix)
-    return _switch_surprisal(node, before, prefix)
+    return _switch_surprisal(*trie._node_and_parent_freq(prefix), prefix)
 
 
 def _weighted_inner(evidence, freqs_now, freqs_before) -> float:
@@ -258,8 +238,8 @@ def acoustic_surprisal(
     Raises when neither onset admits the continuation.
     """
     continuation = tuple(continuation)
-    node_a, before_a = _node_and_parent_freq(trie, (evidence.phoneme_a,) + continuation)
-    node_b, before_b = _node_and_parent_freq(trie, (evidence.phoneme_b,) + continuation)
+    node_a, before_a = trie._node_and_parent_freq((evidence.phoneme_a,) + continuation)
+    node_b, before_b = trie._node_and_parent_freq((evidence.phoneme_b,) + continuation)
     return _acoustic_surprisal(
         evidence, node_a, node_b, before_a, before_b, continuation
     )

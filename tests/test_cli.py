@@ -3,6 +3,10 @@ import csv
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -59,6 +63,36 @@ def run_cli(capsys, argv):
 
 def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+def test_commands_that_fit_nothing_never_load_scipy(sim_path):
+    # scipy is imported where a fit or a chi-square tail calls it, so
+    # importing the package and running these commands leave it unloaded.
+    script = f"""
+import contextlib, io, sys
+import cohortlex, cohortlex.cli
+for argv in (
+    ["ingest-check", "--lexicon", {sim_path!r}],
+    ["trace", "--lexicon", {sim_path!r}, "--all", "--pair", "B,P"],
+    ["compare", "--lexicon", {sim_path!r}, "--pair", "B,P"],
+    ["pairs", "--lexicon", {sim_path!r}, "--min-shared", "1"],
+):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cohortlex.cli.main(argv)
+    print(argv[0], code)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    ))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "ingest-check 0", "trace 0", "compare 0", "pairs 0", "[]",
+    ]
 
 
 def test_ingest_check_summary(capsys, toy_path):
@@ -580,6 +614,9 @@ def test_simfit_small_run(capsys, tmp_path, sim_path):
         header = next(csv.reader(handle))
     assert header[0] == "response"
     assert "subject_id" in header
+    data = data_out.read_bytes()
+    assert b"\r" not in data
+    assert data.endswith(b"\n") and data.count(b"\n") == 1 + 3 * 60
 
 
 def test_simfit_rejects_bad_alpha(capsys, sim_path):
@@ -859,6 +896,16 @@ def test_malformed_lexicon_exits_1(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["ingest-check", "--lexicon", str(path)])
     assert code == 1
     assert "line" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_bad_smoothing_exits_1_naming_the_flag(capsys, toy_path, value):
+    code, out, err = run_cli(
+        capsys, ["ingest-check", "--lexicon", toy_path, f"--smoothing={value}"]
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: smoothing must be finite and >= 0, got {float(value)}\n"
 
 
 def test_missing_lexicon_file_exits_1(capsys, tmp_path):

@@ -5,6 +5,8 @@ from threading import Barrier
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohortlex import (
     AcousticEvidence,
@@ -13,6 +15,8 @@ from cohortlex import (
     build_trie,
     make_lexicon,
     metric_trace,
+    switch_entropy,
+    switch_surprisal,
 )
 from cohortlex.cohort import _expanded, _subtree_entropy
 
@@ -55,7 +59,7 @@ def test_cohort_impossible_prefix(trie_b):
     with pytest.raises(ImpossibleContinuationError):
         trie_b.cohort_at(("Z",))
     with pytest.raises(ImpossibleContinuationError, match=r"^no word starts with /B Z/$"):
-        trie_b.entropy(("B", "Z"))
+        switch_entropy(trie_b, ("B", "Z"))
 
 
 def test_word_equal_to_prefix_stays_in_cohort():
@@ -75,8 +79,10 @@ def test_conditional_prob_deterministic_continuation(trie_b):
 
 
 def test_conditional_prob_needs_nonempty_prefix(trie_b):
-    with pytest.raises(ValueError):
-        trie_b.conditional_prob(())
+    # one check, in the shared lookup, whose message names no function
+    for query in (trie_b.conditional_prob, lambda p: switch_surprisal(trie_b, p)):
+        with pytest.raises(ValueError, match=r"^prefix must have length >= 1$"):
+            query(())
 
 
 def test_conditional_prob_dead_denominator(trie_b):
@@ -157,6 +163,58 @@ def test_prefix_frequency_monotone_under_extension():
             previous = now
 
 
+def _prefix_frequency_ratio(trie, prefix):
+    """conditional_prob's definition from two prefix_frequency walks: the
+    reference its one-descent lookup is pinned to."""
+    denominator = trie.prefix_frequency(prefix[:-1])
+    if denominator == 0:
+        raise ImpossibleContinuationError(
+            f"prefix /{' '.join(prefix[:-1])}/ has no cohort"
+        )
+    return trie.prefix_frequency(prefix) / denominator
+
+
+def _outcome(query, prefix):
+    try:
+        return ("value", query(prefix))
+    except ValueError as exc:  # ImpossibleContinuationError included
+        return (type(exc), str(exc))
+
+
+_PHONEMES = ("B", "P", "AE", "T")
+_lexicon_rows = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(_PHONEMES), min_size=1, max_size=5),
+        st.floats(min_value=1e-3, max_value=1e6, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rows=_lexicon_rows)
+def test_conditional_prob_is_the_prefix_frequency_ratio(rows):
+    trie = build_trie(
+        make_lexicon([(f"w{i}", tuple(pron), freq) for i, (pron, freq) in enumerate(rows)])
+    )
+    live = {tuple(pron[:k]) for pron, _ in rows for k in range(len(pron) + 1)}
+    # Every live prefix one phoneme on (dead where no word continues so,
+    # "Z" is in no lexicon), and each dead one a phoneme further.
+    extended = {p + (ph,) for p in live for ph in _PHONEMES + ("Z",)}
+    prefixes = extended | {p + ("B",) for p in extended - live}
+    for prefix in sorted(prefixes):
+        got = _outcome(trie.conditional_prob, prefix)
+        assert got == _outcome(lambda p: _prefix_frequency_ratio(trie, p), prefix)
+        if got[0] == "value" and got[1] > 0:
+            assert switch_surprisal(trie, prefix) == max(0.0, -math.log2(got[1]))
+        elif got[0] == "value":
+            with pytest.raises(ImpossibleContinuationError, match="no surviving cohort"):
+                switch_surprisal(trie, prefix)
+        else:
+            assert _outcome(lambda p: switch_surprisal(trie, p), prefix) == got
+
+
 def test_conditional_prob_telescopes():
     rng = np.random.default_rng(13)
     rows = oracle.random_rows(rng, 80)
@@ -197,15 +255,18 @@ def test_oracle_equivalence_small():
         assert got.keys() == expected.keys()
         for key, p in expected.items():
             assert abs(got[key] - p) <= 1e-12
-        assert abs(trie.entropy(prefix) - oracle.switch_entropy(naive, prefix)) <= 1e-12
+        assert (
+            abs(switch_entropy(trie, prefix) - oracle.switch_entropy(naive, prefix))
+            <= 1e-12
+        )
 
 
 def test_entropy_of_a_pronunciation_deeper_than_the_recursion_limit():
     depth = sys.getrecursionlimit() + 100
     pron = " ".join(["AH", "T"] * (depth // 2))
     trie = build_trie(make_lexicon([("long", pron, 1.0), ("short", "AH T", 1.0)]))
-    assert trie.entropy(()) == 1.0
-    assert trie.entropy(("AH", "T", "AH")) == 0.0
+    assert switch_entropy(trie, ()) == 1.0
+    assert switch_entropy(trie, ("AH", "T", "AH")) == 0.0
 
 
 def _first_queries(rows):
@@ -223,7 +284,7 @@ def _first_queries(rows):
 
     def query(trie, i):
         if i < len(prefixes):
-            return trie.entropy(prefixes[i])
+            return switch_entropy(trie, prefixes[i])
         j = i - len(prefixes)
         try:
             return metric_trace(trie, lex.entries[j], evidences[j]).points

@@ -23,6 +23,7 @@ from cohortlex import (
     find_word_pairs,
     make_lexicon,
     parse_lexicon,
+    switch_entropy,
     write_lexicon,
 )
 from tests import lexicon_reference as reference
@@ -187,8 +188,16 @@ def test_smoothing_adds_lambda_everywhere(tmp_path):
 
 
 def test_negative_smoothing_rejected(tmp_path):
-    with pytest.raises(ValueError, match="smoothing"):
+    with pytest.raises(ValueError, match=r"^smoothing must be finite and >= 0, got -1.0$"):
         parse_lexicon(write(tmp_path, TOY_TSV), smoothing=-1.0)
+
+
+@pytest.mark.parametrize("smoothing", [math.nan, math.inf, -math.inf])
+def test_non_finite_smoothing_rejected_before_any_row(tmp_path, smoothing):
+    with pytest.raises(ValueError) as caught:
+        parse_lexicon(write(tmp_path, TOY_TSV), smoothing=smoothing)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == f"smoothing must be finite and >= 0, got {smoothing}"
 
 
 def test_blank_lines_skipped(tmp_path):
@@ -459,7 +468,7 @@ def test_hot_paths_build_no_entries(tmp_path, monkeypatch):
             for end in range(len(pron) + 1):
                 assert trie.prefix_frequency(pron[:end]) > 0
                 assert trie.cohort_size(pron[:end]) >= 1
-                assert trie.entropy(pron[:end]) >= 0
+                assert switch_entropy(trie, pron[:end]) >= 0
         find_word_pairs(lex, 1, require_divergence=False)
         write_lexicon(lex, tmp_path / "out.tsv")
         assert parse_lexicon(tmp_path / "out.tsv") == lex
