@@ -313,11 +313,10 @@ def build_trace_set(
     trie: CohortTrie,
     ambiguities: Sequence[float] = AMBIGUITY_LEVELS,
     pairs: Sequence[tuple[str, str]] = PLOSIVE_VOICING_PAIRS,
-    min_length: int = 2,
     *,
     on_skip: Callable[[LexiconEntry, float], None] | None = None,
 ) -> list[MetricTrace]:
-    """Traces for every voicing-onset word at each ambiguity level.
+    """Traces for each voicing-onset word of any length at each ambiguity level.
 
     Evidence is oriented per word (phoneme_a = the word's own onset,
     phoneme_b = its voicing partner). Word/ambiguity combinations whose
@@ -331,11 +330,10 @@ def build_trace_set(
         partner[second] = first
     lexicon = trie.lexicon
     onsets = map(lexicon.phonemes.__getitem__, lexicon.codes[lexicon.offsets[:-1]].tolist())
-    lengths = np.diff(lexicon.offsets).tolist()
     traces = []
-    for index, (onset, length) in enumerate(zip(onsets, lengths)):
+    for index, onset in enumerate(onsets):
         other = partner.get(onset)
-        if other is None or length < min_length:
+        if other is None:
             continue
         entry = lexicon.entry(index)
         for p_a in ambiguities:
@@ -556,28 +554,24 @@ def permutation_calibration(
     n_permutations: int,
     alpha: float,
     seed: int,
-    removed: str = "acoustic",
-    df: int | None = None,
 ) -> CalibrationResult:
     """False-positive rate of the removal test under permuted responses.
 
     Shuffling the response column breaks every response-predictor link,
     so the removal test's p-values should be roughly uniform and the
     fraction below alpha should sit near alpha. Each round is
-    compare_removals' test of `removed` on the shuffled response; the
-    designs are fixed across permutations and factored once. Designs
-    compare_removals rejects (too few rows, rank deficient, a negative
-    df) raise the same errors here.
+    compare_removals' test of removing the acoustic model, at the
+    parameter-count df, on the shuffled response; the designs are fixed
+    across permutations and factored once. Designs compare_removals
+    rejects (too few rows, rank deficient) raise the same errors here.
     """
-    if removed not in MODEL_PREDICTORS:
-        raise ValueError(f"removed must be 'acoustic' or 'switch', got {removed!r}")
     if n_permutations < 1:
         raise ValueError(f"need at least one permutation, got {n_permutations}")
-    test = _removal_tests(dataset, (removed,), df)
+    test = _removal_tests(dataset, ("acoustic",), None)
     y = dataset.columns["response"]
     rng = np.random.default_rng(seed)
     p_values = [
-        test(y[rng.permutation(len(y))])[removed].p_value
+        test(y[rng.permutation(len(y))])["acoustic"].p_value
         for _ in range(n_permutations)
     ]
     below = sum(1 for pv in p_values if pv < alpha)

@@ -140,10 +140,13 @@ def _parse_pair(raw: str) -> tuple[str, str]:
 
 
 def _parse_betas(raw: str) -> tuple[float, float]:
-    parts = raw.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"--betas needs two comma-separated numbers, got {raw!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        surprisal, entropy = map(float, raw.split(","))
+    except ValueError:
+        raise ValueError(
+            f"--betas needs two comma-separated numbers, got {raw!r}"
+        ) from None
+    return surprisal, entropy
 
 
 def _traces_for_pair(
@@ -156,9 +159,7 @@ def _traces_for_pair(
     def warn_skip(entry, _p_a):
         _warn(f"{entry.orthography}: committed path leaves the lexicon, skipped")
 
-    traces = build_trace_set(
-        trie, ambiguities=(p_a,), pairs=(pair,), min_length=1, on_skip=warn_skip
-    )
+    traces = build_trace_set(trie, ambiguities=(p_a,), pairs=(pair,), on_skip=warn_skip)
     if not traces:
         raise ValueError(f"no traceable word starts with {pair[0]} or {pair[1]}")
     return traces
@@ -178,9 +179,9 @@ def cmd_ingest_check(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    pair = _parse_pair(args.pair)
     lexicon = parse_lexicon(args.lexicon, smoothing=args.smoothing)
     trie = build_trie(lexicon)
-    pair = _parse_pair(args.pair)
     if args.all:
         traces = _traces_for_pair(trie, pair, args.p_a)
     else:
@@ -201,9 +202,9 @@ def cmd_trace(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    pair = _parse_pair(args.pair)
     lexicon = parse_lexicon(args.lexicon, smoothing=args.smoothing)
     trie = build_trie(lexicon)
-    pair = _parse_pair(args.pair)
     traces = _traces_for_pair(trie, pair, args.p_a)
     if len(traces) < 3:
         _warn(f"only {len(traces)} traceable words; correlations need 3")
@@ -262,6 +263,7 @@ def cmd_continuum(args) -> int:
 
 
 def cmd_simfit(args) -> int:
+    betas = _parse_betas(args.betas)
     lexicon = parse_lexicon(args.lexicon, smoothing=args.smoothing)
     trie = build_trie(lexicon)
     skipped = []
@@ -274,7 +276,6 @@ def cmd_simfit(args) -> int:
         )
     if not traces:
         raise ValueError("no traceable voicing-onset words in the lexicon")
-    betas = _parse_betas(args.betas)
 
     def write_first(sim, dataset):
         if sim == 0:
@@ -431,6 +432,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     if getattr(args, "df", None) is not None and args.df < 0:
         print("error: --df must be >= 0", file=sys.stderr)
+        return EXIT_INPUT
+    if getattr(args, "seed", 0) < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
         return EXIT_INPUT
     collecting = gc.isenabled()
     gc.disable()

@@ -192,44 +192,47 @@ def read_identification_curves(path: str | Path) -> dict[str, IdentificationCurv
     required, blank lines are skipped, and a header that names a column
     twice (after stripping and lower-casing) or a row whose cell count
     differs from the header's is rejected. Errors name the offending row's line,
-    or the item whose step set is incomplete. A leading UTF-8 byte-order
-    mark is ignored.
+    or the item whose step set is incomplete, and a file that is not UTF-8
+    text is named. A leading UTF-8 byte-order mark is ignored.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        column = {}
-        for i, name in enumerate(header):
-            name = name.strip().lower()
-            if name in column:
-                raise ValueError(f"{path}: column {name!r} is named more than once")
-            column[name] = i
-        if not {"step", "proportion"} <= column.keys():
-            raise ValueError(
-                f"{path}: expected columns step,proportion (plus optional item), "
-                f"got {sorted(column)}"
-            )
-        item_at = column.get("item")
-        step_at, proportion_at = column["step"], column["proportion"]
-        rows_by_item: dict[str, list[tuple[int, float]]] = {}
-        for cells in reader:
-            if not cells:
-                continue
-            where = f"{path}: line {reader.line_num}"
-            if len(cells) != len(header):
-                problem = "missing" if len(cells) < len(header) else "extra"
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file")
+            column = {}
+            for i, name in enumerate(header):
+                name = name.strip().lower()
+                if name in column:
+                    raise ValueError(f"{path}: column {name!r} is named more than once")
+                column[name] = i
+            if not {"step", "proportion"} <= column.keys():
                 raise ValueError(
-                    f"{where}: {problem} cells (expected {len(header)}, got {len(cells)})"
+                    f"{path}: expected columns step,proportion (plus optional item), "
+                    f"got {sorted(column)}"
                 )
-            item = cells[item_at].strip() if item_at is not None else path.stem
-            try:
-                pair = (int(cells[step_at]), float(cells[proportion_at]))
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-            rows_by_item.setdefault(item, []).append(pair)
+            item_at = column.get("item")
+            step_at, proportion_at = column["step"], column["proportion"]
+            rows_by_item: dict[str, list[tuple[int, float]]] = {}
+            for cells in reader:
+                if not cells:
+                    continue
+                where = f"{path}: line {reader.line_num}"
+                if len(cells) != len(header):
+                    problem = "missing" if len(cells) < len(header) else "extra"
+                    raise ValueError(
+                        f"{where}: {problem} cells (expected {len(header)}, got {len(cells)})"
+                    )
+                item = cells[item_at].strip() if item_at is not None else path.stem
+                try:
+                    pair = (int(cells[step_at]), float(cells[proportion_at]))
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
+                rows_by_item.setdefault(item, []).append(pair)
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
     if not rows_by_item:
         raise ValueError(f"{path}: no data rows")
     curves = {}

@@ -318,6 +318,7 @@ def parse_lexicon(path: str | Path, smoothing: float = 0.0) -> Lexicon:
     LexiconValidationError for invariant violations, including an empty
     lexicon. Errors raised for a single row carry its line number. Each row's
     fields are checked as it is read, duplicates and the inventory after.
+    A file that is not UTF-8 text raises LexiconError naming the file.
     """
     if not (math.isfinite(smoothing) and smoothing >= 0):
         raise ValueError(f"smoothing must be finite and >= 0, got {smoothing}")
@@ -329,54 +330,57 @@ def parse_lexicon(path: str | Path, smoothing: float = 0.0) -> Lexicon:
     lengths: list[int] = []
     frequencies: list[float] = []
     entry_lines: list[int] = []
-    with path.open(encoding="utf-8-sig") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                header = line[1:].strip()
-                if header.lower().startswith("unit:"):
-                    unit = header[len("unit:"):].strip()
-                    if unit not in KNOWN_UNITS:
-                        raise LexiconParseError(
-                            f"unknown frequency unit {unit!r} "
-                            f"(expected one of {KNOWN_UNITS})",
-                            line_number,
+    try:
+        with path.open(encoding="utf-8-sig") as handle:
+            for line_number, line in enumerate(handle, start=1):
+                line = line.rstrip("\n").rstrip("\r")
+                if not line.strip():
+                    continue
+                if line.startswith("#"):
+                    header = line[1:].strip()
+                    if header.lower().startswith("unit:"):
+                        unit = header[len("unit:"):].strip()
+                        if unit not in KNOWN_UNITS:
+                            raise LexiconParseError(
+                                f"unknown frequency unit {unit!r} "
+                                f"(expected one of {KNOWN_UNITS})",
+                                line_number,
+                            )
+                    elif header.lower().startswith("inventory:"):
+                        declared_inventory = frozenset(
+                            _split_pron(header[len("inventory:"):])
                         )
-                elif header.lower().startswith("inventory:"):
-                    declared_inventory = frozenset(
-                        _split_pron(header[len("inventory:"):])
+                    continue
+                fields = line.split("\t")
+                if len(fields) != 3:
+                    raise LexiconParseError(
+                        f"expected 3 tab-separated columns, got {len(fields)}",
+                        line_number,
                     )
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise LexiconParseError(
-                    f"expected 3 tab-separated columns, got {len(fields)}",
-                    line_number,
-                )
-            orthography, pron_field, freq_field = fields
-            try:
-                raw_freq = float(freq_field)
-            except ValueError:
-                raise LexiconValidationError(
-                    f"line {line_number}: non-numeric frequency {freq_field!r}"
-                ) from None
-            if raw_freq < 0:
-                raise LexiconValidationError(
-                    f"line {line_number}: negative frequency {raw_freq}"
-                )
-            pron = _split_pron(pron_field)
-            frequency = raw_freq + smoothing
-            try:
-                _check_row(orthography, pron, frequency)
-            except LexiconValidationError as exc:
-                raise LexiconValidationError(f"line {line_number}: {exc}") from None
-            orthographies.append(orthography)
-            flat_phonemes += pron
-            lengths.append(len(pron))
-            frequencies.append(frequency)
-            entry_lines.append(line_number)
+                orthography, pron_field, freq_field = fields
+                try:
+                    raw_freq = float(freq_field)
+                except ValueError:
+                    raise LexiconValidationError(
+                        f"line {line_number}: non-numeric frequency {freq_field!r}"
+                    ) from None
+                if raw_freq < 0:
+                    raise LexiconValidationError(
+                        f"line {line_number}: negative frequency {raw_freq}"
+                    )
+                pron = _split_pron(pron_field)
+                frequency = raw_freq + smoothing
+                try:
+                    _check_row(orthography, pron, frequency)
+                except LexiconValidationError as exc:
+                    raise LexiconValidationError(f"line {line_number}: {exc}") from None
+                orthographies.append(orthography)
+                flat_phonemes += pron
+                lengths.append(len(pron))
+                frequencies.append(frequency)
+                entry_lines.append(line_number)
+    except UnicodeDecodeError:
+        raise LexiconError(f"{path}: not UTF-8 text") from None
     try:
         return Lexicon._from_columns(
             orthographies, flat_phonemes, lengths, frequencies, declared_inventory, unit

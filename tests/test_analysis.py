@@ -17,9 +17,11 @@ from cohortlex import (
     SingularDesignError,
     bonferroni_alpha,
     build_trace_set,
+    build_trie,
     chi_square_sf,
     compare_removals,
     likelihood_ratio_test,
+    make_lexicon,
     model_recovery,
     ols_fit,
     permutation_calibration,
@@ -27,6 +29,7 @@ from cohortlex import (
     write_dataset,
 )
 from cohortlex.analysis import VARIANCE_FLOOR, _design_matrix
+from tests.conftest import SIM_ROWS
 
 METRIC_NAMES = (
     "acoustic_surprisal",
@@ -369,7 +372,13 @@ def test_build_trace_set_orients_evidence_per_word(trie_b):
     for trace in traces:
         assert trace.evidence.phoneme_a == trace.word.onset
         assert trace.evidence.p_a in AMBIGUITY_LEVELS
-    assert build_trace_set(trie_b, min_length=4) == []
+
+
+def test_build_trace_set_traces_one_phoneme_words():
+    trie = build_trie(make_lexicon(SIM_ROWS + [("b", "B", 1.0)]))
+    traces = [t for t in build_trace_set(trie) if t.word.orthography == "b"]
+    assert [t.evidence.p_a for t in traces] == list(AMBIGUITY_LEVELS)
+    assert all(len(t.points) == 1 for t in traces)
 
 
 def test_simulate_dataset_is_deterministic(trie_b):
@@ -624,10 +633,6 @@ def test_permutation_calibration_fraction_near_alpha(trie_sim):
     assert 0.0 <= result.fraction_below_alpha <= 0.15
     repeat = permutation_calibration(data, n_permutations=200, alpha=0.05, seed=44)
     assert repeat.p_values == result.p_values
-    switch_side = permutation_calibration(
-        data, n_permutations=10, alpha=0.05, seed=44, removed="switch"
-    )
-    assert len(switch_side.p_values) == 10
 
 
 def test_permutation_calibration_argument_validation(trie_sim):
@@ -645,10 +650,6 @@ def test_permutation_calibration_argument_validation(trie_sim):
     )
     with pytest.raises(ValueError):
         permutation_calibration(data, n_permutations=0, alpha=0.05, seed=1)
-    with pytest.raises(ValueError):
-        permutation_calibration(
-            data, n_permutations=5, alpha=0.05, seed=1, removed="hybrid"
-        )
 
 
 def test_permutation_calibration_rejects_singular_design():
@@ -688,18 +689,13 @@ def test_removal_tests_reject_negative_df():
     message = r"negative degrees of freedom: -1"
     with pytest.raises(NestingError, match=message):
         compare_removals(data, df=-1)
-    with pytest.raises(NestingError, match=message):
-        permutation_calibration(data, n_permutations=5, alpha=0.05, seed=1, df=-1)
 
 
-@pytest.mark.parametrize("df", [None, 0, 1])
-@pytest.mark.parametrize("removed", ["acoustic", "switch"])
-def test_calibration_p_values_equal_compare_removals(removed, df):
-    # each permutation round is compare_removals on the permuted dataset
+def test_calibration_p_values_equal_compare_removals():
+    # each permutation round is compare_removals' acoustic removal on the
+    # permuted dataset
     data = random_dataset(np.random.default_rng(17), 60)
-    result = permutation_calibration(
-        data, n_permutations=15, alpha=0.05, seed=9, removed=removed, df=df
-    )
+    result = permutation_calibration(data, n_permutations=15, alpha=0.05, seed=9)
     y = data.columns["response"]
     permutations = np.random.default_rng(9)
     expected = []
@@ -707,9 +703,9 @@ def test_calibration_p_values_equal_compare_removals(removed, df):
         shuffled = RegressionDataset(
             {**data.columns, "response": y[permutations.permutation(len(y))]}
         )
-        expected.append(compare_removals(shuffled, df=df)[removed].p_value)
+        expected.append(compare_removals(shuffled)["acoustic"].p_value)
     assert result.p_values == tuple(expected)
-    assert len(set(expected)) == (1 if df == 0 else 15)
+    assert len(set(expected)) == 15
 
 
 def test_least_squares_matches_lstsq_reference():

@@ -857,6 +857,780 @@ def test_simfit_output_bytes_are_pinned(capsys, sim_path, df, fmt):
     assert out == GOLDEN_SIMFIT[df, fmt]
 
 
+# `trace` and `compare` output for the onset pair B,P, per run: whether the
+# lexicon gains "bug B AH G" (no word starts /P AH/, so at --p-a 0.25 its
+# committed path dies and its warning line is pinned) and the arguments.
+# CSV runs on SIM_ROWS; JSON, a dozen lines per row, on TOY_B_ROWS.
+GOLDEN_TRACE_RUNS = {
+    "trace --all": (False, ["trace", "--all", "--p-a", "0.75"]),
+    "compare": (False, ["compare", "--top-k", "2", "--p-a", "0.75"]),
+    "trace --all, skip": (True, ["trace", "--all", "--p-a", "0.25"]),
+    "compare, skip": (True, ["compare", "--top-k", "2", "--p-a", "0.25"]),
+    "trace --word": (False, ["trace", "--word", "bat"]),
+}
+GOLDEN_COMPARE_ERR = {
+    "csv": "warning: position 3: constant entropy values, correlation skipped\n",
+    "json": (
+        "warning: position 2: constant entropy values, correlation skipped\n"
+        "warning: position 3: constant surprisal values, correlation skipped\n"
+        "warning: position 3: constant entropy values, correlation skipped\n"
+    ),
+}
+GOLDEN_SKIP_ERR = "warning: bug: committed path leaves the lexicon, skipped\n"
+GOLDEN_TRACE = {
+    ("csv", "trace --all"): """\
+word,position,phoneme,switch_surprisal,acoustic_surprisal,switch_entropy,acoustic_entropy,switch_cohort_size,joint_cohort_size
+bat,1,B,1.187627,2.163396,2.816340,3.616764,8,16
+bat,2,AE,1.847997,2.928615,0.970951,1.719973,2,4
+bat,3,T,0.736966,1.703018,0.000000,0.811278,1,2
+bad,1,B,1.187627,2.163396,2.816340,3.616764,8,16
+bad,2,AE,1.847997,2.928615,0.970951,1.719973,2,4
+bad,3,D,1.321928,2.206451,0.000000,0.811278,1,2
+bin,1,B,1.187627,2.163396,2.816340,3.616764,8,16
+bin,2,IH,2.584963,3.553936,0.918296,1.729574,2,4
+bin,3,N,0.584963,1.847997,0.000000,0.811278,1,2
+bid,1,B,1.187627,2.163396,2.816340,3.616764,8,16
+bid,2,IH,2.584963,3.553936,0.918296,1.729574,2,4
+bid,3,D,1.584963,2.847997,0.000000,0.811278,1,2
+bet,1,B,1.187627,2.163396,2.816340,3.616764,8,16
+bet,2,EH,1.584963,2.634265,0.650022,1.541533,2,4
+bet,3,T,0.263034,1.074001,0.000000,0.811278,1,2
+beck,1,B,1.187627,2.163396,2.816340,3.616764,8,16
+beck,2,EH,1.584963,2.634265,0.650022,1.541533,2,4
+beck,3,K,2.584963,2.798366,0.000000,0.811278,1,2
+bog,1,B,1.187627,2.163396,2.816340,3.616764,8,16
+bog,2,AA,2.169925,3.197269,1.000000,1.709196,2,4
+bog,3,G,1.000000,1.974465,0.000000,0.811278,1,2
+bob,1,B,1.187627,2.163396,2.816340,3.616764,8,16
+bob,2,AA,2.169925,3.197269,1.000000,1.709196,2,4
+bob,3,B,1.000000,1.932886,0.000000,0.811278,1,2
+pat,1,P,0.833990,1.814992,2.772924,3.595056,8,16
+pat,2,AE,2.201634,3.104772,0.721928,1.595462,2,4
+pat,3,T,0.321928,1.296393,0.000000,0.811278,1,2
+pad,1,P,0.833990,1.814992,2.772924,3.595056,8,16
+pad,2,AE,2.201634,3.104772,0.721928,1.595462,2,4
+pad,3,D,2.321928,3.099536,0.000000,0.811278,1,2
+pin,1,P,0.833990,1.814992,2.772924,3.595056,8,16
+pin,2,IH,1.938599,2.792620,0.918296,1.729574,2,4
+pin,3,N,0.584963,1.362570,0.000000,0.811278,1,2
+pid,1,P,0.833990,1.814992,2.772924,3.595056,8,16
+pid,2,IH,1.938599,2.792620,0.918296,1.729574,2,4
+pid,3,D,1.584963,2.362570,0.000000,0.811278,1,2
+pet,1,P,0.833990,1.814992,2.772924,3.595056,8,16
+pet,2,EH,2.201634,3.064130,0.970951,1.701997,2,4
+pet,3,T,1.321928,2.092194,0.000000,0.811278,1,2
+peck,1,P,0.833990,1.814992,2.772924,3.595056,8,16
+peck,2,EH,2.201634,3.064130,0.970951,1.701997,2,4
+peck,3,K,0.736966,1.523186,0.000000,0.811278,1,2
+pog,1,P,0.833990,1.814992,2.772924,3.595056,8,16
+pog,2,AA,1.716207,2.595455,0.591673,1.505033,2,4
+pog,3,G,0.222392,0.961865,0.000000,0.811278,1,2
+pob,1,P,0.833990,1.814992,2.772924,3.595056,8,16
+pob,2,AA,1.716207,2.595455,0.591673,1.505033,2,4
+pob,3,B,2.807355,3.070389,0.000000,0.811278,1,2
+""",
+    ("csv", "compare"): """\
+kind,position,quantity,n,word,rank,value
+correlation,1,surprisal,16,,,1.000000
+divergence,1,surprisal,,pad,1,0.981002
+divergence,1,surprisal,,pat,2,0.981002
+correlation,1,entropy,16,,,1.000000
+divergence,1,entropy,,pad,1,0.822132
+divergence,1,entropy,,pat,2,0.822132
+correlation,2,surprisal,16,,,0.960022
+divergence,2,surprisal,,bad,1,1.080618
+divergence,2,surprisal,,bat,2,1.080618
+correlation,2,entropy,16,,,0.965353
+divergence,2,entropy,,pob,1,0.913360
+divergence,2,entropy,,pog,2,0.913360
+correlation,3,surprisal,16,,,0.944782
+divergence,3,surprisal,,bid,1,1.263034
+divergence,3,surprisal,,bin,2,1.263034
+divergence,3,entropy,,bad,1,0.811278
+divergence,3,entropy,,bat,2,0.811278
+""",
+    ("csv", "trace --all, skip"): """\
+word,position,phoneme,switch_surprisal,acoustic_surprisal,switch_entropy,acoustic_entropy,switch_cohort_size,joint_cohort_size
+bat,1,B,0.868755,1.856857,2.772924,3.632367,8,17
+bat,2,AE,2.201634,3.127633,0.721928,1.595462,2,4
+bat,3,T,0.321928,1.296393,0.000000,0.811278,1,2
+bad,1,B,0.868755,1.856857,2.772924,3.632367,8,17
+bad,2,AE,2.201634,3.127633,0.721928,1.595462,2,4
+bad,3,D,2.321928,3.099536,0.000000,0.811278,1,2
+bin,1,B,0.868755,1.856857,2.772924,3.632367,8,17
+bin,2,IH,1.938599,2.799946,0.918296,1.729574,2,4
+bin,3,N,0.584963,1.362570,0.000000,0.811278,1,2
+bid,1,B,0.868755,1.856857,2.772924,3.632367,8,17
+bid,2,IH,1.938599,2.799946,0.918296,1.729574,2,4
+bid,3,D,1.584963,2.362570,0.000000,0.811278,1,2
+bet,1,B,0.868755,1.856857,2.772924,3.632367,8,17
+bet,2,EH,2.201634,3.093289,0.970951,1.701997,2,4
+bet,3,T,1.321928,2.092194,0.000000,0.811278,1,2
+beck,1,B,0.868755,1.856857,2.772924,3.632367,8,17
+beck,2,EH,2.201634,3.093289,0.970951,1.701997,2,4
+beck,3,K,0.736966,1.523186,0.000000,0.811278,1,2
+bog,1,B,0.868755,1.856857,2.772924,3.632367,8,17
+bog,2,AA,1.716207,2.604756,0.591673,1.505033,2,4
+bog,3,G,0.222392,0.961865,0.000000,0.811278,1,2
+bob,1,B,0.868755,1.856857,2.772924,3.632367,8,17
+bob,2,AA,1.716207,2.604756,0.591673,1.505033,2,4
+bob,3,B,2.807355,3.070389,0.000000,0.811278,1,2
+pat,1,P,1.144390,2.129999,2.965584,3.728697,9,17
+pat,2,AE,1.925999,2.990130,0.970951,1.719973,2,4
+pat,3,T,0.736966,1.703018,0.000000,0.811278,1,2
+pad,1,P,1.144390,2.129999,2.965584,3.728697,9,17
+pad,2,AE,1.925999,2.990130,0.970951,1.719973,2,4
+pad,3,D,1.321928,2.206451,0.000000,0.811278,1,2
+pin,1,P,1.144390,2.129999,2.965584,3.728697,9,17
+pin,2,IH,2.662965,3.591580,0.918296,1.729574,2,4
+pin,3,N,0.584963,1.847997,0.000000,0.811278,1,2
+pid,1,P,1.144390,2.129999,2.965584,3.728697,9,17
+pid,2,IH,2.662965,3.591580,0.918296,1.729574,2,4
+pid,3,D,1.584963,2.847997,0.000000,0.811278,1,2
+pet,1,P,1.144390,2.129999,2.965584,3.728697,9,17
+pet,2,EH,1.662965,2.700027,0.650022,1.541533,2,4
+pet,3,T,0.263034,1.074001,0.000000,0.811278,1,2
+peck,1,P,1.144390,2.129999,2.965584,3.728697,9,17
+peck,2,EH,1.662965,2.700027,0.650022,1.541533,2,4
+peck,3,K,2.584963,2.798366,0.000000,0.811278,1,2
+pog,1,P,1.144390,2.129999,2.965584,3.728697,9,17
+pog,2,AA,2.247928,3.240108,1.000000,1.709196,2,4
+pog,3,G,1.000000,1.974465,0.000000,0.811278,1,2
+pob,1,P,1.144390,2.129999,2.965584,3.728697,9,17
+pob,2,AA,2.247928,3.240108,1.000000,1.709196,2,4
+pob,3,B,1.000000,1.932886,0.000000,0.811278,1,2
+""",
+    ("csv", "compare, skip"): """\
+kind,position,quantity,n,word,rank,value
+correlation,1,surprisal,16,,,1.000000
+divergence,1,surprisal,,bad,1,0.988101
+divergence,1,surprisal,,bat,2,0.988101
+correlation,1,entropy,16,,,1.000000
+divergence,1,entropy,,bad,1,0.859443
+divergence,1,entropy,,bat,2,0.859443
+correlation,2,surprisal,16,,,0.973935
+divergence,2,surprisal,,pad,1,1.064130
+divergence,2,surprisal,,pat,2,1.064130
+correlation,2,entropy,16,,,0.965353
+divergence,2,entropy,,bob,1,0.913360
+divergence,2,entropy,,bog,2,0.913360
+correlation,3,surprisal,16,,,0.944782
+divergence,3,surprisal,,pid,1,1.263034
+divergence,3,surprisal,,pin,2,1.263034
+divergence,3,entropy,,bad,1,0.811278
+divergence,3,entropy,,bat,2,0.811278
+""",
+    ("csv", "trace --word"): """\
+position,phoneme,switch_surprisal,acoustic_surprisal,switch_entropy,acoustic_entropy,switch_cohort_size,joint_cohort_size
+1,B,1.187627,2.163396,2.816340,3.616764,8,16
+2,AE,1.847997,2.928615,0.970951,1.719973,2,4
+3,T,0.736966,1.703018,0.000000,0.811278,1,2
+""",
+    ("json", "trace --all"): """\
+[
+  {
+    "word": "bat",
+    "position": 1,
+    "phoneme": "B",
+    "switch_surprisal": 1.584963,
+    "acoustic_surprisal": 2.36257,
+    "switch_entropy": 0.811278,
+    "acoustic_entropy": 1.669737,
+    "switch_cohort_size": 2,
+    "joint_cohort_size": 4
+  },
+  {
+    "word": "bat",
+    "position": 2,
+    "phoneme": "AE",
+    "switch_surprisal": 0.415037,
+    "acoustic_surprisal": 1.678072,
+    "switch_entropy": 0.0,
+    "acoustic_entropy": 0.811278,
+    "switch_cohort_size": 1,
+    "joint_cohort_size": 2
+  },
+  {
+    "word": "bat",
+    "position": 3,
+    "phoneme": "T",
+    "switch_surprisal": 0.0,
+    "acoustic_surprisal": 1.106915,
+    "switch_entropy": 0.0,
+    "acoustic_entropy": 0.811278,
+    "switch_cohort_size": 1,
+    "joint_cohort_size": 2
+  },
+  {
+    "word": "bin",
+    "position": 1,
+    "phoneme": "B",
+    "switch_surprisal": 1.584963,
+    "acoustic_surprisal": 2.36257,
+    "switch_entropy": 0.811278,
+    "acoustic_entropy": 1.669737,
+    "switch_cohort_size": 2,
+    "joint_cohort_size": 4
+  },
+  {
+    "word": "bin",
+    "position": 2,
+    "phoneme": "IH",
+    "switch_surprisal": 2.0,
+    "acoustic_surprisal": 2.862496,
+    "switch_entropy": 0.0,
+    "acoustic_entropy": 0.811278,
+    "switch_cohort_size": 1,
+    "joint_cohort_size": 2
+  },
+  {
+    "word": "bin",
+    "position": 3,
+    "phoneme": "N",
+    "switch_surprisal": 0.0,
+    "acoustic_surprisal": 1.514573,
+    "switch_entropy": 0.0,
+    "acoustic_entropy": 0.811278,
+    "switch_cohort_size": 1,
+    "joint_cohort_size": 2
+  },
+  {
+    "word": "pat",
+    "position": 1,
+    "phoneme": "P",
+    "switch_surprisal": 0.584963,
+    "acoustic_surprisal": 1.469485,
+    "switch_entropy": 1.0,
+    "acoustic_entropy": 1.764098,
+    "switch_cohort_size": 2,
+    "joint_cohort_size": 4
+  },
+  {
+    "word": "pat",
+    "position": 2,
+    "phoneme": "AE",
+    "switch_surprisal": 1.0,
+    "acoustic_surprisal": 1.762961,
+    "switch_entropy": 0.0,
+    "acoustic_entropy": 0.811278,
+    "switch_cohort_size": 1,
+    "joint_cohort_size": 2
+  },
+  {
+    "word": "pat",
+    "position": 3,
+    "phoneme": "T",
+    "switch_surprisal": 0.0,
+    "acoustic_surprisal": 0.900464,
+    "switch_entropy": 0.0,
+    "acoustic_entropy": 0.811278,
+    "switch_cohort_size": 1,
+    "joint_cohort_size": 2
+  },
+  {
+    "word": "pin",
+    "position": 1,
+    "phoneme": "P",
+    "switch_surprisal": 0.584963,
+    "acoustic_surprisal": 1.469485,
+    "switch_entropy": 1.0,
+    "acoustic_entropy": 1.764098,
+    "switch_cohort_size": 2,
+    "joint_cohort_size": 4
+  },
+  {
+    "word": "pin",
+    "position": 2,
+    "phoneme": "IH",
+    "switch_surprisal": 1.0,
+    "acoustic_surprisal": 1.678072,
+    "switch_entropy": 0.0,
+    "acoustic_entropy": 0.811278,
+    "switch_cohort_size": 1,
+    "joint_cohort_size": 2
+  },
+  {
+    "word": "pin",
+    "position": 3,
+    "phoneme": "N",
+    "switch_surprisal": 0.0,
+    "acoustic_surprisal": 0.621488,
+    "switch_entropy": 0.0,
+    "acoustic_entropy": 0.811278,
+    "switch_cohort_size": 1,
+    "joint_cohort_size": 2
+  }
+]
+""",
+    ("json", "compare"): """\
+[
+  {
+    "kind": "correlation",
+    "position": 1,
+    "quantity": "surprisal",
+    "n": 4,
+    "word": null,
+    "rank": null,
+    "value": 1.0
+  },
+  {
+    "kind": "divergence",
+    "position": 1,
+    "quantity": "surprisal",
+    "n": null,
+    "word": "pat",
+    "rank": 1,
+    "value": 0.884523
+  },
+  {
+    "kind": "divergence",
+    "position": 1,
+    "quantity": "surprisal",
+    "n": null,
+    "word": "pin",
+    "rank": 2,
+    "value": 0.884523
+  },
+  {
+    "kind": "correlation",
+    "position": 1,
+    "quantity": "entropy",
+    "n": 4,
+    "word": null,
+    "rank": null,
+    "value": 1.0
+  },
+  {
+    "kind": "divergence",
+    "position": 1,
+    "quantity": "entropy",
+    "n": null,
+    "word": "bat",
+    "rank": 1,
+    "value": 0.858459
+  },
+  {
+    "kind": "divergence",
+    "position": 1,
+    "quantity": "entropy",
+    "n": null,
+    "word": "bin",
+    "rank": 2,
+    "value": 0.858459
+  },
+  {
+    "kind": "correlation",
+    "position": 2,
+    "quantity": "surprisal",
+    "n": 4,
+    "word": null,
+    "rank": null,
+    "value": 0.920268
+  },
+  {
+    "kind": "divergence",
+    "position": 2,
+    "quantity": "surprisal",
+    "n": null,
+    "word": "bat",
+    "rank": 1,
+    "value": 1.263034
+  },
+  {
+    "kind": "divergence",
+    "position": 2,
+    "quantity": "surprisal",
+    "n": null,
+    "word": "bin",
+    "rank": 2,
+    "value": 0.862496
+  },
+  {
+    "kind": "divergence",
+    "position": 2,
+    "quantity": "entropy",
+    "n": null,
+    "word": "bat",
+    "rank": 1,
+    "value": 0.811278
+  },
+  {
+    "kind": "divergence",
+    "position": 2,
+    "quantity": "entropy",
+    "n": null,
+    "word": "bin",
+    "rank": 2,
+    "value": 0.811278
+  },
+  {
+    "kind": "divergence",
+    "position": 3,
+    "quantity": "surprisal",
+    "n": null,
+    "word": "bin",
+    "rank": 1,
+    "value": 1.514573
+  },
+  {
+    "kind": "divergence",
+    "position": 3,
+    "quantity": "surprisal",
+    "n": null,
+    "word": "bat",
+    "rank": 2,
+    "value": 1.106915
+  },
+  {
+    "kind": "divergence",
+    "position": 3,
+    "quantity": "entropy",
+    "n": null,
+    "word": "bat",
+    "rank": 1,
+    "value": 0.811278
+  },
+  {
+    "kind": "divergence",
+    "position": 3,
+    "quantity": "entropy",
+    "n": null,
+    "word": "bin",
+    "rank": 2,
+    "value": 0.811278
+  }
+]
+""",
+    ("json", "trace --all, skip"): """\
+[
+  {
+    "word": "bat",
+    "position": 1,
+    "phoneme": "B",
+    "switch_surprisal": 0.70044,
+    "acoustic_surprisal": 1.639328,
+    "switch_entropy": 1.0,
+    "acoustic_entropy": 1.904016,
+    "switch_cohort_size": 2,
+    "joint_cohort_size": 5
+  },
+  {
+    "word": "bat",
+    "position": 2,
+    "phoneme": "AE",
+    "switch_surprisal": 1.0,
+    "acoustic_surprisal": 1.843881,
+    "switch_entropy": 0.0,
+    "acoustic_entropy": 0.811278,
+    "switch_cohort_size": 1,
+    "joint_cohort_size": 2
+  },
+  {
+    "word": "bat",
+    "position": 3,
+    "phoneme": "T",
+    "switch_surprisal": 0.0,
+    "acoustic_surprisal": 0.900464,
+    "switch_entropy": 0.0,
+    "acoustic_entropy": 0.811278,
+    "switch_cohort_size": 1,
+    "joint_cohort_size": 2
+  },
+  {
+    "word": "bin",
+    "position": 1,
+    "phoneme": "B",
+    "switch_surprisal": 0.70044,
+    "acoustic_surprisal": 1.639328,
+    "switch_entropy": 1.0,
+    "acoustic_entropy": 1.904016,
+    "switch_cohort_size": 2,
+    "joint_cohort_size": 5
+  },
+  {
+    "word": "bin",
+    "position": 2,
+    "phoneme": "IH",
+    "switch_surprisal": 1.0,
+    "acoustic_surprisal": 1.68966,
+    "switch_entropy": 0.0,
+    "acoustic_entropy": 0.811278,
+    "switch_cohort_size": 1,
+    "joint_cohort_size": 2
+  },
+  {
+    "word": "bin",
+    "position": 3,
+    "phoneme": "N",
+    "switch_surprisal": 0.0,
+    "acoustic_surprisal": 0.621488,
+    "switch_entropy": 0.0,
+    "acoustic_entropy": 0.811278,
+    "switch_cohort_size": 1,
+    "joint_cohort_size": 2
+  },
+  {
+    "word": "pat",
+    "position": 1,
+    "phoneme": "P",
+    "switch_surprisal": 1.378512,
+    "acoustic_surprisal": 2.281938,
+    "switch_entropy": 1.370951,
+    "acoustic_entropy": 2.089491,
+    "switch_cohort_size": 3,
+    "joint_cohort_size": 5
+  },
+  {
+    "word": "pat",
+    "position": 2,
+    "phoneme": "AE",
+    "switch_surprisal": 0.736966,
+    "acoustic_surprisal": 1.91983,
+    "switch_entropy": 0.0,
+    "acoustic_entropy": 0.811278,
+    "switch_cohort_size": 1,
+    "joint_cohort_size": 2
+  },
+  {
+    "word": "pat",
+    "position": 3,
+    "phoneme": "T",
+    "switch_surprisal": 0.0,
+    "acoustic_surprisal": 1.106915,
+    "switch_entropy": 0.0,
+    "acoustic_entropy": 0.811278,
+    "switch_cohort_size": 1,
+    "joint_cohort_size": 2
+  },
+  {
+    "word": "pin",
+    "position": 1,
+    "phoneme": "P",
+    "switch_surprisal": 1.378512,
+    "acoustic_surprisal": 2.281938,
+    "switch_entropy": 1.370951,
+    "acoustic_entropy": 2.089491,
+    "switch_cohort_size": 3,
+    "joint_cohort_size": 5
+  },
+  {
+    "word": "pin",
+    "position": 2,
+    "phoneme": "IH",
+    "switch_surprisal": 2.321928,
+    "acoustic_surprisal": 2.943416,
+    "switch_entropy": 0.0,
+    "acoustic_entropy": 0.811278,
+    "switch_cohort_size": 1,
+    "joint_cohort_size": 2
+  },
+  {
+    "word": "pin",
+    "position": 3,
+    "phoneme": "N",
+    "switch_surprisal": 0.0,
+    "acoustic_surprisal": 1.514573,
+    "switch_entropy": 0.0,
+    "acoustic_entropy": 0.811278,
+    "switch_cohort_size": 1,
+    "joint_cohort_size": 2
+  }
+]
+""",
+    ("json", "compare, skip"): """\
+[
+  {
+    "kind": "correlation",
+    "position": 1,
+    "quantity": "surprisal",
+    "n": 4,
+    "word": null,
+    "rank": null,
+    "value": 1.0
+  },
+  {
+    "kind": "divergence",
+    "position": 1,
+    "quantity": "surprisal",
+    "n": null,
+    "word": "bat",
+    "rank": 1,
+    "value": 0.938888
+  },
+  {
+    "kind": "divergence",
+    "position": 1,
+    "quantity": "surprisal",
+    "n": null,
+    "word": "bin",
+    "rank": 2,
+    "value": 0.938888
+  },
+  {
+    "kind": "correlation",
+    "position": 1,
+    "quantity": "entropy",
+    "n": 4,
+    "word": null,
+    "rank": null,
+    "value": 1.0
+  },
+  {
+    "kind": "divergence",
+    "position": 1,
+    "quantity": "entropy",
+    "n": null,
+    "word": "bat",
+    "rank": 1,
+    "value": 0.904016
+  },
+  {
+    "kind": "divergence",
+    "position": 1,
+    "quantity": "entropy",
+    "n": null,
+    "word": "bin",
+    "rank": 2,
+    "value": 0.904016
+  },
+  {
+    "kind": "correlation",
+    "position": 2,
+    "quantity": "surprisal",
+    "n": 4,
+    "word": null,
+    "rank": null,
+    "value": 0.949023
+  },
+  {
+    "kind": "divergence",
+    "position": 2,
+    "quantity": "surprisal",
+    "n": null,
+    "word": "pat",
+    "rank": 1,
+    "value": 1.182864
+  },
+  {
+    "kind": "divergence",
+    "position": 2,
+    "quantity": "surprisal",
+    "n": null,
+    "word": "bat",
+    "rank": 2,
+    "value": 0.843881
+  },
+  {
+    "kind": "divergence",
+    "position": 2,
+    "quantity": "entropy",
+    "n": null,
+    "word": "bat",
+    "rank": 1,
+    "value": 0.811278
+  },
+  {
+    "kind": "divergence",
+    "position": 2,
+    "quantity": "entropy",
+    "n": null,
+    "word": "bin",
+    "rank": 2,
+    "value": 0.811278
+  },
+  {
+    "kind": "divergence",
+    "position": 3,
+    "quantity": "surprisal",
+    "n": null,
+    "word": "pin",
+    "rank": 1,
+    "value": 1.514573
+  },
+  {
+    "kind": "divergence",
+    "position": 3,
+    "quantity": "surprisal",
+    "n": null,
+    "word": "pat",
+    "rank": 2,
+    "value": 1.106915
+  },
+  {
+    "kind": "divergence",
+    "position": 3,
+    "quantity": "entropy",
+    "n": null,
+    "word": "bat",
+    "rank": 1,
+    "value": 0.811278
+  },
+  {
+    "kind": "divergence",
+    "position": 3,
+    "quantity": "entropy",
+    "n": null,
+    "word": "bin",
+    "rank": 2,
+    "value": 0.811278
+  }
+]
+""",
+    ("json", "trace --word"): """\
+[
+  {
+    "position": 1,
+    "phoneme": "B",
+    "switch_surprisal": 1.584963,
+    "acoustic_surprisal": 2.36257,
+    "switch_entropy": 0.811278,
+    "acoustic_entropy": 1.669737,
+    "switch_cohort_size": 2,
+    "joint_cohort_size": 4
+  },
+  {
+    "position": 2,
+    "phoneme": "AE",
+    "switch_surprisal": 0.415037,
+    "acoustic_surprisal": 1.678072,
+    "switch_entropy": 0.0,
+    "acoustic_entropy": 0.811278,
+    "switch_cohort_size": 1,
+    "joint_cohort_size": 2
+  },
+  {
+    "position": 3,
+    "phoneme": "T",
+    "switch_surprisal": 0.0,
+    "acoustic_surprisal": 1.106915,
+    "switch_entropy": 0.0,
+    "acoustic_entropy": 0.811278,
+    "switch_cohort_size": 1,
+    "joint_cohort_size": 2
+  }
+]
+""",
+}
+
+
+@pytest.mark.parametrize("label", GOLDEN_TRACE_RUNS)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_trace_and_compare_output_bytes_are_pinned(capsys, tmp_path, fmt, label):
+    with_bug, argv = GOLDEN_TRACE_RUNS[label]
+    rows = SIM_ROWS if fmt == "csv" else TOY_B_ROWS
+    if with_bug:
+        rows = rows + [("bug", "B AH G", 1.0)]
+    path = tmp_path / "golden.tsv"
+    write_lexicon(make_lexicon(rows), path)
+    argv = argv + ["--pair", "B,P", "--lexicon", str(path), "--format", fmt]
+    code, out, err = run_cli(capsys, argv)
+    expected_err = (GOLDEN_SKIP_ERR if with_bug else "") + (
+        GOLDEN_COMPARE_ERR[fmt] if argv[0] == "compare" else ""
+    )
+    assert (code, err) == (0, expected_err)
+    assert out == GOLDEN_TRACE[fmt, label]
+
+
 def test_seed_belongs_to_simfit_only(capsys, toy_path, sim_path):
     # only simfit draws random numbers; its seed-7 output is pinned above
     with pytest.raises(SystemExit) as excinfo:
@@ -978,6 +1752,30 @@ def test_trace_word_in_lexicon_with_byte_order_mark(capsys, tmp_path):
     assert [r["phoneme"] for r in parse_csv(out)] == ["B", "AE", "T"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest-check", "--lexicon"],
+        ["trace", "--all", "--pair", "B,P", "--lexicon"],
+        ["compare", "--pair", "B,P", "--lexicon"],
+        ["pairs", "--lexicon"],
+        ["simfit", "--lexicon"],
+        ["continuum", "--in"],
+    ],
+    ids=["ingest-check", "trace", "compare", "pairs", "simfit", "continuum"],
+)
+def test_file_that_is_not_utf8_is_named(capsys, tmp_path, argv):
+    # a Latin-1 "é" is not UTF-8; each reader names the file, not a byte offset
+    path = tmp_path / "latin1.txt"
+    if argv[0] == "continuum":
+        text = "item,step,proportion\ncaf\xe9,1,0.9\n"
+    else:
+        text = "caf\xe9\tK AE F\t1\n"
+    path.write_bytes(text.encode("latin-1"))
+    code, out, err = run_cli(capsys, argv + [str(path)])
+    assert (code, out, err) == (1, "", f"error: {path}: not UTF-8 text\n")
+
+
 def test_compare_rejects_negative_top_k(capsys, disjoint_path):
     code, out, err = run_cli(
         capsys,
@@ -995,6 +1793,32 @@ def test_simfit_rejects_negative_df(capsys, sim_path):
     assert code == 1
     assert out == ""
     assert err == "error: --df must be >= 0\n"
+
+
+PAIR_ERROR = "--pair needs two distinct phonemes like B,P, got {!r}"
+BETAS_ERROR = "--betas needs two comma-separated numbers, got {!r}"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["trace", "--all", "--pair", "B"], PAIR_ERROR.format("B")),
+        (["trace", "--word", "bat", "--pair", "B,b"], PAIR_ERROR.format("B,b")),
+        (["compare", "--pair", "B,P,T"], PAIR_ERROR.format("B,P,T")),
+        (["simfit", "--betas", "1,"], BETAS_ERROR.format("1,")),
+        (["simfit", "--betas", "1,x"], BETAS_ERROR.format("1,x")),
+        (["simfit", "--betas", "1,2,3"], BETAS_ERROR.format("1,2,3")),
+        (["simfit", "--seed", "-1"], "--seed must be >= 0"),
+    ],
+    ids=["trace-all", "trace-word", "compare", "betas-one", "betas-text",
+         "betas-three", "seed"],
+)
+def test_flags_are_checked_before_the_lexicon_is_read(capsys, tmp_path, argv, message):
+    # the lexicon does not exist, so an error naming the flag shows that
+    # the flag was checked first
+    missing = str(tmp_path / "missing.tsv")
+    code, out, err = run_cli(capsys, argv + ["--lexicon", missing])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -361,7 +361,7 @@ def test_tracing_one_pair_leaves_other_onsets_unexpanded():
         )
     ]
     trie = build_trie(make_lexicon(rows))
-    traces = build_trace_set(trie, (0.25, 0.75), (("B", "P"),), min_length=1)
+    traces = build_trace_set(trie, (0.25, 0.75), (("B", "P"),))
     assert {t.word.onset for t in traces} == {"B", "P"}
     roots = _expanded(trie._root).children
     for onset in ("D", "T", "AH"):
