@@ -43,12 +43,17 @@ CONTINUOUS_PREDICTORS = (
 )
 CATEGORICAL_PREDICTORS = ("phoneme_pair", "ambiguity", "subject_id")
 FULL_PREDICTORS = CONTINUOUS_PREDICTORS + CATEGORICAL_PREDICTORS
+_METRICS = tuple(name for model in MODEL_PREDICTORS.values() for name in model)
 
 REGRESSION_FIELDS = ("response",) + FULL_PREDICTORS
 
 AMBIGUITY_LEVELS = (0.25, 0.75)
 
 N_BLOCKS = 5
+
+_SSE_NOT_FINITE = (
+    "residual sum of squares is not finite: responses too large or not finite"
+)
 
 
 class SingularDesignError(ValueError):
@@ -175,15 +180,20 @@ def _design_matrix(
             design.append(np.asarray(columns[name], dtype=float))
             names.append(name)
     for name in CATEGORICAL_PREDICTORS:
-        if name not in wanted:
-            continue
-        levels, codes = np.unique(columns[name], return_inverse=True)
-        levels = levels.tolist()
-        order = sorted(range(len(levels)), key=lambda i: str(levels[i]))
-        for i in order[1:]:
-            design.append((codes == i).astype(float))
-            names.append(f"{name}={levels[i]}")
+        if name in wanted:
+            for label, dummy in _dummies(name, columns[name]):
+                design.append(dummy)
+                names.append(label)
     return np.column_stack(design), names
+
+
+def _dummies(name: str, values) -> list[tuple[str, np.ndarray]]:
+    """Reference-coded dummy columns `name=level` of one categorical column:
+    levels sorted by their string form, the first one the reference."""
+    levels, codes = np.unique(values, return_inverse=True)
+    levels = levels.tolist()
+    order = sorted(range(len(levels)), key=lambda i: str(levels[i]))
+    return [(f"{name}={levels[i]}", (codes == i).astype(float)) for i in order[1:]]
 
 
 def ols_fit(dataset: RegressionDataset, predictors: Iterable[str]) -> FitResult:
@@ -240,13 +250,43 @@ def _least_squares(
             residuals = y - X @ beta
             sse = float(residuals @ residuals)
         if not math.isfinite(sse):
-            raise ValueError(
-                "residual sum of squares is not finite: responses too large "
-                "or not finite"
-            )
+            raise ValueError(_SSE_NOT_FINITE)
         return beta, sse
 
     return solve
+
+
+def _partialled_factors(
+    nuisance: np.ndarray, metrics: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """Factors of the design [nuisance | metrics] with the nuisance span
+    partialled out of the metric columns.
+
+    A pivoted QR of `nuisance` gives Q_N; the metric columns minus their
+    projection on Q_N are factored by a second pivoted QR as Q_M R_M, with
+    R_M's columns in `metrics` order. Returns (Q_N, Q_M, R_M, lost):
+    `lost` lists, sorted, the nuisance columns past the nuisance rank or,
+    when there are none, the metric columns past theirs, as indices into
+    [nuisance | metrics]. The ranks follow _least_squares' rule: an |R|
+    diagonal entry counts when it exceeds the largest first entry of the
+    two QRs times max(n, p) times machine epsilon. An empty `lost` means
+    the design has full column rank.
+    """
+    from scipy import linalg
+
+    q_n, r_n, pivots_n = linalg.qr(nuisance, mode="economic", pivoting=True)
+    residual = metrics - q_n @ (q_n.T @ metrics)
+    q_m, r_pivoted, pivots_m = linalg.qr(residual, mode="economic", pivoting=True)
+    diag_n, diag_m = np.abs(np.diag(r_n)), np.abs(np.diag(r_pivoted))
+    size = max(len(nuisance), nuisance.shape[1] + metrics.shape[1])
+    tol = max(diag_n[0], diag_m[0]) * size * np.finfo(float).eps
+    rank = int(np.sum(diag_n > tol))
+    if rank < nuisance.shape[1]:
+        return q_n, q_m, None, sorted(pivots_n[rank:].tolist())
+    rank = int(np.sum(diag_m > tol))
+    r_m = np.empty_like(r_pivoted)
+    r_m[:, pivots_m] = r_pivoted
+    return q_n, q_m, r_m, sorted((nuisance.shape[1] + pivots_m[rank:]).tolist())
 
 
 def _loglik_from_sse(n: int, sse: float) -> float:
@@ -346,6 +386,79 @@ def build_trace_set(
     return traces
 
 
+def _trace_columns(
+    traces: Sequence[MetricTrace],
+    position: int,
+    generator: str,
+    betas: tuple[float, float],
+    noise_sd: float,
+    n_subjects: int,
+    subject_sd: float,
+    trials_per_subject: int,
+) -> dict[str, np.ndarray]:
+    """simulate_dataset's argument checks, in its order; then, one entry
+    per trace that reaches `position`, the four metric columns and the
+    `phoneme_pair` and `ambiguity` columns."""
+    if generator not in MODEL_PREDICTORS:
+        raise ValueError(f"generator must be 'acoustic' or 'switch', got {generator!r}")
+    if n_subjects < 2:
+        raise ValueError(f"need at least 2 subjects, got {n_subjects}")
+    if trials_per_subject < 1:
+        raise ValueError(
+            f"trials_per_subject must be >= 1, got {trials_per_subject}"
+        )
+    for name, sd in (("noise_sd", noise_sd), ("subject_sd", subject_sd)):
+        if not (math.isfinite(sd) and sd >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {sd}")
+    if not all(math.isfinite(b) for b in betas):
+        raise ValueError(f"betas must be finite, got {tuple(betas)}")
+    eligible = [t for t in traces if t.point_at(position) is not None]
+    if not eligible:
+        raise ValueError(f"no trace reaches position {position}")
+    points = [t.point_at(position) for t in eligible]
+    columns = {
+        name: np.array([getattr(point, name) for point in points], dtype=float)
+        for name in _METRICS
+    }
+    columns["phoneme_pair"] = np.array([
+        "-".join(sorted((t.evidence.phoneme_a, t.evidence.phoneme_b)))
+        for t in eligible
+    ])
+    columns["ambiguity"] = np.array([t.evidence.p_a for t in eligible], dtype=float)
+    return columns
+
+
+def _check_cells(per_trace: Mapping[str, np.ndarray], position: int) -> None:
+    """Raise SingularDesignError when the traces that reach `position` cannot
+    identify the metric effects, whatever the draws.
+
+    A trial's intercept, pair and ambiguity dummies and four metrics are
+    fixed by its trace's cell: the voicing pair, the word's own onset,
+    `p_a` and, past position 1, the metric values of its continuation. The
+    cell-level design has these columns and one row per distinct cell.
+    When its rank is deficient under _least_squares' tolerance rule, every
+    simulated design is too; the message names the position and the
+    columns that pivot last.
+    """
+    names = ["(intercept)"]
+    nuisance = [np.ones(len(per_trace["ambiguity"]))]
+    for name in ("phoneme_pair", "ambiguity"):
+        for label, dummy in _dummies(name, per_trace[name]):
+            names.append(label)
+            nuisance.append(dummy)
+    names.extend(_METRICS)
+    cells = np.unique(
+        np.column_stack(nuisance + [per_trace[name] for name in _METRICS]), axis=0
+    )
+    split = len(nuisance)
+    *_, lost = _partialled_factors(cells[:, :split], cells[:, split:])
+    if lost:
+        raise SingularDesignError(
+            f"position {position}: the cells of the traces that reach it "
+            f"cannot separate columns {[names[j] for j in lost]}"
+        )
+
+
 def simulate_dataset(
     traces: Sequence[MetricTrace],
     position: int,
@@ -375,30 +488,18 @@ def simulate_dataset(
     generator, so a fixed seed reproduces the dataset exactly.
     Parameters so large that a response overflows raise ValueError.
     """
-    if generator not in MODEL_PREDICTORS:
-        raise ValueError(f"generator must be 'acoustic' or 'switch', got {generator!r}")
-    if n_subjects < 2:
-        raise ValueError(f"need at least 2 subjects, got {n_subjects}")
-    if trials_per_subject < 1:
-        raise ValueError(
-            f"trials_per_subject must be >= 1, got {trials_per_subject}"
-        )
-    for name, sd in (("noise_sd", noise_sd), ("subject_sd", subject_sd)):
-        if not (math.isfinite(sd) and sd >= 0):
-            raise ValueError(f"{name} must be finite and >= 0, got {sd}")
-    if not all(math.isfinite(b) for b in betas):
-        raise ValueError(f"betas must be finite, got {tuple(betas)}")
+    per_trace = _trace_columns(
+        traces, position, generator, betas, noise_sd,
+        n_subjects, subject_sd, trials_per_subject,
+    )
     # numpy rejects a scale of -0.0 as negative
     noise_sd, subject_sd = abs(noise_sd), abs(subject_sd)
-    eligible = [t for t in traces if t.point_at(position) is not None]
-    if not eligible:
-        raise ValueError(f"no trace reaches position {position}")
     beta_surprisal, beta_entropy = betas
     rng = np.random.default_rng(seed)
     intercepts = rng.normal(0.0, subject_sd, n_subjects)
     draws = [
         (
-            rng.integers(0, len(eligible), trials_per_subject),
+            rng.integers(0, len(per_trace["ambiguity"]), trials_per_subject),
             rng.normal(87.0, 25.0, trials_per_subject),
             rng.normal(0.0, 1.0, trials_per_subject),
             rng.integers(1, trials_per_subject + 1, trials_per_subject),
@@ -411,22 +512,13 @@ def simulate_dataset(
         np.concatenate(draw) for draw in zip(*draws)
     )
     subject = np.repeat(np.arange(n_subjects), trials_per_subject)
-    points = [t.point_at(position) for t in eligible]
-    columns = {
-        name: np.array([getattr(point, name) for point in points], dtype=float)[trace_idx]
-        for model in MODEL_PREDICTORS.values()
-        for name in model
-    }
+    columns = {name: column[trace_idx] for name, column in per_trace.items()}
     surprisal, entropy = (columns[name] for name in MODEL_PREDICTORS[generator])
     with np.errstate(over="ignore", invalid="ignore"):
         response = (
             beta_surprisal * surprisal + beta_entropy * entropy
             + intercepts[subject] + noise
         )
-    pair_labels = np.array([
-        "-".join(sorted((t.evidence.phoneme_a, t.evidence.phoneme_b)))
-        for t in eligible
-    ])
     width = len(str(n_subjects))
     subject_ids = np.array([f"s{s + 1:0{width}d}" for s in range(n_subjects)])
     # built before the overflow check, so that an off-grid ambiguity is
@@ -438,8 +530,6 @@ def simulate_dataset(
         "trial_number": trial_numbers,
         "block_number": blocks,
         "onset_amplitude": amplitude,
-        "phoneme_pair": pair_labels[trace_idx],
-        "ambiguity": np.array([t.evidence.p_a for t in eligible], dtype=float)[trace_idx],
         "subject_id": subject_ids[subject],
     })
     if not np.isfinite(response).all():
@@ -455,24 +545,66 @@ def _removal_tests(
 ) -> Callable[[np.ndarray], dict[str, ModelComparisonResult]]:
     """y -> {model: test of removing that model}, for each of `models`.
 
-    The full design is built and factored once, as is each reduced
-    design: the full design's columns without the model's two, in the
-    same order and row-major layout, so all fits share one dummy coding.
+    The full design is built once, so all fits share one dummy coding, and
+    factored once by partialling out (Frisch & Waugh 1933; Lovell 1963).
+    Demeaning every column within subject absorbs the intercept and the
+    subject dummies exactly. The demeaned nuisance block (latency, trial,
+    block, amplitude, pair and ambiguity dummies) is factored by a pivoted
+    QR, and the four metric columns, residualized against it, as Q_M R_M.
+    For each response the full fit's SSE is summed from the explicit
+    residuals; a reduced fit's SSE adds the residual of c = Q_M' y on the
+    kept columns of R_M, a 4 x 2 least-squares problem. The full design's
+    rank is the number of subjects plus the demeaned block's, checked by
+    _least_squares' tolerance rule.
     """
     X, names = _design_matrix(dataset, FULL_PREDICTORS)
     n, p = X.shape
-    solve_full = _least_squares(X, names)
+    if n <= p:
+        raise ValueError(f"need more rows than parameters: n={n}, p={p}")
+    subject = np.array([name.startswith("subject_id=") for name in names])
+    # one indicator column per subject, the reference subject first
+    indicators = np.column_stack([1.0 - X[:, subject].sum(axis=1), X[:, subject]])
+    weights = indicators / indicators.sum(axis=0)
+
+    def demean(z: np.ndarray) -> np.ndarray:
+        return z - indicators @ (weights.T @ z)
+
+    metrics = [names.index(name) for name in _METRICS]
+    order = [j for j in range(1, p) if not subject[j] and j not in metrics] + metrics
+    split = len(order) - len(metrics)
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = demean(X[:, order])
+    q_n, q_m, r_m, lost = _partialled_factors(block[:, :split], block[:, split:])
+    if lost:
+        raise SingularDesignError(
+            f"collinear design columns: {[names[order[j]] for j in lost]}"
+        )
     reduced = {}
     for model in models:
-        keep = [j for j, name in enumerate(names) if name not in MODEL_PREDICTORS[model]]
-        solve = _least_squares(np.ascontiguousarray(X[:, keep]), [names[j] for j in keep])
-        reduced[model] = solve, (p - len(keep) if df is None else df)
+        keep = [k for k, name in enumerate(_METRICS) if name not in MODEL_PREDICTORS[model]]
+        # an orthonormal basis of the complement of the kept columns' span
+        complement = np.linalg.qr(r_m[:, keep], mode="complete")[0][:, len(keep):]
+        reduced[model] = complement, (len(_METRICS) - len(keep) if df is None else df)
 
     def test(y: np.ndarray) -> dict[str, ModelComparisonResult]:
-        loglik_full = _loglik_from_sse(n, solve_full(y)[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            residuals = demean(y)
+            residuals = residuals - q_n @ (q_n.T @ residuals)
+            c = q_m.T @ residuals
+            residuals = residuals - q_m @ c
+            sse = float(residuals @ residuals)
+            sse_reduced = {
+                model: sse + float(np.sum((complement.T @ c) ** 2))
+                for model, (complement, _) in reduced.items()
+            }
+        if not all(map(math.isfinite, (sse, *sse_reduced.values()))):
+            raise ValueError(_SSE_NOT_FINITE)
+        loglik_full = _loglik_from_sse(n, sse)
         return {
-            model: _chi_square_test(loglik_full - _loglik_from_sse(n, solve(y)[1]), df_used)
-            for model, (solve, df_used) in reduced.items()
+            model: _chi_square_test(
+                loglik_full - _loglik_from_sse(n, sse_reduced[model]), df_used
+            )
+            for model, (_, df_used) in reduced.items()
         }
 
     return test
@@ -512,6 +644,11 @@ def model_recovery(
     """
     if n_sims < 1:
         raise ValueError(f"need at least one simulation, got {n_sims}")
+    per_trace = _trace_columns(
+        traces, position, generator, betas, noise_sd,
+        n_subjects, subject_sd, trials_per_subject,
+    )
+    _check_cells(per_trace, position)
     records = []
     tallies = {"acoustic": 0, "switch": 0}
     for sim in range(n_sims):

@@ -1,8 +1,11 @@
 import csv
 import math
+from dataclasses import asdict, is_dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohortlex import (
     AMBIGUITY_LEVELS,
@@ -28,6 +31,7 @@ from cohortlex import (
     simulate_dataset,
     write_dataset,
 )
+from cohortlex import analysis
 from cohortlex.analysis import VARIANCE_FLOOR, _design_matrix
 from tests.conftest import SIM_ROWS
 
@@ -739,6 +743,85 @@ def test_least_squares_matches_lstsq_reference():
     assert result.p_values == pytest.approx(expected, abs=1e-9)
 
 
+def grouped_columns(rng, rows_per_subject, pairs=("B-P", "D-T", "G-K")):
+    """random_dataset's columns with phoneme pairs drawn from `pairs` and
+    subject k (s1, s2, ...) on rows_per_subject[k] consecutive rows."""
+    data = random_dataset(rng, sum(rows_per_subject))
+    return {
+        **data.columns,
+        "phoneme_pair": rng.choice(pairs, len(data)),
+        "subject_id": np.repeat(
+            [f"s{k + 1}" for k in range(len(rows_per_subject))], rows_per_subject
+        ),
+    }
+
+
+@pytest.mark.parametrize("df", [None, 1])
+def test_removal_test_sses_match_lstsq_reference(monkeypatch, df):
+    # The removal tests partial the subject intercepts and nuisance block
+    # out of the design; every SSE they take (the full fit's, then each
+    # reduced fit's) must equal an SVD least-squares solve of the whole
+    # design, or of its column subset, to 1e-12.
+    data = RegressionDataset(grouped_columns(np.random.default_rng(24), [17, 40, 63]))
+    y = data.columns["response"]
+    seen = []
+
+    def record(n, sse):
+        seen.append(sse)
+        return loglik_from_sse(n, sse)
+
+    loglik_from_sse = analysis._loglik_from_sse
+    monkeypatch.setattr(analysis, "_loglik_from_sse", record)
+    results = analysis._removal_tests(data, MODEL_PREDICTORS, df)(y)
+    expected = []
+    for predictors in (FULL_PREDICTORS, without_model("acoustic"), without_model("switch")):
+        X, _ = _design_matrix(data, predictors)
+        beta, *_ = np.linalg.lstsq(X, y, rcond=None)
+        expected.append(float(np.sum((y - X @ beta) ** 2)))
+    assert seen == pytest.approx(expected, rel=1e-12)
+    assert [result.df for result in results.values()] == [2 if df is None else df] * 2
+
+
+@st.composite
+def small_datasets(draw):
+    """Random datasets of 2-5 subjects with unequal row counts and 1-3
+    phoneme pairs, with one of two kinds of damage or none: a duplicated
+    surprisal column, or a covariate constant within each subject."""
+    rows = draw(st.lists(st.integers(8, 30), min_size=2, max_size=5, unique=True))
+    pairs = draw(st.integers(1, 3))
+    damage = draw(st.sampled_from([None, None, "duplicate", "within-subject"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = grouped_columns(rng, rows, ("B-P", "D-T", "G-K")[:pairs])
+    if damage == "duplicate":
+        columns["switch_surprisal"] = columns["acoustic_surprisal"]
+    elif damage == "within-subject":
+        columns["onset_amplitude"] = np.repeat(rng.normal(size=len(rows)), rows)
+    return RegressionDataset(columns), damage
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(drawn=small_datasets())
+def test_removal_tests_match_separate_fits(drawn):
+    # compare_removals partials out one design; ols_fit fits each design
+    # apart. Both must agree on every test, or both reject the design.
+    data, damage = drawn
+    if damage is not None:
+        with pytest.raises(SingularDesignError) as separate:
+            ols_fit(data, FULL_PREDICTORS)
+        with pytest.raises(SingularDesignError) as partialled:
+            compare_removals(data)
+        if damage == "duplicate":
+            assert "surprisal" in str(separate.value)
+            assert "surprisal" in str(partialled.value)
+        return
+    full = ols_fit(data, FULL_PREDICTORS)
+    for df in (None, 1):
+        assert_same_tests(compare_removals(data, df), {
+            model: likelihood_ratio_test(full, ols_fit(data, without_model(model)), df=df)
+            for model in MODEL_PREDICTORS
+        })
+
+
 def reference_simulate_rows(traces, position, generator, betas, noise_sd,
                             n_subjects, subject_sd, trials_per_subject, seed):
     """The per-row simulation loop the columnar simulator replaced."""
@@ -802,6 +885,31 @@ def reference_compare_removals(rows, df):
     }
 
 
+# The removal tests partial the subject intercepts out of one design and
+# factor it once (Frisch-Waugh), while the reference fits three designs
+# apart: a numerical-contract change lets chi2, delta_loglik and p_value
+# differ in their last bits, never in the printed six decimals. Every other
+# field stays exact.
+LAST_BITS = {"chi2": 1e-9, "delta_loglik": 1e-9, "p_value": 1e-10}
+
+
+def assert_same_tests(actual, expected):
+    """Removal tests (a sequence of records, or a {model: result} dict) equal
+    field by field, the LAST_BITS fields within their absolute tolerance."""
+    if isinstance(expected, dict):
+        assert list(actual) == list(expected)
+        actual, expected = list(actual.values()), list(expected.values())
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        got, want = (asdict(r) if is_dataclass(r) else r._asdict() for r in (got, want))
+        assert list(got) == list(want)
+        for field, value in want.items():
+            if field in LAST_BITS:
+                assert got[field] == pytest.approx(value, rel=0, abs=LAST_BITS[field])
+            else:
+                assert got[field] == value
+
+
 @pytest.mark.parametrize("generator", ["acoustic", "switch"])
 def test_columnar_recovery_matches_row_reference(tmp_path, trie_sim, generator):
     # model_recovery simulates columns and fits column subsets of one
@@ -823,7 +931,7 @@ def test_columnar_recovery_matches_row_reference(tmp_path, trie_sim, generator):
                     p_value=result.p_value, delta_loglik=result.delta_loglik,
                     detected=result.p_value < 0.05,
                 ))
-        assert summary.records == tuple(expected)
+        assert_same_tests(summary.records, expected)
     data = simulate_dataset(traces, seed=31, **params)
     reference = reference_simulate_rows(traces, seed=31, **params)
     assert tuple(data.columns) == REGRESSION_FIELDS
@@ -834,7 +942,7 @@ def test_columnar_recovery_matches_row_reference(tmp_path, trie_sim, generator):
     assert (tmp_path / "columnar.csv").read_bytes() == (
         tmp_path / "reference.csv"
     ).read_bytes()
-    assert compare_removals(data) == reference_compare_removals(reference, None)
+    assert_same_tests(compare_removals(data), reference_compare_removals(reference, None))
 
 
 def test_simulate_dataset_rejects_off_grid_evidence(trie_sim):

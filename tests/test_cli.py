@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohortlex import cli, make_lexicon, write_lexicon
+from cohortlex import analysis, cli, make_lexicon, write_lexicon
 from tests import records_reference as reference
 from tests.conftest import SIM_ROWS, TOY_B_ROWS
 
@@ -617,6 +617,27 @@ def test_simfit_small_run(capsys, tmp_path, sim_path):
     data = data_out.read_bytes()
     assert b"\r" not in data
     assert data.endswith(b"\n") and data.count(b"\n") == 1 + 3 * 60
+
+
+def test_simfit_position_1_fails_before_simulating(capsys, monkeypatch, tmp_path, sim_path):
+    # At position 1 a trace's four metrics are fixed by its cell (voicing
+    # pair, own onset, p_a), and a B/P lexicon has 4 cells for the
+    # intercept, the ambiguity dummy and four metrics: no draw can fit.
+    simulated = []
+    monkeypatch.setattr(analysis, "simulate_dataset", lambda *a, **k: simulated.append(a))
+    data_out = tmp_path / "first.csv"
+    code, out, err = run_cli(
+        capsys,
+        ["simfit", "--lexicon", sim_path, "--position", "1", "--data-out", str(data_out)],
+    )
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: position 1: the cells of the traces that reach it cannot separate "
+        "columns ['acoustic_surprisal', 'acoustic_entropy', 'switch_entropy']\n"
+    )
+    assert simulated == []
+    assert not data_out.exists()
 
 
 def test_simfit_rejects_bad_alpha(capsys, sim_path):
