@@ -97,17 +97,22 @@ class RegressionDataset:
         lengths = {name: len(column) for name, column in columns.items()}
         if len(set(lengths.values())) > 1:
             raise ValueError(f"dataset columns have unequal lengths: {lengths}")
-        ambiguity = columns["ambiguity"]
-        off_grid = np.flatnonzero(~np.isin(ambiguity, AMBIGUITY_LEVELS))
-        if off_grid.size:
-            raise ValueError(
-                f"ambiguity must be one of {AMBIGUITY_LEVELS}, "
-                f"got {ambiguity[off_grid[0]].item()}"
-            )
+        _check_ambiguity(columns["ambiguity"])
         object.__setattr__(self, "columns", MappingProxyType(columns))
 
     def __len__(self) -> int:
         return len(self.columns["response"])
+
+
+def _check_ambiguity(ambiguity: np.ndarray) -> None:
+    """Raise ValueError naming the first value, in row order, that is not
+    on AMBIGUITY_LEVELS."""
+    off_grid = np.flatnonzero(~np.isin(ambiguity, AMBIGUITY_LEVELS))
+    if off_grid.size:
+        raise ValueError(
+            f"ambiguity must be one of {AMBIGUITY_LEVELS}, "
+            f"got {ambiguity[off_grid[0]].item()}"
+        )
 
 
 @dataclass(frozen=True)
@@ -181,19 +186,29 @@ def _design_matrix(
             names.append(name)
     for name in CATEGORICAL_PREDICTORS:
         if name in wanted:
-            for label, dummy in _dummies(name, columns[name]):
+            for label, dummy in _dummies(name, *_levels(columns[name])):
                 design.append(dummy)
                 names.append(label)
     return np.column_stack(design), names
 
 
-def _dummies(name: str, values) -> list[tuple[str, np.ndarray]]:
-    """Reference-coded dummy columns `name=level` of one categorical column:
-    levels sorted by their string form, the first one the reference."""
+def _levels(values) -> tuple[list, np.ndarray]:
+    """(labels, codes) of one categorical column: its distinct values
+    sorted by their string form, and each row's index into them."""
     levels, codes = np.unique(values, return_inverse=True)
     levels = levels.tolist()
     order = sorted(range(len(levels)), key=lambda i: str(levels[i]))
-    return [(f"{name}={levels[i]}", (codes == i).astype(float)) for i in order[1:]]
+    rank = np.empty(len(order), dtype=codes.dtype)
+    rank[order] = np.arange(len(order))
+    return [levels[i] for i in order], rank[codes]
+
+
+def _dummies(name: str, labels: Sequence, codes: np.ndarray) -> list[tuple[str, np.ndarray]]:
+    """Reference-coded dummy columns `name=label` of one coded categorical
+    column, for the labels that occur in `codes`; the first of them is the
+    reference."""
+    present = np.flatnonzero(np.bincount(codes, minlength=len(labels)))
+    return [(f"{name}={labels[k]}", (codes == k).astype(float)) for k in present[1:]]
 
 
 def ols_fit(dataset: RegressionDataset, predictors: Iterable[str]) -> FitResult:
@@ -428,7 +443,11 @@ def _trace_columns(
     return columns
 
 
-def _check_cells(per_trace: Mapping[str, np.ndarray], position: int) -> None:
+def _check_cells(
+    per_trace: Mapping[str, np.ndarray],
+    levels: Mapping[str, tuple[list, np.ndarray]],
+    position: int,
+) -> None:
     """Raise SingularDesignError when the traces that reach `position` cannot
     identify the metric effects, whatever the draws.
 
@@ -438,12 +457,13 @@ def _check_cells(per_trace: Mapping[str, np.ndarray], position: int) -> None:
     cell-level design has these columns and one row per distinct cell.
     When its rank is deficient under _least_squares' tolerance rule, every
     simulated design is too; the message names the position and the
-    columns that pivot last.
+    columns that pivot last. `levels` holds the pair and ambiguity
+    columns as _levels codes them.
     """
     names = ["(intercept)"]
     nuisance = [np.ones(len(per_trace["ambiguity"]))]
-    for name in ("phoneme_pair", "ambiguity"):
-        for label, dummy in _dummies(name, per_trace[name]):
+    for name, (labels, codes) in levels.items():
+        for label, dummy in _dummies(name, labels, codes):
             names.append(label)
             nuisance.append(dummy)
     names.extend(_METRICS)
@@ -492,6 +512,26 @@ def simulate_dataset(
         traces, position, generator, betas, noise_sd,
         n_subjects, subject_sd, trials_per_subject,
     )
+    trials = _draw_trials(
+        per_trace, generator, betas, noise_sd,
+        n_subjects, subject_sd, trials_per_subject, seed,
+    )
+    return _simulated_dataset(per_trace, n_subjects, *trials)
+
+
+def _draw_trials(
+    per_trace: Mapping[str, np.ndarray],
+    generator: str,
+    betas: tuple[float, float],
+    noise_sd: float,
+    n_subjects: int,
+    subject_sd: float,
+    trials_per_subject: int,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray], np.ndarray]:
+    """simulate_dataset's draws on the per-trace columns of _trace_columns:
+    per trial, its trace index, its subject code (0..n_subjects-1, subject
+    by subject), the four covariate columns and the response."""
     # numpy rejects a scale of -0.0 as negative
     noise_sd, subject_sd = abs(noise_sd), abs(subject_sd)
     beta_surprisal, beta_entropy = betas
@@ -512,72 +552,123 @@ def simulate_dataset(
         np.concatenate(draw) for draw in zip(*draws)
     )
     subject = np.repeat(np.arange(n_subjects), trials_per_subject)
-    columns = {name: column[trace_idx] for name, column in per_trace.items()}
-    surprisal, entropy = (columns[name] for name in MODEL_PREDICTORS[generator])
+    surprisal, entropy = (per_trace[name][trace_idx] for name in MODEL_PREDICTORS[generator])
     with np.errstate(over="ignore", invalid="ignore"):
         response = (
             beta_surprisal * surprisal + beta_entropy * entropy
             + intercepts[subject] + noise
         )
-    width = len(str(n_subjects))
-    subject_ids = np.array([f"s{s + 1:0{width}d}" for s in range(n_subjects)])
-    # built before the overflow check, so that an off-grid ambiguity is
-    # reported first
-    dataset = RegressionDataset({
-        **columns,
-        "response": response,
+    covariates = {
         "phoneme_latency": latency,
         "trial_number": trial_numbers,
         "block_number": blocks,
         "onset_amplitude": amplitude,
+    }
+    return trace_idx, subject, covariates, response
+
+
+def _simulated_dataset(
+    per_trace: Mapping[str, np.ndarray],
+    n_subjects: int,
+    trace_idx: np.ndarray,
+    subject: np.ndarray,
+    covariates: Mapping[str, np.ndarray],
+    response: np.ndarray,
+) -> RegressionDataset:
+    """The dataset of one _draw_trials draw, subjects named s1, s2, ...
+    (zero-padded); raises ValueError when a response is not finite."""
+    width = len(str(n_subjects))
+    subject_ids = np.array([f"s{s + 1:0{width}d}" for s in range(n_subjects)])
+    # built before the response check, so that an off-grid ambiguity is
+    # reported first
+    dataset = RegressionDataset({
+        **{name: column[trace_idx] for name, column in per_trace.items()},
+        **covariates,
+        "response": response,
         "subject_id": subject_ids[subject],
     })
+    _check_response(response)
+    return dataset
+
+
+def _check_response(response: np.ndarray) -> None:
     if not np.isfinite(response).all():
         raise ValueError(
             "simulated responses are not finite: betas, noise_sd or subject_sd "
             "too large"
         )
-    return dataset
 
 
 def _removal_tests(
     dataset: RegressionDataset, models: Iterable[str], df: int | None
 ) -> Callable[[np.ndarray], dict[str, ModelComparisonResult]]:
+    """_coded_removal_tests on a dataset's columns, its categorical ones
+    coded by _levels."""
+    columns = dataset.columns
+    continuous = {
+        name: np.asarray(columns[name], dtype=float) for name in CONTINUOUS_PREDICTORS
+    }
+    categorical = {name: _levels(columns[name]) for name in ("phoneme_pair", "ambiguity")}
+    subjects = _levels(columns["subject_id"])[1]
+    return _coded_removal_tests(continuous, categorical, subjects, models, df)
+
+
+def _coded_removal_tests(
+    continuous: Mapping[str, np.ndarray],
+    categorical: Mapping[str, tuple[Sequence, np.ndarray]],
+    subjects: np.ndarray,
+    models: Iterable[str],
+    df: int | None,
+) -> Callable[[np.ndarray], dict[str, ModelComparisonResult]]:
     """y -> {model: test of removing that model}, for each of `models`.
 
-    The full design is built once, so all fits share one dummy coding, and
-    factored once by partialling out (Frisch & Waugh 1933; Lovell 1963).
-    Demeaning every column within subject absorbs the intercept and the
-    subject dummies exactly. The demeaned nuisance block (latency, trial,
-    block, amplitude, pair and ambiguity dummies) is factored by a pivoted
-    QR, and the four metric columns, residualized against it, as Q_M R_M.
-    For each response the full fit's SSE is summed from the explicit
-    residuals; a reduced fit's SSE adds the residual of c = Q_M' y on the
-    kept columns of R_M, a 4 x 2 least-squares problem. The full design's
-    rank is the number of subjects plus the demeaned block's, checked by
-    _least_squares' tolerance rule.
+    The design is given as columns: `continuous` maps every
+    CONTINUOUS_PREDICTORS name to its column, `categorical` maps
+    `phoneme_pair` and then `ambiguity` to (labels, codes) as _levels
+    gives them (labels that no code uses get no dummy), and `subjects`
+    holds each row's subject code, every code from 0 to the largest one
+    in use. The full design is built once, so all fits share one dummy
+    coding, and factored once by partialling out (Frisch & Waugh 1933;
+    Lovell 1963). Demeaning every column within subject absorbs the
+    intercept and the subject dummies exactly, so neither is built. The
+    demeaned nuisance block (latency, trial, block, amplitude, pair and
+    ambiguity dummies) is factored by a pivoted QR, and the four metric
+    columns, residualized against it, as Q_M R_M. For each response the
+    full fit's SSE is summed from the explicit residuals; a reduced fit's
+    SSE adds the residual of c = Q_M' y on the kept columns of R_M, a
+    4 x 2 least-squares problem. The full design's rank is the number of
+    subjects plus the demeaned block's, checked by _least_squares'
+    tolerance rule.
     """
-    X, names = _design_matrix(dataset, FULL_PREDICTORS)
-    n, p = X.shape
+    names = [name for name in CONTINUOUS_PREDICTORS if name not in _METRICS]
+    block = [np.asarray(continuous[name], dtype=float) for name in names]
+    for name, (labels, codes) in categorical.items():
+        for label, dummy in _dummies(name, labels, codes):
+            names.append(label)
+            block.append(dummy)
+    split = len(block)
+    names.extend(_METRICS)
+    block.extend(np.asarray(continuous[name], dtype=float) for name in _METRICS)
+    counts = np.bincount(subjects)
+    n = len(subjects)
+    p = 1 + len(names) + max(len(counts) - 1, 0)
     if n <= p:
         raise ValueError(f"need more rows than parameters: n={n}, p={p}")
-    subject = np.array([name.startswith("subject_id=") for name in names])
-    # one indicator column per subject, the reference subject first
-    indicators = np.column_stack([1.0 - X[:, subject].sum(axis=1), X[:, subject]])
+    # the block and the indicators are Fortran-ordered: the matrix
+    # products, and so the last bits of every SSE, depend on the layout
+    indicators = np.zeros((n, len(counts)), order="F")
+    indicators[np.arange(n), subjects] = 1.0
     weights = indicators / indicators.sum(axis=0)
 
     def demean(z: np.ndarray) -> np.ndarray:
         return z - indicators @ (weights.T @ z)
 
-    metrics = [names.index(name) for name in _METRICS]
-    order = [j for j in range(1, p) if not subject[j] and j not in metrics] + metrics
-    split = len(order) - len(metrics)
     with np.errstate(over="ignore", invalid="ignore"):
-        block = demean(X[:, order])
+        block = demean(np.array(block).T)
     q_n, q_m, r_m, lost = _partialled_factors(block[:, :split], block[:, split:])
     if lost:
         raise SingularDesignError(
-            f"collinear design columns: {[names[order[j]] for j in lost]}"
+            f"collinear design columns: {[names[j] for j in lost]}"
         )
     reduced = {}
     for model in models:
@@ -640,7 +731,9 @@ def model_recovery(
     likelihood (p < alpha). Simulation i uses seed + i, so rounds are
     independent and the whole run is reproducible. `on_dataset`, when
     given, is called with each simulation's index and dataset before that
-    dataset is fitted.
+    dataset is fitted. Each round is compare_removals on simulate_dataset
+    with seed + i, bit for bit, but fitted from the draw's trace indices
+    and integer codes: a dataset is built only for `on_dataset`.
     """
     if n_sims < 1:
         raise ValueError(f"need at least one simulation, got {n_sims}")
@@ -648,17 +741,28 @@ def model_recovery(
         traces, position, generator, betas, noise_sd,
         n_subjects, subject_sd, trials_per_subject,
     )
-    _check_cells(per_trace, position)
+    levels = {name: _levels(per_trace[name]) for name in ("phoneme_pair", "ambiguity")}
+    _check_cells(per_trace, levels, position)
     records = []
     tallies = {"acoustic": 0, "switch": 0}
     for sim in range(n_sims):
-        dataset = simulate_dataset(
-            traces, position, generator, betas, noise_sd,
+        trace_idx, subject, covariates, response = _draw_trials(
+            per_trace, generator, betas, noise_sd,
             n_subjects, subject_sd, trials_per_subject, seed + sim,
         )
-        if on_dataset is not None:
-            on_dataset(sim, dataset)
-        for model, result in compare_removals(dataset, df).items():
+        if on_dataset is None:
+            _check_ambiguity(per_trace["ambiguity"][trace_idx])
+            _check_response(response)
+        else:
+            on_dataset(sim, _simulated_dataset(
+                per_trace, n_subjects, trace_idx, subject, covariates, response
+            ))
+        continuous = {**covariates, **{name: per_trace[name][trace_idx] for name in _METRICS}}
+        categorical = {
+            name: (labels, codes[trace_idx]) for name, (labels, codes) in levels.items()
+        }
+        test = _coded_removal_tests(continuous, categorical, subject, MODEL_PREDICTORS, df)
+        for model, result in test(response).items():
             detected = result.p_value < alpha
             tallies[model] += detected
             records.append(ComparisonRecord(

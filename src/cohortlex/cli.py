@@ -436,6 +436,20 @@ def main(argv=None) -> int:
     if getattr(args, "seed", 0) < 0:
         print("error: --seed must be >= 0", file=sys.stderr)
         return EXIT_INPUT
+    for dest, flag, least in (
+        ("sims", "--sims", 1),
+        ("subjects", "--subjects", 2),
+        ("trials", "--trials", 1),
+        ("position", "--position", 1),
+        ("min_shared", "--min-shared", 1),
+    ):
+        if getattr(args, dest, least) < least:
+            print(f"error: {flag} must be >= {least}", file=sys.stderr)
+            return EXIT_INPUT
+    for dest, flag in (("noise", "--noise"), ("subject_sd", "--subject-sd")):
+        if not 0.0 <= getattr(args, dest, 0.0) < float("inf"):
+            print(f"error: {flag} must be finite and >= 0", file=sys.stderr)
+            return EXIT_INPUT
     collecting = gc.isenabled()
     gc.disable()
     try:

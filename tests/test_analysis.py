@@ -993,3 +993,159 @@ def test_least_squares_rejects_overflowing_sse():
         ols_fit(data, FULL_PREDICTORS)
     with pytest.raises(ValueError, match="residual sum of squares is not finite"):
         compare_removals(data)
+
+
+# Lexicons for the coded-recovery tests: voicing pair k (B/P, D/T, G/K)
+# over the first counts[k] of eight continuations, mirrored, with uneven
+# frequencies. B/P keeps all eight, so position 2 is identifiable; a pair
+# with few continuations is often undrawn in a small simulation.
+CONTINUATIONS = (
+    ("AE T", 3.0), ("AE D", 2.0), ("IH N", 2.0), ("IH D", 1.0),
+    ("EH T", 5.0), ("EH K", 1.0), ("AA G", 2.0), ("AA B", 2.0),
+)
+VOICING_PAIRS = (("B", "P"), ("D", "T"), ("G", "K"))
+
+
+def pair_traces(counts):
+    rows = []
+    for k, ((voiced, voiceless), count) in enumerate(zip(VOICING_PAIRS, counts)):
+        for j, (continuation, frequency) in enumerate(CONTINUATIONS[:count]):
+            rows.append((f"{voiced.lower()}{j}", f"{voiced} {continuation}", frequency + k))
+            rows.append((
+                f"{voiceless.lower()}{j}", f"{voiceless} {continuation}",
+                1.0 + (j * (k + 2)) % 5,
+            ))
+    return build_trace_set(build_trie(make_lexicon(rows)))
+
+
+def composed_recovery(traces, n_sims, alpha, seed, df, on_dataset, **params):
+    """model_recovery's records from the public steps: simulate_dataset,
+    the hand-over, compare_removals."""
+    records = []
+    for sim in range(n_sims):
+        data = simulate_dataset(traces, seed=seed + sim, **params)
+        on_dataset(sim, data)
+        for model, result in compare_removals(data, df).items():
+            records.append(ComparisonRecord(
+                sim, model, result.chi2, result.df, result.p_value,
+                result.delta_loglik, result.p_value < alpha,
+            ))
+    return tuple(records)
+
+
+def outcome(run):
+    """(repr of the records or of the error, the datasets handed over)."""
+    seen = []
+    try:
+        value = repr(run(lambda sim, data: seen.append((sim, data))))
+    except (ValueError, SingularDesignError) as exc:
+        value = f"{type(exc).__name__}: {exc}"
+    return value, seen
+
+
+def assert_recovery_is_composition(traces, n_sims, alpha, seed, df, **params):
+    got, got_seen = outcome(lambda on: model_recovery(
+        traces, n_sims=n_sims, alpha=alpha, seed=seed, df=df, on_dataset=on, **params
+    ).records)
+    want, want_seen = outcome(
+        lambda on: composed_recovery(traces, n_sims, alpha, seed, df, on, **params)
+    )
+    # repr round-trips every float, so equal reprs are equal bits
+    assert got == want
+    assert [sim for sim, _ in got_seen] == [sim for sim, _ in want_seen]
+    assert all(same_data(a, b) for (_, a), (_, b) in zip(got_seen, want_seen))
+    # without a hand-over the records, or the error, stay the same
+    alone, _ = outcome(lambda on: model_recovery(
+        traces, n_sims=n_sims, alpha=alpha, seed=seed, df=df, **params
+    ).records)
+    assert alone == want
+    return got_seen
+
+
+@st.composite
+def recovery_cases(draw):
+    """1-3 voicing pairs, the 0.75 traces repeated so that 0.25 draws are
+    rare, and runs small enough that a level often goes undrawn."""
+    counts = [8] + draw(st.lists(st.integers(1, 8), max_size=2))
+    traces = pair_traces(counts)
+    repeat = draw(st.integers(1, 12))
+    traces = [t for t in traces if t.evidence.p_a == 0.75] * repeat + [
+        t for t in traces if t.evidence.p_a == 0.25
+    ]
+    params = dict(
+        position=2, generator=draw(st.sampled_from(["acoustic", "switch"])),
+        betas=(1.0, -0.5), noise_sd=0.5, n_subjects=draw(st.integers(2, 4)),
+        subject_sd=1.0, trials_per_subject=draw(st.integers(6, 16)),
+    )
+    return traces, draw(st.sampled_from([None, 0, 1])), draw(st.integers(0, 2**16)), params
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(case=recovery_cases())
+def test_model_recovery_is_simulate_then_compare_removals(case):
+    # model_recovery fits each draw from trace indices and integer codes;
+    # every record, error and handed-over dataset must be those of the
+    # public composition, bit for bit.
+    traces, df, seed, params = case
+    assert_recovery_is_composition(traces, 4, 0.05, seed, df, **params)
+
+
+def test_model_recovery_fits_draws_with_an_undrawn_pair():
+    # seed 3 draws no D-T trial: its dummy is left out, as np.unique on the
+    # dataset leaves it out, rather than entering as a zero column
+    traces = pair_traces([8, 1])
+    params = dict(
+        position=2, generator="acoustic", betas=(1.0, 1.0), noise_sd=0.5,
+        n_subjects=2, subject_sd=1.0, trials_per_subject=8,
+    )
+    seen = assert_recovery_is_composition(traces, 2, 0.05, 2, None, **params)
+    assert [sorted(set(data.columns["phoneme_pair"].tolist())) for _, data in seen] == [
+        ["B-P", "D-T"], ["B-P"],
+    ]
+
+
+def recovery_error(run):
+    with pytest.raises((ValueError, SingularDesignError)) as excinfo:
+        run()
+    return type(excinfo.value), str(excinfo.value)
+
+
+def assert_same_error(traces, n_sims, seed, **params):
+    want = recovery_error(lambda: composed_recovery(
+        traces, n_sims, 0.05, seed, None, lambda sim, data: None, **params
+    ))
+    assert recovery_error(lambda: model_recovery(
+        traces, n_sims=n_sims, alpha=0.05, seed=seed, **params
+    )) == want
+    assert recovery_error(lambda: model_recovery(
+        traces, n_sims=n_sims, alpha=0.05, seed=seed,
+        on_dataset=lambda sim, data: None, **params,
+    )) == want
+    return want
+
+
+def test_model_recovery_errors_match_the_composition(trie_sim):
+    params = dict(
+        position=2, generator="acoustic", betas=(1.0, 1.0), noise_sd=0.5,
+        n_subjects=2, subject_sd=1.0, trials_per_subject=5,
+    )
+    # seed 3 draws no D-T trial, so p counts one pair dummy fewer
+    assert assert_same_error(pair_traces([8, 1]), 1, 3, **params) == (
+        ValueError, "need more rows than parameters: n=10, p=11",
+    )
+    # nearly every trial draws one trace: the drawn design is singular,
+    # though the trace cells are not
+    traces = build_trace_set(trie_sim)
+    assert assert_same_error(
+        [traces[0]] * 300 + traces, 1, 4, **{**params, "trials_per_subject": 10}
+    ) == (SingularDesignError, "collinear design columns: ['acoustic_entropy']")
+    # two off-grid levels: the first drawn one is named
+    off_grid = build_trace_set(trie_sim, ambiguities=(0.5, 0.6))
+    kind, message = assert_same_error(off_grid, 1, 0, **params)
+    assert kind is ValueError and message.startswith("ambiguity must be one of")
+    assert message.endswith(("got 0.5", "got 0.6"))
+    for betas in ((1e308, 1e308), (1e200, 1e200)):
+        kind, message = assert_same_error(
+            traces, 2, 0, **{**params, "betas": betas, "trials_per_subject": 40}
+        )
+        assert kind is ValueError and "not finite" in message

@@ -1939,3 +1939,35 @@ def test_usage_error_leaves_collector_enabled(toy_path):
     with pytest.raises(SystemExit):
         cli.main(["trace", "--lexicon", toy_path, "--pair", "B,P"])
     assert gc.isenabled()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simfit", "--sims", "0"], "--sims must be >= 1"),
+        (["simfit", "--subjects", "1"], "--subjects must be >= 2"),
+        (["simfit", "--trials", "0"], "--trials must be >= 1"),
+        (["simfit", "--position", "0"], "--position must be >= 1"),
+        (["simfit", "--noise=-1"], "--noise must be finite and >= 0"),
+        (["simfit", "--noise", "nan"], "--noise must be finite and >= 0"),
+        (["simfit", "--subject-sd", "inf"], "--subject-sd must be finite and >= 0"),
+        (["pairs", "--min-shared", "0"], "--min-shared must be >= 1"),
+    ],
+    ids=["sims", "subjects", "trials", "position", "noise", "noise-nan",
+         "subject-sd", "min-shared"],
+)
+def test_range_flags_are_checked_before_the_lexicon_is_read(
+    capsys, tmp_path, argv, message
+):
+    # the lexicon does not exist: the flag's error comes first, and names
+    # the flag rather than the library parameter
+    missing = str(tmp_path / "missing.tsv")
+    code, out, err = run_cli(capsys, argv + ["--lexicon", missing])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_negative_zero_spreads_pass_the_flag_checks(capsys, sim_path):
+    argv = ["simfit", "--lexicon", sim_path, "--sims", "1", "--trials", "40",
+            "--noise=-0.0", "--subject-sd=-0.0"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and out
