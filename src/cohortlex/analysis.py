@@ -214,37 +214,18 @@ def _dummies(name: str, labels: Sequence, codes: np.ndarray) -> list[tuple[str, 
 def ols_fit(dataset: RegressionDataset, predictors: Iterable[str]) -> FitResult:
     """Least-squares fit of `response` on the selected predictor set.
 
-    The log-likelihood uses the maximum-likelihood variance estimate
-    (SSE/n) floored at 1e-12 so exact fits stay finite. Rank-deficient
-    designs raise SingularDesignError naming the collinear columns.
-    """
-    predictors = frozenset(predictors)
-    X, names = _design_matrix(dataset, predictors)
-    n, p = X.shape
-    beta, sse = _least_squares(X, names)(dataset.columns["response"])
-    return FitResult(
-        coefficients=dict(zip(names, beta.tolist())),
-        residual_variance=max(sse / n, VARIANCE_FLOOR),
-        log_likelihood=_loglik_from_sse(n, sse),
-        n=n,
-        p=p,
-        predictors=predictors,
-    )
-
-
-def _least_squares(
-    X: np.ndarray, names: Sequence[str]
-) -> Callable[[np.ndarray], tuple[np.ndarray, float]]:
-    """Factor X once by pivoted QR; return a solver y -> (beta, SSE).
-
-    Raises ValueError unless X has more rows than columns, and
-    SingularDesignError naming the collinear columns when X is rank
-    deficient. The SSE is summed from the explicit residuals; when it is
-    not finite (responses too large, or not finite) the solver raises
-    ValueError.
+    The design is factored by pivoted QR. It must have more rows than
+    columns (else ValueError), and a rank-deficient one raises
+    SingularDesignError naming the collinear columns. The SSE is summed
+    from the explicit residuals; when it is not finite (responses too
+    large, or not finite) the fit raises ValueError. The log-likelihood
+    uses the maximum-likelihood variance estimate (SSE/n) floored at
+    1e-12 so exact fits stay finite.
     """
     from scipy import linalg  # here: `import cohortlex` never loads scipy
 
+    predictors = frozenset(predictors)
+    X, names = _design_matrix(dataset, predictors)
     n, p = X.shape
     if n <= p:
         raise ValueError(f"need more rows than parameters: n={n}, p={p}")
@@ -255,20 +236,22 @@ def _least_squares(
     if rank < p:
         collinear = [names[j] for j in sorted(pivots[rank:])]
         raise SingularDesignError(f"collinear design columns: {collinear}")
-
-    def solve(y: np.ndarray) -> tuple[np.ndarray, float]:
-        beta = np.empty(p)
-        with np.errstate(over="ignore", invalid="ignore"):
-            beta[pivots] = linalg.solve_triangular(
-                r_matrix, q.T @ y, check_finite=False
-            )
-            residuals = y - X @ beta
-            sse = float(residuals @ residuals)
-        if not math.isfinite(sse):
-            raise ValueError(_SSE_NOT_FINITE)
-        return beta, sse
-
-    return solve
+    y = dataset.columns["response"]
+    beta = np.empty(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta[pivots] = linalg.solve_triangular(r_matrix, q.T @ y, check_finite=False)
+        residuals = y - X @ beta
+        sse = float(residuals @ residuals)
+    if not math.isfinite(sse):
+        raise ValueError(_SSE_NOT_FINITE)
+    return FitResult(
+        coefficients=dict(zip(names, beta.tolist())),
+        residual_variance=max(sse / n, VARIANCE_FLOOR),
+        log_likelihood=_loglik_from_sse(n, sse),
+        n=n,
+        p=p,
+        predictors=predictors,
+    )
 
 
 def _partialled_factors(
@@ -282,7 +265,7 @@ def _partialled_factors(
     R_M's columns in `metrics` order. Returns (Q_N, Q_M, R_M, lost):
     `lost` lists, sorted, the nuisance columns past the nuisance rank or,
     when there are none, the metric columns past theirs, as indices into
-    [nuisance | metrics]. The ranks follow _least_squares' rule: an |R|
+    [nuisance | metrics]. The ranks follow ols_fit's rule: an |R|
     diagonal entry counts when it exceeds the largest first entry of the
     two QRs times max(n, p) times machine epsilon. An empty `lost` means
     the design has full column rank.
@@ -413,7 +396,8 @@ def _trace_columns(
 ) -> dict[str, np.ndarray]:
     """simulate_dataset's argument checks, in its order; then, one entry
     per trace that reaches `position`, the four metric columns and the
-    `phoneme_pair` and `ambiguity` columns."""
+    `phoneme_pair` and `ambiguity` columns. An `ambiguity` off
+    AMBIGUITY_LEVELS raises ValueError naming the first, in trace order."""
     if generator not in MODEL_PREDICTORS:
         raise ValueError(f"generator must be 'acoustic' or 'switch', got {generator!r}")
     if n_subjects < 2:
@@ -440,6 +424,7 @@ def _trace_columns(
         for t in eligible
     ])
     columns["ambiguity"] = np.array([t.evidence.p_a for t in eligible], dtype=float)
+    _check_ambiguity(columns["ambiguity"])
     return columns
 
 
@@ -455,7 +440,7 @@ def _check_cells(
     fixed by its trace's cell: the voicing pair, the word's own onset,
     `p_a` and, past position 1, the metric values of its continuation. The
     cell-level design has these columns and one row per distinct cell.
-    When its rank is deficient under _least_squares' tolerance rule, every
+    When its rank is deficient under ols_fit's tolerance rule, every
     simulated design is too; the message names the position and the
     columns that pivot last. `levels` holds the pair and ambiguity
     columns as _levels codes them.
@@ -499,8 +484,10 @@ def simulate_dataset(
     traces that reach `position`. Nuisance covariates are drawn
     independently per trial: phoneme latency N(87, 25) (second-phoneme
     timing), onset amplitude N(0, 1), trial number uniform over
-    1..trials_per_subject, block number uniform over 1..5. Traces must be
-    at the partially ambiguous evidence levels (0.25/0.75).
+    1..trials_per_subject, block number uniform over 1..5. Every trace
+    that reaches `position` must be at the partially ambiguous evidence
+    levels (0.25/0.75); an off-grid one raises ValueError before any draw,
+    whether or not a draw would pick it.
 
     The random draws are made subject by subject in a fixed order; each
     trial's metrics are then gathered from per-trace arrays by its drawn
@@ -512,11 +499,18 @@ def simulate_dataset(
         traces, position, generator, betas, noise_sd,
         n_subjects, subject_sd, trials_per_subject,
     )
-    trials = _draw_trials(
+    trace_idx, subject, covariates, response = _draw_trials(
         per_trace, generator, betas, noise_sd,
         n_subjects, subject_sd, trials_per_subject, seed,
     )
-    return _simulated_dataset(per_trace, n_subjects, *trials)
+    width = len(str(n_subjects))
+    subject_ids = np.array([f"s{s + 1:0{width}d}" for s in range(n_subjects)])
+    return RegressionDataset({
+        **{name: column[trace_idx] for name, column in per_trace.items()},
+        **covariates,
+        "response": response,
+        "subject_id": subject_ids[subject],
+    })
 
 
 def _draw_trials(
@@ -531,7 +525,8 @@ def _draw_trials(
 ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray], np.ndarray]:
     """simulate_dataset's draws on the per-trace columns of _trace_columns:
     per trial, its trace index, its subject code (0..n_subjects-1, subject
-    by subject), the four covariate columns and the response."""
+    by subject), the four covariate columns and the response. Raises
+    ValueError when a response is not finite."""
     # numpy rejects a scale of -0.0 as negative
     noise_sd, subject_sd = abs(noise_sd), abs(subject_sd)
     beta_surprisal, beta_entropy = betas
@@ -558,6 +553,11 @@ def _draw_trials(
             beta_surprisal * surprisal + beta_entropy * entropy
             + intercepts[subject] + noise
         )
+    if not np.isfinite(response).all():
+        raise ValueError(
+            "simulated responses are not finite: betas, noise_sd or subject_sd "
+            "too large"
+        )
     covariates = {
         "phoneme_latency": latency,
         "trial_number": trial_numbers,
@@ -565,38 +565,6 @@ def _draw_trials(
         "onset_amplitude": amplitude,
     }
     return trace_idx, subject, covariates, response
-
-
-def _simulated_dataset(
-    per_trace: Mapping[str, np.ndarray],
-    n_subjects: int,
-    trace_idx: np.ndarray,
-    subject: np.ndarray,
-    covariates: Mapping[str, np.ndarray],
-    response: np.ndarray,
-) -> RegressionDataset:
-    """The dataset of one _draw_trials draw, subjects named s1, s2, ...
-    (zero-padded); raises ValueError when a response is not finite."""
-    width = len(str(n_subjects))
-    subject_ids = np.array([f"s{s + 1:0{width}d}" for s in range(n_subjects)])
-    # built before the response check, so that an off-grid ambiguity is
-    # reported first
-    dataset = RegressionDataset({
-        **{name: column[trace_idx] for name, column in per_trace.items()},
-        **covariates,
-        "response": response,
-        "subject_id": subject_ids[subject],
-    })
-    _check_response(response)
-    return dataset
-
-
-def _check_response(response: np.ndarray) -> None:
-    if not np.isfinite(response).all():
-        raise ValueError(
-            "simulated responses are not finite: betas, noise_sd or subject_sd "
-            "too large"
-        )
 
 
 def _removal_tests(
@@ -637,8 +605,8 @@ def _coded_removal_tests(
     full fit's SSE is summed from the explicit residuals; a reduced fit's
     SSE adds the residual of c = Q_M' y on the kept columns of R_M, a
     4 x 2 least-squares problem. The full design's rank is the number of
-    subjects plus the demeaned block's, checked by _least_squares'
-    tolerance rule.
+    subjects plus the demeaned block's, checked by ols_fit's tolerance
+    rule.
     """
     names = [name for name in CONTINUOUS_PREDICTORS if name not in _METRICS]
     block = [np.asarray(continuous[name], dtype=float) for name in names]
@@ -721,19 +689,17 @@ def model_recovery(
     alpha: float,
     seed: int,
     df: int | None = None,
-    *,
-    on_dataset: Callable[[int, RegressionDataset], None] | None = None,
 ) -> RecoverySummary:
     """Repeated simulate-and-compare rounds scoring model detection.
 
     A model counts as detected in a simulation when removing its
     surprisal and entropy predictors from the full fit loses significant
     likelihood (p < alpha). Simulation i uses seed + i, so rounds are
-    independent and the whole run is reproducible. `on_dataset`, when
-    given, is called with each simulation's index and dataset before that
-    dataset is fitted. Each round is compare_removals on simulate_dataset
-    with seed + i, bit for bit, but fitted from the draw's trace indices
-    and integer codes: a dataset is built only for `on_dataset`.
+    independent and the whole run is reproducible. Each round is
+    compare_removals on simulate_dataset with seed + i, bit for bit, but
+    fitted from the draw's trace indices and integer codes, so no dataset
+    is built. simulate_dataset's argument checks, the off-grid ambiguity
+    included, run once, before the cell check.
     """
     if n_sims < 1:
         raise ValueError(f"need at least one simulation, got {n_sims}")
@@ -750,13 +716,6 @@ def model_recovery(
             per_trace, generator, betas, noise_sd,
             n_subjects, subject_sd, trials_per_subject, seed + sim,
         )
-        if on_dataset is None:
-            _check_ambiguity(per_trace["ambiguity"][trace_idx])
-            _check_response(response)
-        else:
-            on_dataset(sim, _simulated_dataset(
-                per_trace, n_subjects, trace_idx, subject, covariates, response
-            ))
         continuous = {**covariates, **{name: per_trace[name][trace_idx] for name in _METRICS}}
         categorical = {
             name: (labels, codes[trace_idx]) for name, (labels, codes) in levels.items()

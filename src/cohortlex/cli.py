@@ -37,6 +37,7 @@ from .analysis import (
     bonferroni_alpha,
     build_trace_set,
     model_recovery,
+    simulate_dataset,
     write_dataset,
     NestingError,
     SingularDesignError,
@@ -146,6 +147,8 @@ def _parse_betas(raw: str) -> tuple[float, float]:
         raise ValueError(
             f"--betas needs two comma-separated numbers, got {raw!r}"
         ) from None
+    if not all(abs(beta) < float("inf") for beta in (surprisal, entropy)):
+        raise ValueError("--betas must be finite")
     return surprisal, entropy
 
 
@@ -276,11 +279,6 @@ def cmd_simfit(args) -> int:
         )
     if not traces:
         raise ValueError("no traceable voicing-onset words in the lexicon")
-
-    def write_first(sim, dataset):
-        if sim == 0:
-            write_dataset(dataset, args.data_out)
-
     summary = model_recovery(
         traces,
         position=args.position,
@@ -294,8 +292,13 @@ def cmd_simfit(args) -> int:
         alpha=args.alpha,
         seed=args.seed,
         df=args.df,
-        on_dataset=write_first if args.data_out else None,
     )
+    if args.data_out:
+        # simulation 0's draw: model_recovery's first round uses this seed
+        write_dataset(simulate_dataset(
+            traces, args.position, args.generator, betas, args.noise,
+            args.subjects, args.subject_sd, args.trials, args.seed,
+        ), args.data_out)
     fieldnames = ("kind", *ComparisonRecord._fields, "rate")
     rows = [("sim", *rec, None) for rec in summary.records]
     for model, rate in (

@@ -588,32 +588,6 @@ def test_model_recovery_small_run(trie_sim):
     assert all(models == {"acoustic", "switch"} for models in by_sim.values())
 
 
-def test_model_recovery_hands_each_dataset_over_before_fitting_it(trie_sim):
-    traces = build_trace_set(trie_sim)
-    params = dict(
-        position=2, generator="switch", betas=(1.0, 1.0), noise_sd=0.5,
-        n_subjects=3, subject_sd=1.0, trials_per_subject=40,
-    )
-    seen = []
-    summary = model_recovery(
-        traces, n_sims=3, alpha=0.05, seed=8,
-        on_dataset=lambda sim, data: seen.append((sim, data)), **params,
-    )
-    assert [sim for sim, _ in seen] == [0, 1, 2]
-    for sim, data in seen:
-        assert same_data(data, simulate_dataset(traces, seed=8 + sim, **params))
-    assert summary == model_recovery(traces, n_sims=3, alpha=0.05, seed=8, **params)
-    # too few rows for the full design: the fit fails after the hand-over
-    seen.clear()
-    with pytest.raises(ValueError, match="need more rows than parameters"):
-        model_recovery(
-            traces, n_sims=3, alpha=0.05, seed=8,
-            on_dataset=lambda sim, data: seen.append(sim),
-            **{**params, "n_subjects": 2, "trials_per_subject": 5},
-        )
-    assert seen == [0]
-
-
 def test_permutation_calibration_fraction_near_alpha(trie_sim):
     traces = build_trace_set(trie_sim)
     data = simulate_dataset(
@@ -957,6 +931,44 @@ def test_simulate_dataset_rejects_off_grid_evidence(trie_sim):
         model_recovery(traces, n_sims=1, alpha=0.05, seed=0, **kwargs)
 
 
+def test_an_undrawn_off_grid_trace_is_rejected(trie_sim):
+    # every trace that reaches the position is checked, drawn or not
+    on_grid = build_trace_set(trie_sim)
+    odd = next(
+        t for t in build_trace_set(trie_sim, ambiguities=(0.5,))
+        if t.point_at(2) is not None
+    )
+    kwargs = dict(
+        position=2, generator="acoustic", betas=(1.0, 1.0), noise_sd=0.5,
+        n_subjects=2, subject_sd=1.0, trials_per_subject=5,
+    )
+    # the draws depend on the number of traces, not on their values: with
+    # an on-grid trace in its place, seed 1 never draws the last index
+    stand_in = analysis._trace_columns(on_grid + on_grid[:1], **kwargs)
+    draw_kwargs = {key: value for key, value in kwargs.items() if key != "position"}
+    trace_idx = analysis._draw_trials(stand_in, seed=1, **draw_kwargs)[0]
+    assert len(on_grid) not in trace_idx
+    message = r"ambiguity must be one of \(0.25, 0.75\), got 0.5$"
+    with pytest.raises(ValueError, match=message):
+        simulate_dataset(on_grid + [odd], seed=1, **kwargs)
+    with pytest.raises(ValueError, match=message):
+        model_recovery(on_grid + [odd], n_sims=1, alpha=0.05, seed=1, **kwargs)
+
+
+def test_off_grid_traces_are_reported_before_singular_cells(trie_sim):
+    kwargs = dict(
+        position=1, generator="acoustic", betas=(1.0, 1.0), noise_sd=0.5,
+        n_subjects=2, subject_sd=1.0, trials_per_subject=50,
+        n_sims=1, alpha=0.05, seed=0,
+    )
+    # position 1's cells cannot identify the metrics, on grid or off it
+    with pytest.raises(SingularDesignError, match="position 1: the cells"):
+        model_recovery(build_trace_set(trie_sim), **kwargs)
+    off_grid = build_trace_set(trie_sim, ambiguities=(0.5, 0.6))
+    with pytest.raises(ValueError, match=r"ambiguity must be one of .*, got 0.5$"):
+        model_recovery(off_grid, **kwargs)
+
+
 @pytest.mark.parametrize(
     "override",
     [{"betas": (1e308, 1e308)}, {"noise_sd": 1e308}],
@@ -1018,13 +1030,13 @@ def pair_traces(counts):
     return build_trace_set(build_trie(make_lexicon(rows)))
 
 
-def composed_recovery(traces, n_sims, alpha, seed, df, on_dataset, **params):
+def composed_recovery(traces, n_sims, alpha, seed, df, datasets, **params):
     """model_recovery's records from the public steps: simulate_dataset,
-    the hand-over, compare_removals."""
+    then compare_removals. Each (sim, dataset) is appended to `datasets`."""
     records = []
     for sim in range(n_sims):
         data = simulate_dataset(traces, seed=seed + sim, **params)
-        on_dataset(sim, data)
+        datasets.append((sim, data))
         for model, result in compare_removals(data, df).items():
             records.append(ComparisonRecord(
                 sim, model, result.chi2, result.df, result.p_value,
@@ -1034,32 +1046,26 @@ def composed_recovery(traces, n_sims, alpha, seed, df, on_dataset, **params):
 
 
 def outcome(run):
-    """(repr of the records or of the error, the datasets handed over)."""
-    seen = []
+    """The repr of what `run` returns, or of the error it raises."""
     try:
-        value = repr(run(lambda sim, data: seen.append((sim, data))))
+        return repr(run())
     except (ValueError, SingularDesignError) as exc:
-        value = f"{type(exc).__name__}: {exc}"
-    return value, seen
+        return f"{type(exc).__name__}: {exc}"
 
 
 def assert_recovery_is_composition(traces, n_sims, alpha, seed, df, **params):
-    got, got_seen = outcome(lambda on: model_recovery(
-        traces, n_sims=n_sims, alpha=alpha, seed=seed, df=df, on_dataset=on, **params
+    """Assert model_recovery's records, or its error, are the composition's;
+    return the composition's (sim, dataset) pairs."""
+    datasets = []
+    got = outcome(lambda: model_recovery(
+        traces, n_sims=n_sims, alpha=alpha, seed=seed, df=df, **params
     ).records)
-    want, want_seen = outcome(
-        lambda on: composed_recovery(traces, n_sims, alpha, seed, df, on, **params)
+    want = outcome(
+        lambda: composed_recovery(traces, n_sims, alpha, seed, df, datasets, **params)
     )
     # repr round-trips every float, so equal reprs are equal bits
     assert got == want
-    assert [sim for sim, _ in got_seen] == [sim for sim, _ in want_seen]
-    assert all(same_data(a, b) for (_, a), (_, b) in zip(got_seen, want_seen))
-    # without a hand-over the records, or the error, stay the same
-    alone, _ = outcome(lambda on: model_recovery(
-        traces, n_sims=n_sims, alpha=alpha, seed=seed, df=df, **params
-    ).records)
-    assert alone == want
-    return got_seen
+    return datasets
 
 
 @st.composite
@@ -1084,8 +1090,8 @@ def recovery_cases(draw):
 @given(case=recovery_cases())
 def test_model_recovery_is_simulate_then_compare_removals(case):
     # model_recovery fits each draw from trace indices and integer codes;
-    # every record, error and handed-over dataset must be those of the
-    # public composition, bit for bit.
+    # every record and error must be those of the public composition, bit
+    # for bit.
     traces, df, seed, params = case
     assert_recovery_is_composition(traces, 4, 0.05, seed, df, **params)
 
@@ -1112,14 +1118,10 @@ def recovery_error(run):
 
 def assert_same_error(traces, n_sims, seed, **params):
     want = recovery_error(lambda: composed_recovery(
-        traces, n_sims, 0.05, seed, None, lambda sim, data: None, **params
+        traces, n_sims, 0.05, seed, None, [], **params
     ))
     assert recovery_error(lambda: model_recovery(
         traces, n_sims=n_sims, alpha=0.05, seed=seed, **params
-    )) == want
-    assert recovery_error(lambda: model_recovery(
-        traces, n_sims=n_sims, alpha=0.05, seed=seed,
-        on_dataset=lambda sim, data: None, **params,
     )) == want
     return want
 
@@ -1139,7 +1141,7 @@ def test_model_recovery_errors_match_the_composition(trie_sim):
     assert assert_same_error(
         [traces[0]] * 300 + traces, 1, 4, **{**params, "trials_per_subject": 10}
     ) == (SingularDesignError, "collinear design columns: ['acoustic_entropy']")
-    # two off-grid levels: the first drawn one is named
+    # two off-grid levels: the first in trace order is named
     off_grid = build_trace_set(trie_sim, ambiguities=(0.5, 0.6))
     kind, message = assert_same_error(off_grid, 1, 0, **params)
     assert kind is ValueError and message.startswith("ambiguity must be one of")

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohortlex import analysis, cli, make_lexicon, write_lexicon
+from cohortlex import analysis, build_trie, cli, make_lexicon, parse_lexicon, write_lexicon
 from tests import records_reference as reference
 from tests.conftest import SIM_ROWS, TOY_B_ROWS
 
@@ -617,6 +617,42 @@ def test_simfit_small_run(capsys, tmp_path, sim_path):
     data = data_out.read_bytes()
     assert b"\r" not in data
     assert data.endswith(b"\n") and data.count(b"\n") == 1 + 3 * 60
+
+
+@pytest.mark.parametrize("generator", ["acoustic", "switch"])
+def test_simfit_data_out_is_the_first_simulated_dataset(
+    capsys, tmp_path, sim_path, generator
+):
+    data_out = tmp_path / "first.csv"
+    code, _, _ = run_cli(
+        capsys,
+        ["simfit", "--lexicon", sim_path, "--generator", generator,
+         "--betas", "1,-0.5", "--noise", "0.3", "--subjects", "3",
+         "--subject-sd", "0.7", "--trials", "40", "--sims", "2", "--seed", "11",
+         "--position", "2", "--data-out", str(data_out)],
+    )
+    assert code == 0
+    traces = analysis.build_trace_set(build_trie(parse_lexicon(sim_path)))
+    expected = tmp_path / "expected.csv"
+    analysis.write_dataset(
+        analysis.simulate_dataset(traces, 2, generator, (1.0, -0.5), 0.3, 3, 0.7, 40, 11),
+        expected,
+    )
+    assert data_out.read_bytes() == expected.read_bytes()
+
+
+def test_simfit_failed_run_writes_no_data_out(capsys, tmp_path, sim_path):
+    # 2 x 5 trials are too few rows for the full design: the run fails at
+    # its first fit and leaves no dataset behind
+    data_out = tmp_path / "first.csv"
+    code, out, err = run_cli(
+        capsys,
+        ["simfit", "--lexicon", sim_path, "--subjects", "2", "--trials", "5",
+         "--data-out", str(data_out)],
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: need more rows than parameters: n=10, p=11\n"
+    assert not data_out.exists()
 
 
 def test_simfit_position_1_fails_before_simulating(capsys, monkeypatch, tmp_path, sim_path):
@@ -1829,10 +1865,12 @@ BETAS_ERROR = "--betas needs two comma-separated numbers, got {!r}"
         (["simfit", "--betas", "1,"], BETAS_ERROR.format("1,")),
         (["simfit", "--betas", "1,x"], BETAS_ERROR.format("1,x")),
         (["simfit", "--betas", "1,2,3"], BETAS_ERROR.format("1,2,3")),
+        (["simfit", "--betas", "nan,1"], "--betas must be finite"),
+        (["simfit", "--betas", "1,inf"], "--betas must be finite"),
         (["simfit", "--seed", "-1"], "--seed must be >= 0"),
     ],
     ids=["trace-all", "trace-word", "compare", "betas-one", "betas-text",
-         "betas-three", "seed"],
+         "betas-three", "betas-nan", "betas-inf", "seed"],
 )
 def test_flags_are_checked_before_the_lexicon_is_read(capsys, tmp_path, argv, message):
     # the lexicon does not exist, so an error naming the flag shows that
