@@ -384,33 +384,10 @@ def build_trace_set(
     return traces
 
 
-def _trace_columns(
-    traces: Sequence[MetricTrace],
-    position: int,
-    generator: str,
-    betas: tuple[float, float],
-    noise_sd: float,
-    n_subjects: int,
-    subject_sd: float,
-    trials_per_subject: int,
-) -> dict[str, np.ndarray]:
-    """simulate_dataset's argument checks, in its order; then, one entry
-    per trace that reaches `position`, the four metric columns and the
-    `phoneme_pair` and `ambiguity` columns. An `ambiguity` off
+def _trace_columns(traces: Sequence[MetricTrace], position: int) -> dict[str, np.ndarray]:
+    """One entry per trace that reaches `position`: the four metric columns
+    and the `phoneme_pair` and `ambiguity` columns. An `ambiguity` off
     AMBIGUITY_LEVELS raises ValueError naming the first, in trace order."""
-    if generator not in MODEL_PREDICTORS:
-        raise ValueError(f"generator must be 'acoustic' or 'switch', got {generator!r}")
-    if n_subjects < 2:
-        raise ValueError(f"need at least 2 subjects, got {n_subjects}")
-    if trials_per_subject < 1:
-        raise ValueError(
-            f"trials_per_subject must be >= 1, got {trials_per_subject}"
-        )
-    for name, sd in (("noise_sd", noise_sd), ("subject_sd", subject_sd)):
-        if not (math.isfinite(sd) and sd >= 0):
-            raise ValueError(f"{name} must be finite and >= 0, got {sd}")
-    if not all(math.isfinite(b) for b in betas):
-        raise ValueError(f"betas must be finite, got {tuple(betas)}")
     eligible = [t for t in traces if t.point_at(position) is not None]
     if not eligible:
         raise ValueError(f"no trace reaches position {position}")
@@ -495,14 +472,9 @@ def simulate_dataset(
     generator, so a fixed seed reproduces the dataset exactly.
     Parameters so large that a response overflows raise ValueError.
     """
-    per_trace = _trace_columns(
-        traces, position, generator, betas, noise_sd,
-        n_subjects, subject_sd, trials_per_subject,
-    )
-    trace_idx, subject, covariates, response = _draw_trials(
-        per_trace, generator, betas, noise_sd,
-        n_subjects, subject_sd, trials_per_subject, seed,
-    )
+    draw = _trials(generator, betas, noise_sd, n_subjects, subject_sd, trials_per_subject)
+    per_trace = _trace_columns(traces, position)
+    trace_idx, subject, covariates, response = draw(per_trace, seed)
     width = len(str(n_subjects))
     subject_ids = np.array([f"s{s + 1:0{width}d}" for s in range(n_subjects)])
     return RegressionDataset({
@@ -513,58 +485,75 @@ def simulate_dataset(
     })
 
 
-def _draw_trials(
-    per_trace: Mapping[str, np.ndarray],
+def _trials(
     generator: str,
     betas: tuple[float, float],
     noise_sd: float,
     n_subjects: int,
     subject_sd: float,
     trials_per_subject: int,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray], np.ndarray]:
-    """simulate_dataset's draws on the per-trace columns of _trace_columns:
-    per trial, its trace index, its subject code (0..n_subjects-1, subject
-    by subject), the four covariate columns and the response. Raises
-    ValueError when a response is not finite."""
+) -> Callable[[Mapping[str, np.ndarray], int], tuple]:
+    """simulate_dataset's argument checks, in its order; then its draws,
+    bound to these parameters: draw(per_trace, seed) on _trace_columns'
+    columns gives, per trial, its trace index, its subject code
+    (0..n_subjects-1, subject by subject), the four covariate columns and
+    the response, and raises ValueError when a response is not finite."""
+    if generator not in MODEL_PREDICTORS:
+        raise ValueError(f"generator must be 'acoustic' or 'switch', got {generator!r}")
+    if n_subjects < 2:
+        raise ValueError(f"need at least 2 subjects, got {n_subjects}")
+    if trials_per_subject < 1:
+        raise ValueError(
+            f"trials_per_subject must be >= 1, got {trials_per_subject}"
+        )
+    for name, sd in (("noise_sd", noise_sd), ("subject_sd", subject_sd)):
+        if not (math.isfinite(sd) and sd >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {sd}")
+    if not all(math.isfinite(b) for b in betas):
+        raise ValueError(f"betas must be finite, got {tuple(betas)}")
     # numpy rejects a scale of -0.0 as negative
     noise_sd, subject_sd = abs(noise_sd), abs(subject_sd)
     beta_surprisal, beta_entropy = betas
-    rng = np.random.default_rng(seed)
-    intercepts = rng.normal(0.0, subject_sd, n_subjects)
-    draws = [
-        (
-            rng.integers(0, len(per_trace["ambiguity"]), trials_per_subject),
-            rng.normal(87.0, 25.0, trials_per_subject),
-            rng.normal(0.0, 1.0, trials_per_subject),
-            rng.integers(1, trials_per_subject + 1, trials_per_subject),
-            rng.integers(1, N_BLOCKS + 1, trials_per_subject),
-            rng.normal(0.0, noise_sd, trials_per_subject),
-        )
-        for _ in range(n_subjects)
-    ]
-    trace_idx, latency, amplitude, trial_numbers, blocks, noise = (
-        np.concatenate(draw) for draw in zip(*draws)
-    )
+    predictors = MODEL_PREDICTORS[generator]
     subject = np.repeat(np.arange(n_subjects), trials_per_subject)
-    surprisal, entropy = (per_trace[name][trace_idx] for name in MODEL_PREDICTORS[generator])
-    with np.errstate(over="ignore", invalid="ignore"):
-        response = (
-            beta_surprisal * surprisal + beta_entropy * entropy
-            + intercepts[subject] + noise
+
+    def draw(per_trace: Mapping[str, np.ndarray], seed: int) -> tuple:
+        rng = np.random.default_rng(seed)
+        intercepts = rng.normal(0.0, subject_sd, n_subjects)
+        draws = [
+            (
+                rng.integers(0, len(per_trace["ambiguity"]), trials_per_subject),
+                rng.normal(87.0, 25.0, trials_per_subject),
+                rng.normal(0.0, 1.0, trials_per_subject),
+                rng.integers(1, trials_per_subject + 1, trials_per_subject),
+                rng.integers(1, N_BLOCKS + 1, trials_per_subject),
+                rng.normal(0.0, noise_sd, trials_per_subject),
+            )
+            for _ in range(n_subjects)
+        ]
+        trace_idx, latency, amplitude, trial_numbers, blocks, noise = (
+            np.concatenate(column) for column in zip(*draws)
         )
-    if not np.isfinite(response).all():
-        raise ValueError(
-            "simulated responses are not finite: betas, noise_sd or subject_sd "
-            "too large"
-        )
-    covariates = {
-        "phoneme_latency": latency,
-        "trial_number": trial_numbers,
-        "block_number": blocks,
-        "onset_amplitude": amplitude,
-    }
-    return trace_idx, subject, covariates, response
+        surprisal, entropy = (per_trace[name][trace_idx] for name in predictors)
+        with np.errstate(over="ignore", invalid="ignore"):
+            response = (
+                beta_surprisal * surprisal + beta_entropy * entropy
+                + intercepts[subject] + noise
+            )
+        if not np.isfinite(response).all():
+            raise ValueError(
+                "simulated responses are not finite: betas, noise_sd or subject_sd "
+                "too large"
+            )
+        covariates = {
+            "phoneme_latency": latency,
+            "trial_number": trial_numbers,
+            "block_number": blocks,
+            "onset_amplitude": amplitude,
+        }
+        return trace_idx, subject, covariates, response
+
+    return draw
 
 
 def _removal_tests(
@@ -703,19 +692,14 @@ def model_recovery(
     """
     if n_sims < 1:
         raise ValueError(f"need at least one simulation, got {n_sims}")
-    per_trace = _trace_columns(
-        traces, position, generator, betas, noise_sd,
-        n_subjects, subject_sd, trials_per_subject,
-    )
+    draw = _trials(generator, betas, noise_sd, n_subjects, subject_sd, trials_per_subject)
+    per_trace = _trace_columns(traces, position)
     levels = {name: _levels(per_trace[name]) for name in ("phoneme_pair", "ambiguity")}
     _check_cells(per_trace, levels, position)
     records = []
     tallies = {"acoustic": 0, "switch": 0}
     for sim in range(n_sims):
-        trace_idx, subject, covariates, response = _draw_trials(
-            per_trace, generator, betas, noise_sd,
-            n_subjects, subject_sd, trials_per_subject, seed + sim,
-        )
+        trace_idx, subject, covariates, response = draw(per_trace, seed + sim)
         continuous = {**covariates, **{name: per_trace[name][trace_idx] for name in _METRICS}}
         categorical = {
             name: (labels, codes[trace_idx]) for name, (labels, codes) in levels.items()

@@ -425,28 +425,24 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if not 0.0 < getattr(args, "alpha", 0.05) < 1.0:
-        print("error: alpha must be in (0, 1)", file=sys.stderr)
+        print("error: --alpha must be in (0, 1)", file=sys.stderr)
         return EXIT_INPUT
     if not 0.0 <= getattr(args, "p_a", 0.5) <= 1.0:
         print("error: --p-a must be in [0, 1]", file=sys.stderr)
         return EXIT_INPUT
-    if getattr(args, "top_k", 0) < 0:
-        print("error: --top-k must be >= 0", file=sys.stderr)
-        return EXIT_INPUT
-    if getattr(args, "df", None) is not None and args.df < 0:
-        print("error: --df must be >= 0", file=sys.stderr)
-        return EXIT_INPUT
-    if getattr(args, "seed", 0) < 0:
-        print("error: --seed must be >= 0", file=sys.stderr)
-        return EXIT_INPUT
     for dest, flag, least in (
+        ("top_k", "--top-k", 0),
+        ("df", "--df", 0),
+        ("seed", "--seed", 0),
         ("sims", "--sims", 1),
         ("subjects", "--subjects", 2),
         ("trials", "--trials", 1),
         ("position", "--position", 1),
         ("min_shared", "--min-shared", 1),
     ):
-        if getattr(args, dest, least) < least:
+        # None: the command has no such flag, or --df is unset
+        value = getattr(args, dest, None)
+        if value is not None and value < least:
             print(f"error: {flag} must be >= {least}", file=sys.stderr)
             return EXIT_INPUT
     for dest, flag in (("noise", "--noise"), ("subject_sd", "--subject-sd")):

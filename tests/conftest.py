@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cohortlex import build_trie, make_lexicon
@@ -38,6 +40,26 @@ SIM_ROWS = [
     ("pog", "P AA G", 6.0),
     ("pob", "P AA B", 1.0),
 ]
+
+
+def generated_rows(seed: int, n_words: int) -> list[str]:
+    """Rows of a synthetic consonant-vowel lexicon with stress-marked
+    vowels and Zipf-like integer counts, in `bench/gen.py`'s style."""
+    rng = random.Random(seed)
+    onsets = ["B", "P", "D", "T", "G", "K", "M", "S", "L"]
+    vowels = [f"{v}{s}" for v in ("AE", "IH", "UW", "AO") for s in "012"]
+    codas = ["N", "T", "K", "S", "R"]
+    rows, taken = [], set()
+    while len(rows) < n_words:
+        pron = [rng.choice(onsets)]
+        for _ in range(rng.randint(1, 3)):
+            pron += [rng.choice(vowels), rng.choice(codas)]
+        spelling = "".join(pron).lower()
+        if spelling in taken:
+            continue
+        taken.add(spelling)
+        rows.append(f"{spelling}\t{' '.join(pron)}\t{int(1 / (1 - rng.random()))}")
+    return rows
 
 
 @pytest.fixture

@@ -140,6 +140,12 @@ def test_ols_recovers_exact_linear_relation():
     assert math.isfinite(fit.log_likelihood)
 
 
+def test_ols_rejects_an_unknown_predictor():
+    data = random_dataset(np.random.default_rng(12), 20)
+    with pytest.raises(ValueError, match=r"unknown predictors: \['loudness'\]"):
+        ols_fit(data, ("acoustic_surprisal", "loudness"))
+
+
 def test_dummy_coding_drops_first_sorted_level():
     rng = np.random.default_rng(12)
     data = random_dataset(rng, 80)
@@ -557,6 +563,15 @@ def test_compare_removals_detects_only_the_generator(trie_sim):
     assert results["acoustic"].chi2 > results["switch"].chi2
 
 
+def test_model_recovery_needs_a_simulation(trie_sim):
+    with pytest.raises(ValueError, match="need at least one simulation, got 0"):
+        model_recovery(
+            build_trace_set(trie_sim), position=2, generator="acoustic",
+            betas=(1.0, 1.0), noise_sd=0.3, n_subjects=4, subject_sd=0.5,
+            trials_per_subject=20, n_sims=0, alpha=0.05, seed=5,
+        )
+
+
 def test_model_recovery_small_run(trie_sim):
     traces = build_trace_set(trie_sim)
     summary = model_recovery(
@@ -944,9 +959,9 @@ def test_an_undrawn_off_grid_trace_is_rejected(trie_sim):
     )
     # the draws depend on the number of traces, not on their values: with
     # an on-grid trace in its place, seed 1 never draws the last index
-    stand_in = analysis._trace_columns(on_grid + on_grid[:1], **kwargs)
+    stand_in = analysis._trace_columns(on_grid + on_grid[:1], position=2)
     draw_kwargs = {key: value for key, value in kwargs.items() if key != "position"}
-    trace_idx = analysis._draw_trials(stand_in, seed=1, **draw_kwargs)[0]
+    trace_idx = analysis._trials(**draw_kwargs)(stand_in, 1)[0]
     assert len(on_grid) not in trace_idx
     message = r"ambiguity must be one of \(0.25, 0.75\), got 0.5$"
     with pytest.raises(ValueError, match=message):

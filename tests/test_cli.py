@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import gc
+import hashlib
 import io
 import json
 import os
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from cohortlex import analysis, build_trie, cli, make_lexicon, parse_lexicon, write_lexicon
 from tests import records_reference as reference
-from tests.conftest import SIM_ROWS, TOY_B_ROWS
+from tests.conftest import SIM_ROWS, TOY_B_ROWS, generated_rows
 
 # Disjoint post-onset continuations: nothing after a B onset exists after a
 # P onset, so with fully certain evidence the joint path reduces to the
@@ -474,6 +475,50 @@ def test_continuum_output_bytes_are_pinned(capsys, tmp_path, mode):
     assert out == GOLDEN_CONTINUUM[mode]
 
 
+# md5 of stdout at scale: an 8k generated lexicon (seed 101) with homographs,
+# where sort order among equal shared_len values, the homograph dedupe,
+# signed zeros and rounding-boundary cells can show.
+SCALE_PINS = {
+    "trace --all --pair B,P --p-a 0.25": "871c89cb84dad322c06c9aacb58ca8ff",
+    "trace --all --pair B,P --p-a 0.75": "6ec02d6cc0e3cd549f8c4d0444b1aea4",
+    "trace --all --pair D,T --p-a 0.25": "b87939793b07e0b5b4558d1ed7abba7b",
+    "trace --all --pair D,T --p-a 0.75": "73666b65313ebe9f7cfb367d3e6afd1a",
+    "trace --all --pair G,K --p-a 0.25": "4d55fa15b7b3da7003a4a949d854b143",
+    "trace --all --pair G,K --p-a 0.75": "06af1cfe5f63af4ffb9b1e9cc40c86d5",
+    "compare --pair B,P": "4ee3b11cae7aa30df1bbddde6714ec87",
+    "compare --pair D,T": "a4dea74cd6e387160832dee09afc5f92",
+    "compare --pair G,K": "2bb21b82dce1ef39e46984c67cd1f4ca",
+    "pairs --min-shared 2": "9baf02a572ce3e756d130d19b3eb5ca4",
+    "pairs --min-shared 2 --keep-undiverged": "9de4fd76b4a3f50d62057fa1a103f0c8",
+    "trace --all --pair B,P --smoothing 0.1": "394258ca2baab1e579ed7555a334c7e5",
+    "trace --all --pair D,T --smoothing 0.1": "d679dde3339075b4f6326121121d411c",
+    "trace --all --pair G,K --smoothing 0.1": "643a8c13d268d9862ad99acab7bc3924",
+}
+
+
+@pytest.fixture(scope="module")
+def scale_path(tmp_path_factory):
+    rows = generated_rows(101, 8_000)
+    # every 300th plosive-onset spelling again with its onset's voicing
+    # partner, and again with its last phoneme replaced
+    partner = dict(zip("BPDTGK", "PBTDKG"))
+    for row in [row for row in rows if row[0].upper() in partner][::300]:
+        spelling, pron, count = row.split("\t")
+        onset, *rest = pron.split()
+        rows.append(f"{spelling}\t{' '.join([partner[onset], *rest])}\t{count}")
+        rows.append(f"{spelling}\t{' '.join([onset, *rest[:-1], 'Z'])}\t{count}")
+    path = tmp_path_factory.mktemp("scale") / "scale.tsv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", SCALE_PINS)
+def test_outputs_at_scale_are_pinned(capsys, scale_path, command):
+    code, out, _ = run_cli(capsys, command.split() + ["--lexicon", scale_path])
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == SCALE_PINS[command]
+
+
 class Label(str):
     pass
 
@@ -548,6 +593,19 @@ def test_no_rows_write_the_header_or_an_empty_array():
     for write in (cli.write_records, reference.write_records):
         assert written(write, [], fieldnames, "csv") == "a,b\n"
         assert written(write, [], fieldnames, "json") == "[]\n"
+
+
+def test_an_unknown_format_is_rejected():
+    for write in (cli.write_records, reference.write_records):
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            write([(1, 2)], ("a", "b"), None, "xml")
+
+
+def test_continuum_header_without_rows_exits_1(capsys, tmp_path):
+    curve_path = tmp_path / "header.csv"
+    curve_path.write_text("step,proportion\n\n")
+    code, out, err = run_cli(capsys, ["continuum", "--in", str(curve_path)])
+    assert (code, out, err) == (1, "", f"error: {curve_path}: no data rows\n")
 
 
 def test_continuum_degenerate_curve_exits_3(capsys, tmp_path):
@@ -659,8 +717,13 @@ def test_simfit_position_1_fails_before_simulating(capsys, monkeypatch, tmp_path
     # At position 1 a trace's four metrics are fixed by its cell (voicing
     # pair, own onset, p_a), and a B/P lexicon has 4 cells for the
     # intercept, the ambiguity dummy and four metrics: no draw can fit.
-    simulated = []
-    monkeypatch.setattr(analysis, "simulate_dataset", lambda *a, **k: simulated.append(a))
+    simulated, seeded = [], []
+    for module in (analysis, cli):
+        monkeypatch.setattr(module, "simulate_dataset", lambda *a, **k: simulated.append(a))
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda *a, **k: seeded.append(a) or default_rng(*a, **k)
+    )
     data_out = tmp_path / "first.csv"
     code, out, err = run_cli(
         capsys,
@@ -672,16 +735,23 @@ def test_simfit_position_1_fails_before_simulating(capsys, monkeypatch, tmp_path
         "error: position 1: the cells of the traces that reach it cannot separate "
         "columns ['acoustic_surprisal', 'acoustic_entropy', 'switch_entropy']\n"
     )
-    assert simulated == []
+    assert simulated == [] and seeded == []
     assert not data_out.exists()
+
+
+def test_simfit_without_voicing_onset_words_exits_1(capsys, tmp_path):
+    path = tmp_path / "nasal.tsv"
+    path.write_text("mat\tM AE T\t2\nsat\tS AE T\t1\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, ["simfit", "--lexicon", str(path), "--sims", "1"])
+    assert (code, out) == (1, "")
+    assert err == "error: no traceable voicing-onset words in the lexicon\n"
 
 
 def test_simfit_rejects_bad_alpha(capsys, sim_path):
     code, _, err = run_cli(
         capsys, ["simfit", "--lexicon", sim_path, "--alpha", "1.5", "--sims", "1"]
     )
-    assert code == 1
-    assert "alpha" in err
+    assert (code, err) == (1, "error: --alpha must be in (0, 1)\n")
 
 
 # simfit output of the SIM_ROWS lexicon at --subjects 3 --trials 60 --sims 3
@@ -1868,9 +1938,11 @@ BETAS_ERROR = "--betas needs two comma-separated numbers, got {!r}"
         (["simfit", "--betas", "nan,1"], "--betas must be finite"),
         (["simfit", "--betas", "1,inf"], "--betas must be finite"),
         (["simfit", "--seed", "-1"], "--seed must be >= 0"),
+        (["simfit", "--alpha", "1.5"], "--alpha must be in (0, 1)"),
+        (["simfit", "--alpha", "nan"], "--alpha must be in (0, 1)"),
     ],
     ids=["trace-all", "trace-word", "compare", "betas-one", "betas-text",
-         "betas-three", "betas-nan", "betas-inf", "seed"],
+         "betas-three", "betas-nan", "betas-inf", "seed", "alpha-1.5", "alpha-nan"],
 )
 def test_flags_are_checked_before_the_lexicon_is_read(capsys, tmp_path, argv, message):
     # the lexicon does not exist, so an error naming the flag shows that

@@ -2,7 +2,6 @@ import copy
 import dataclasses
 import math
 import pickle
-import random
 import sys
 import tempfile
 from pathlib import Path
@@ -27,6 +26,7 @@ from cohortlex import (
     write_lexicon,
 )
 from tests import lexicon_reference as reference
+from tests.conftest import generated_rows
 
 TOY_TSV = "bat\tB AE T\t3\nban\tB AE N\t1\npat\tP AE T\t4\n"
 
@@ -429,29 +429,9 @@ def test_columnar_parse_matches_entry_reference(text, smoothing):
 # Parsing, the trie, the pair search and writing build no entry objects.
 
 
-def _generated_rows(seed: int, n_words: int) -> list[str]:
-    """Rows of a synthetic consonant-vowel lexicon with stress-marked
-    vowels and Zipf-like integer counts, in `bench/gen.py`'s style."""
-    rng = random.Random(seed)
-    onsets = ["B", "P", "D", "T", "G", "K", "M", "S", "L"]
-    vowels = [f"{v}{s}" for v in ("AE", "IH", "UW", "AO") for s in "012"]
-    codas = ["N", "T", "K", "S", "R"]
-    rows, taken = [], set()
-    while len(rows) < n_words:
-        pron = [rng.choice(onsets)]
-        for _ in range(rng.randint(1, 3)):
-            pron += [rng.choice(vowels), rng.choice(codas)]
-        spelling = "".join(pron).lower()
-        if spelling in taken:
-            continue
-        taken.add(spelling)
-        rows.append(f"{spelling}\t{' '.join(pron)}\t{int(1 / (1 - rng.random()))}")
-    return rows
-
-
 def test_hot_paths_build_no_entries(tmp_path, monkeypatch):
     toy = write(tmp_path, TOY_TSV, "toy.tsv")
-    generated = write(tmp_path, "#unit: counts\n" + "\n".join(_generated_rows(7, 2_000)) + "\n")
+    generated = write(tmp_path, "#unit: counts\n" + "\n".join(generated_rows(7, 2_000)) + "\n")
 
     def refuse(entry):
         raise AssertionError(f"built an entry for {entry.orthography!r}")
@@ -484,7 +464,11 @@ def test_lexicon_copies_pickles_and_stays_read_only():
                 column[0] = 0
     with pytest.raises(AttributeError, match="immutable"):
         lex.frequency_unit = "per-million"
+    with pytest.raises(AttributeError, match="cannot delete field 'codes'"):
+        del lex.codes
     assert lex != make_lexicon([("bat", "B AE T", 3.0)])
+    assert lex != "lexicon" and lex.__eq__(lex.orthographies) is NotImplemented
+    assert repr(lex) == "Lexicon(3 entries, 5 phonemes, 'counts')"
 
 
 def test_more_phonemes_than_int16_codes_hold(tmp_path):

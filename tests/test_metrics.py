@@ -150,6 +150,12 @@ def test_acoustic_entropy_toy_a_onset(trie_a):
     assert close(acoustic_entropy(trie_a, EV, ()), TOY_A_ACOUSTIC_ONSET_H)
 
 
+def test_acoustic_entropy_impossible(trie_b):
+    message = r"neither /B/ nor /P/ admits the continuation /AE S/"
+    with pytest.raises(ImpossibleContinuationError, match=message):
+        acoustic_entropy(trie_b, EV, ("AE", "S"))
+
+
 def test_acoustic_entropy_reduces_at_certainty(trie_b, toy_b):
     for p_a, onset in ((1.0, "B"), (0.0, "P")):
         ev = AcousticEvidence("B", "P", p_a)
