@@ -692,6 +692,8 @@ def model_recovery(
     """
     if n_sims < 1:
         raise ValueError(f"need at least one simulation, got {n_sims}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     draw = _trials(generator, betas, noise_sd, n_subjects, subject_sd, trials_per_subject)
     per_trace = _trace_columns(traces, position)
     levels = {name: _levels(per_trace[name]) for name in ("phoneme_pair", "ambiguity")}
@@ -751,6 +753,8 @@ def permutation_calibration(
     """
     if n_permutations < 1:
         raise ValueError(f"need at least one permutation, got {n_permutations}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     test = _removal_tests(dataset, ("acoustic",), None)
     y = dataset.columns["response"]
     rng = np.random.default_rng(seed)

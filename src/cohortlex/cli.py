@@ -192,7 +192,17 @@ def cmd_trace(args) -> int:
         if not entries:
             raise KeyError(f"word {args.word!r} not in lexicon")
         evidence = AcousticEvidence(pair[0], pair[1], args.p_a)
-        traces = [metric_trace(trie, entry, evidence) for entry in entries]
+        traceable = [entry for entry in entries if entry.onset in pair]
+        if traceable:
+            for entry in entries:
+                if entry.onset not in pair:
+                    _warn(
+                        f"{entry.orthography} /{' '.join(entry.pron)}/: "
+                        "onset is not in --pair, skipped"
+                    )
+        else:
+            traceable = entries[:1]  # whose trace raises metric_trace's onset error
+        traces = [metric_trace(trie, entry, evidence) for entry in traceable]
     with_word = args.all or len(traces) > 1
     fieldnames = (("word",) if with_word else ()) + MetricPoint._fields
     rows = [

@@ -4,28 +4,26 @@ Every trie node aggregates the summed frequency of all words whose
 pronunciation passes through it, so prefix frequencies, cohort sizes,
 conditional continuation probabilities, and uniqueness points all resolve
 in O(prefix length) walks. Cohort entropy needs no subtree collection
-either: each node memoizes its subtree entropy, computed on first query
-from its children's by the grouping rule, so every node is computed at
-most once. Only `cohort_at` lists members.
+either: each node holds its subtree entropy, set from its children's by
+the grouping rule when the node is built. Only `cohort_at` lists members.
 
-The trie is expanded lazily and reads the lexicon's columns, not entry
-objects. Building it takes the root total from the lexicon and hands the
-root every entry index; a node groups its pending entry indices by their
-next phoneme on its first visit, which sets each child's total, entry
-count and pending indices (all in lexicon order) and the node's own
-terminal indices. A query therefore expands only the nodes on its path,
-plus the subtree below a node whose entropy or cohort it reads, and its
-values are bitwise those of a fully built trie. A trie is safe to share
-across threads without a lock: a visit reads `pending` once, publishes
-`children` and `terminals` before clearing it, and a thread that loses
-the race rebuilds equal values; the entropy memo writes are idempotent
-in the same way.
+The trie reads the lexicon's columns, not entry objects, and grows one
+onset at a time. Building it takes only the columns; the first query that
+reaches an onset groups the entries by onset, and grows that onset's whole
+subtree (totals, entry counts, terminals and entropies) before one dict
+assignment publishes it. So a node is complete before any query can reach
+it, a query grows only the onsets it reaches, and every value is bitwise
+that of a trie built whole. A trie is safe to share across threads without
+a lock: two threads that grow the same onset each get a complete, equal
+subtree.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .lexicon import Lexicon, LexiconEntry, PhonemeSeq
@@ -70,60 +68,72 @@ class _Columns(NamedTuple):
 
 
 class _Node:
-    __slots__ = (
-        "children", "cum_freq", "n_entries", "terminals", "entropy", "depth", "pending",
-        "columns",
-    )
+    __slots__ = ("children", "cum_freq", "n_entries", "terminals", "entropy")
 
-    def __init__(self, columns: _Columns, depth: int, pending):
-        self.children: dict[str, _Node] | None = None  # set on first visit
+    def __init__(self):
+        self.children: dict[str, _Node] = {}
         self.cum_freq = 0.0
         self.n_entries = 0
-        self.terminals: list[int] | None = None  # entry indices, set on first visit
-        self.entropy: float | None = None  # subtree entropy, set on first query
-        self.depth = depth  # phonemes on the path from the root
-        self.pending = pending  # indices of entries passing through, until the first visit
-        self.columns = columns
+        self.terminals: list[int] = []  # indices of the entries that end here
+        self.entropy = 0.0  # subtree entropy, set once every child's is
 
 
-def _expanded(node: _Node) -> _Node:
-    """`node` with its children and terminals set, grouping them on first visit.
+def _set_entropy(node: _Node, frequencies: list[float]) -> None:
+    """Set the entropy in bits of the frequency-normalized words below `node`.
 
-    Entries are grouped in lexicon order, so every child's total is summed
-    in the order an eager build would sum it. `pending` is read once and
-    cleared only after `children` and `terminals` are published, so a
-    concurrent visit either sees the published groups or rebuilds equal
-    ones from the same entries.
+    Grouping rule (Shannon 1948; Cover & Thomas, Elements of Information
+    Theory, ch. 2): with groups c = the child subtrees and the node's own
+    terminal entries, w_c = F_c / F_node and a terminal's H_c = 0,
+    H(node) = sum_c w_c * (H_c - log2 w_c). It uses ratios only, so
+    frequencies near the float maximum cannot overflow it. Every child's
+    entropy must already be set.
     """
-    pending = node.pending
-    if pending is None:
-        return node
-    columns = node.columns
+    total = node.cum_freq
+    h = 0.0
+    for child in node.children.values():
+        w = child.cum_freq / total
+        if w > 0:
+            h += w * (child.entropy - math.log2(w))
+    for index in node.terminals:
+        w = frequencies[index] / total
+        if w > 0:
+            h -= w * math.log2(w)
+    node.entropy = max(0.0, h)
+
+
+def _grown(columns: _Columns, indices: list[int]) -> _Node:
+    """The complete subtree of one onset, whose entries are `indices` in lexicon order.
+
+    Nodes are grouped top down with an explicit stack (no recursion limit
+    on pronunciation length): a node's entries that end there are its
+    terminals, and the rest are grouped by their next phoneme into
+    children, in order of first appearance. Each total is added left to
+    right over its entries in lexicon order. Entropies are then set
+    bottom up, each node's after its children's.
+    """
     phonemes, offsets, frequencies = columns
-    depth = node.depth
-    children: dict[str, _Node] = {}
-    terminals = []
-    for index in pending:
-        at = offsets[index] + depth
-        if at == offsets[index + 1]:
-            terminals.append(index)
-            continue
-        child = children.get(phonemes[at])
-        if child is None:
-            child = children[phonemes[at]] = _Node(columns, depth + 1, [])
-        child.pending.append(index)
-        child.cum_freq += frequencies[index]
-    for child in children.values():
-        child.n_entries = len(child.pending)
-    node.children = children
-    node.terminals = terminals
-    node.pending = None
-    return node
-
-
-def _child(node: _Node, phoneme: str) -> _Node | None:
-    """The child of `node` along `phoneme`, or None when no word continues so."""
-    return _expanded(node).children.get(phoneme)
+    onset = _Node()
+    stack = [(onset, indices, 1)]
+    built = []
+    while stack:
+        node, entries, depth = stack.pop()
+        built.append(node)
+        total = 0.0
+        groups: defaultdict[str, list[int]] = defaultdict(list)
+        for index in entries:
+            total += frequencies[index]
+            at = offsets[index] + depth
+            if at == offsets[index + 1]:
+                node.terminals.append(index)
+            else:
+                groups[phonemes[at]].append(index)
+        node.cum_freq, node.n_entries = total, len(entries)
+        for phoneme, group in groups.items():
+            child = node.children[phoneme] = _Node()
+            stack.append((child, group, depth + 1))
+    for node in reversed(built):
+        _set_entropy(node, frequencies)
+    return onset
 
 
 def _freq(node: _Node | None) -> float:
@@ -140,73 +150,56 @@ def _conditional(node: _Node | None, before: float, prefix: tuple) -> float:
     return _freq(node) / before
 
 
-def _subtree_entropy(node: _Node) -> float:
-    """Entropy in bits of the frequency-normalized words below `node`.
-
-    Grouping rule (Shannon 1948; Cover & Thomas, Elements of Information
-    Theory, ch. 2): with groups c = the child subtrees and the node's own
-    terminal entries, w_c = F_c / F_node and a terminal's H_c = 0,
-    H(node) = sum_c w_c * (H_c - log2 w_c). It uses ratios only, so
-    frequencies near the float maximum cannot overflow it. Children are
-    resolved first with an explicit stack (no recursion limit on
-    pronunciation length) and each result is memoized on its node.
-    """
-    frequencies = node.columns.frequencies
-    stack = [node] if node.entropy is None else []
-    while stack:
-        current = stack[-1]
-        # One read of `children`: a concurrent first visit may publish an
-        # equal dict of fresh nodes, whose entropies this pass never set.
-        children = _expanded(current).children
-        unresolved = [c for c in children.values() if c.entropy is None]
-        if unresolved:
-            stack.extend(unresolved)
-            continue
-        stack.pop()
-        total = current.cum_freq
-        h = 0.0
-        for child in children.values():
-            w = child.cum_freq / total
-            if w > 0:
-                h += w * (child.entropy - math.log2(w))
-        for index in current.terminals:
-            w = frequencies[index] / total
-            if w > 0:
-                h -= w * math.log2(w)
-        current.entropy = max(0.0, h)
-    return node.entropy
-
-
 class CohortTrie:
     """Phoneme prefix trie with cumulative frequency at every node."""
 
     def __init__(self, lexicon: Lexicon):
         self.lexicon = lexicon
-        columns = _Columns(
+        self._columns = _Columns(
             lexicon.flat_phonemes(),
             lexicon.offsets.tolist(),
             lexicon.frequencies.tolist(),
         )
-        self._root = _Node(columns, 0, range(len(lexicon)))
-        self._root.cum_freq = lexicon.total_frequency
-        self._root.n_entries = len(lexicon)
+        self._onsets: dict[str, _Node] = {}  # each onset's subtree, once grown
 
-    def _node_at(self, prefix: PhonemeSeq) -> _Node | None:
-        node = self._root
-        for phoneme in prefix:
-            node = _child(node, phoneme)
-            if node is None:
-                return None
+    @cached_property
+    def _onset_entries(self) -> dict[str, list[int]]:
+        """Entry indices by onset in lexicon order, onsets in order of first appearance."""
+        phonemes, offsets, _ = self._columns
+        groups = defaultdict(list)
+        for index, at in enumerate(offsets[:-1]):
+            groups[phonemes[at]].append(index)
+        return dict(groups)
+
+    def _onset(self, phoneme: str) -> _Node | None:
+        """The node of onset `phoneme`, grown on first use, or None when no word starts so."""
+        node = self._onsets.get(phoneme)
+        if node is None and phoneme in self._onset_entries:
+            node = self._onsets[phoneme] = _grown(self._columns, self._onset_entries[phoneme])
         return node
 
+    def _node_at(self, prefix: PhonemeSeq) -> _Node | None:
+        """The node at `prefix`, or None where no word continues so. The
+        empty prefix's node is the root, built fresh over every onset."""
+        if not prefix:
+            root = _Node()
+            root.cum_freq, root.n_entries = self.lexicon.total_frequency, len(self.lexicon)
+            root.children = {onset: self._onset(onset) for onset in self._onset_entries}
+            _set_entropy(root, self._columns.frequencies)
+            return root
+        return self._node_and_parent_freq(prefix)[0]
+
     def _node_and_parent_freq(self, prefix: tuple) -> tuple[_Node | None, float]:
-        """The node at non-empty `prefix` and its parent's total."""
+        """The node at non-empty `prefix` and its parent's total (0.0 where
+        no word continues the parent's prefix either)."""
         if not prefix:
             raise ValueError("prefix must have length >= 1")
-        parent = self._node_at(prefix[:-1])
-        if parent is None:
-            return None, 0.0
-        return _child(parent, prefix[-1]), parent.cum_freq
+        node, before = self._onset(prefix[0]), self.lexicon.total_frequency
+        for phoneme in prefix[1:]:
+            if node is None:
+                return None, 0.0
+            node, before = node.children.get(phoneme), node.cum_freq
+        return node, before
 
     def _cohort_node(self, prefix: tuple) -> _Node:
         node = self._node_at(prefix)
@@ -221,11 +214,17 @@ class CohortTrie:
 
         The empty prefix returns the total lexicon frequency.
         """
-        return _freq(self._node_at(tuple(prefix)))
+        prefix = tuple(prefix)
+        if not prefix:
+            return self.lexicon.total_frequency
+        return _freq(self._node_at(prefix))
 
     def cohort_size(self, prefix: PhonemeSeq) -> int:
         """Number of entries whose pronunciation starts with `prefix`."""
-        node = self._node_at(tuple(prefix))
+        prefix = tuple(prefix)
+        if not prefix:
+            return len(self.lexicon)
+        node = self._node_at(prefix)
         return node.n_entries if node is not None else 0
 
     def cohort_at(self, prefix: PhonemeSeq) -> Cohort:
@@ -239,7 +238,7 @@ class CohortTrie:
         members = []
         stack = [node]
         while stack:
-            current = _expanded(stack.pop())
+            current = stack.pop()
             for index in current.terminals:
                 entry = self.lexicon.entry(index)
                 members.append((entry, entry.frequency / total))
@@ -269,10 +268,8 @@ class CohortTrie:
                 f"entry {entry.orthography!r} /{' '.join(entry.pron)}/ "
                 "is not in this trie's lexicon"
             )
-        node = self._root
-        for position, phoneme in enumerate(entry.pron, start=1):
-            node = _child(node, phoneme)
-            if node.n_entries == 1:
+        for position in range(1, len(entry.pron) + 1):
+            if self.cohort_size(entry.pron[:position]) == 1:
                 return position
         return None
 

@@ -24,9 +24,7 @@ import statistics
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cohort import (
-    CohortTrie, ImpossibleContinuationError, _child, _conditional, _freq, _subtree_entropy,
-)
+from .cohort import CohortTrie, ImpossibleContinuationError, _conditional, _freq
 from .lexicon import LexiconEntry, Phoneme, PhonemeSeq
 
 _INNER_TOL = 1e-12
@@ -103,10 +101,10 @@ def _entropy_bits(probs) -> float:
 def switch_entropy(trie: CohortTrie, prefix: PhonemeSeq) -> float:
     """Entropy in bits of the frequency-normalized cohort at `prefix`.
 
-    Read from the trie's memoized subtree entropy, which the grouping
-    rule builds from child-subtree entropies; no cohort is listed.
+    Read from the node's subtree entropy, which the trie sets from
+    child-subtree entropies by the grouping rule; no cohort is listed.
     """
-    return _subtree_entropy(trie._cohort_node(tuple(prefix)))
+    return trie._cohort_node(tuple(prefix)).entropy
 
 
 # Node-level helpers. The public per-prefix functions walk the trie to
@@ -136,8 +134,8 @@ def _acoustic_entropy_and_size(evidence, node_a, node_b, continuation):
     if node_a is not None and node_b is not None:
         p_a, p_b = evidence.p_a, evidence.p_b
         h = (
-            p_a * _subtree_entropy(node_a)
-            + p_b * _subtree_entropy(node_b)
+            p_a * node_a.entropy
+            + p_b * node_b.entropy
             + _entropy_bits((p_a, p_b))
         )
         size = node_a.n_entries * (p_a > 0) + node_b.n_entries * (p_b > 0)
@@ -145,7 +143,7 @@ def _acoustic_entropy_and_size(evidence, node_a, node_b, continuation):
     survivor = node_a if node_a is not None else node_b
     if survivor is None:
         raise _no_onset_admits(evidence, continuation)
-    return _subtree_entropy(survivor), survivor.n_entries
+    return survivor.entropy, survivor.n_entries
 
 
 def acoustic_entropy(
@@ -153,7 +151,7 @@ def acoustic_entropy(
 ) -> float:
     """Entropy in bits of the evidence-weighted word distribution.
 
-    Computed by the grouping rule from the two onset sub-cohorts' memoized
+    Computed by the grouping rule from the two onset sub-cohorts' subtree
     entropies (p_a*H_a + p_b*H_b + h(p_a), or the lone survivor's H), so
     no cohort is listed. The weighted distribution gives each word of
     onset x's sub-cohort P(word | sub-cohort) * P(x | evidence), with a
@@ -266,17 +264,16 @@ def metric_trace(
         )
     committed = evidence.committed
     committed_a = committed == evidence.phoneme_a
-    root = trie._root
-    node_a = _child(root, evidence.phoneme_a)
-    node_b = _child(root, evidence.phoneme_b)
-    before_a = before_b = root.cum_freq
+    node_a = trie._onset(evidence.phoneme_a)
+    node_b = trie._onset(evidence.phoneme_b)
+    before_a = before_b = trie.lexicon.total_frequency
     points = []
     for position in range(1, len(word.pron) + 1):
         phoneme = word.pron[position - 1]
         if position > 1:
             before_a, before_b = _freq(node_a), _freq(node_b)
-            node_a = _child(node_a, phoneme) if node_a is not None else None
-            node_b = _child(node_b, phoneme) if node_b is not None else None
+            node_a = node_a.children.get(phoneme) if node_a is not None else None
+            node_b = node_b.children.get(phoneme) if node_b is not None else None
         continuation = word.pron[1:position]
         ac_surprisal = _acoustic_surprisal(
             evidence, node_a, node_b, before_a, before_b, continuation
@@ -296,7 +293,7 @@ def metric_trace(
                     switch_node, switch_before, (committed,) + continuation
                 ),
                 acoustic_surprisal=ac_surprisal,
-                switch_entropy=_subtree_entropy(switch_node),
+                switch_entropy=switch_node.entropy,
                 acoustic_entropy=ac_entropy,
                 switch_cohort_size=switch_node.n_entries,
                 joint_cohort_size=joint_size,

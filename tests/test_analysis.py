@@ -572,6 +572,26 @@ def test_model_recovery_needs_a_simulation(trie_sim):
         )
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), 0.0, 1.0, 1.5, -1.0])
+def test_recovery_and_calibration_reject_alpha_outside_0_1(trie_sim, alpha):
+    recovery = dict(
+        traces=build_trace_set(trie_sim), position=2, generator="acoustic",
+        betas=(1.0, 1.0), noise_sd=0.3, n_subjects=4, subject_sd=0.5,
+        trials_per_subject=20, n_sims=1, alpha=alpha, seed=5,
+    )
+    data = random_dataset(np.random.default_rng(14), 40)
+    message = rf"^alpha must be in \(0, 1\), got {alpha}$"
+    with pytest.raises(ValueError, match=message):
+        model_recovery(**recovery)
+    with pytest.raises(ValueError, match=message):
+        permutation_calibration(data, n_permutations=5, alpha=alpha, seed=1)
+    # The count checks still come first.
+    with pytest.raises(ValueError, match="need at least one simulation"):
+        model_recovery(**{**recovery, "n_sims": 0})
+    with pytest.raises(ValueError, match="need at least one permutation"):
+        permutation_calibration(data, n_permutations=0, alpha=alpha, seed=1)
+
+
 def test_model_recovery_small_run(trie_sim):
     traces = build_trace_set(trie_sim)
     summary = model_recovery(

@@ -134,6 +134,20 @@ def test_trace_certain_evidence_collapses_entropies(capsys, toy_path):
         assert row["acoustic_entropy"] == row["switch_entropy"]
 
 
+def test_trace_word_skips_homographs_whose_onset_is_not_in_the_pair(capsys, tmp_path):
+    path = tmp_path / "mixed.tsv"
+    path.write_text("bat\tB AE T\t3\nbat\tS AE T\t2\npat\tP AE T\t1\n")
+    argv = ["trace", "--lexicon", str(path), "--word", "bat", "--pair", "B,P"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    assert [r["phoneme"] for r in parse_csv(out)] == ["B", "AE", "T"]
+    assert err == "warning: bat /S AE T/: onset is not in --pair, skipped\n"
+    # With no entry left, today's onset error stands.
+    code, out, err = run_cli(capsys, argv[:-1] + ["D,T"])
+    assert (code, out) == (1, "")
+    assert err == "error: word onset /B/ is neither evidence candidate (/D/, /T/)\n"
+
+
 def test_trace_unknown_word_exits_2(capsys, toy_path):
     code, _, err = run_cli(
         capsys,

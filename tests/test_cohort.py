@@ -18,7 +18,6 @@ from cohortlex import (
     switch_entropy,
     switch_surprisal,
 )
-from cohortlex.cohort import _expanded, _subtree_entropy
 
 import naive_oracle as oracle
 
@@ -131,7 +130,6 @@ def test_empty_lexicon_rejected():
 
 
 def _walk(node, path=()):
-    _expanded(node)  # the trie groups a node's children on its first visit
     yield path, node
     for phoneme, child in node.children.items():
         yield from _walk(child, path + (phoneme,))
@@ -141,7 +139,7 @@ def test_node_frequency_invariant():
     rng = np.random.default_rng(11)
     rows = oracle.random_rows(rng, 60)
     trie = build_trie(make_lexicon(rows))
-    for path, node in _walk(trie._root):
+    for path, node in _walk(trie._node_at(())):
         child_sum = sum(c.cum_freq for c in node.children.values())
         terminal_sum = sum(trie.lexicon.frequencies[i] for i in node.terminals)
         assert math.isclose(
@@ -295,8 +293,9 @@ def _first_queries(rows):
 
 
 def test_entropy_memo_is_safe_under_concurrent_first_queries():
-    # Covers both first-visit writes: a node grouping its pending entries
-    # into children, and a node memoizing its subtree entropy.
+    # Covers the trie's one first-use write: threads that reach an ungrown
+    # onset each grow its whole subtree, entropies included, and publish it
+    # by one assignment, the later replacing the earlier.
     rng = np.random.default_rng(16)
     lex, n_queries, query = _first_queries(oracle.random_rows(rng, 300))
     want = [query(build_trie(lex), i) for i in range(n_queries)]
@@ -304,9 +303,9 @@ def test_entropy_memo_is_safe_under_concurrent_first_queries():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
-            # A fresh trie each round, so every thread races on unvisited
-            # nodes and empty memos: all start together on the whole-trie
-            # entropy, then query in different orders.
+            # A fresh trie each round, so every thread races on ungrown
+            # onsets: all start together on the whole-trie entropy, which
+            # grows every onset, then query in different orders.
             trie = build_trie(lex)
             orders = [[0] + list(range(n_queries))[::step] for step in (1, -1, 1, -1)]
             barrier = Barrier(len(orders))
@@ -324,31 +323,27 @@ def test_entropy_memo_is_safe_under_concurrent_first_queries():
         sys.setswitchinterval(old_interval)
 
 
-def test_a_losing_first_visit_rebuilds_equal_values():
-    # The interleaving a lock would prevent: a second visitor read a
-    # node's pending entries before the first cleared them, and publishes
-    # its own grouping after the first visitor has read the children.
+def _values(node):
+    return [
+        (path, n.cum_freq, n.n_entries, n.terminals, n.entropy) for path, n in _walk(node)
+    ]
+
+
+def test_a_race_that_grows_an_onset_twice_reads_equal_values():
+    # The interleaving a lock would prevent: a second thread found an onset
+    # ungrown before the first published it, and its subtree replaces the
+    # one the first thread is still reading.
     rng = np.random.default_rng(18)
     lex, n_queries, query = _first_queries(oracle.random_rows(rng, 100, n_phonemes=4))
     reference = build_trie(lex)
     want = [query(reference, i) for i in range(n_queries)]
     trie = build_trie(lex)
-    node, path = trie._root, ()
-    while node is not None:
-        pending = node.pending
-        first = _expanded(node).children
-        node.pending = pending  # the losing visitor's stale read
-        rebuilt = _expanded(node).children
-        assert rebuilt is not first and list(rebuilt) == list(first)
-        for key, child in first.items():
-            # The first visitor's nodes are orphaned but still read right.
-            want_node = reference._node_at(path + (key,))
-            assert (rebuilt[key].cum_freq, rebuilt[key].n_entries) == (
-                want_node.cum_freq, want_node.n_entries
-            )
-            assert _subtree_entropy(child) == _subtree_entropy(want_node)
-        key, node = next(iter(rebuilt.items()), (None, None))
-        path += (key,)
+    for onset in trie._onset_entries:
+        first = trie._onset(onset)
+        del trie._onsets[onset]  # the second thread's check saw no subtree
+        second = trie._onset(onset)
+        assert second is not first and trie._onset(onset) is second
+        assert _values(first) == _values(second) == _values(reference._onset(onset))
     assert [query(trie, i) for i in range(n_queries)] == want
 
 
@@ -363,12 +358,10 @@ def test_tracing_one_pair_leaves_other_onsets_unexpanded():
     trie = build_trie(make_lexicon(rows))
     traces = build_trace_set(trie, (0.25, 0.75), (("B", "P"),))
     assert {t.word.onset for t in traces} == {"B", "P"}
-    roots = _expanded(trie._root).children
-    for onset in ("D", "T", "AH"):
-        # The onset node exists (its parent was grouped) but was never visited.
-        assert roots[onset].children is None and roots[onset].pending is not None
+    # Read the grown onsets without growing any: only the traced pair's.
+    assert list(trie._onsets) == ["B", "P"]
     for onset in ("B", "P"):
-        assert all(node.pending is None for _, node in _walk(roots[onset]))
+        assert _values(trie._onsets[onset]) == _values(build_trie(trie.lexicon)._onset(onset))
 
 
 def _eager_listing(entries, depth):
@@ -387,8 +380,8 @@ def _eager_listing(entries, depth):
 
 def test_lazy_trie_matches_an_eager_build_bit_for_bit():
     # Non-integer frequencies, so a different summation order would show
-    # in the last bits; prefixes are queried in random order, so nodes are
-    # first visited in an arbitrary order.
+    # in the last bits; prefixes are queried in random order, so onsets are
+    # first grown in an arbitrary order.
     rng = np.random.default_rng(17)
     rows = [
         (o, p, float(rng.lognormal(0.0, 3.0)))
@@ -396,13 +389,9 @@ def test_lazy_trie_matches_an_eager_build_bit_for_bit():
     ]
     lex = make_lexicon(rows)
     trie = build_trie(lex)
-    prefixes = oracle.NaiveLexicon(
-        [(o, tuple(p.split()), f) for o, p, f in rows]
-    ).all_prefixes()
-    want_root = 0.0
-    for entry in lex.entries:
-        want_root += entry.frequency
-    assert trie.prefix_frequency(()) == want_root
+    naive = oracle.NaiveLexicon([(o, tuple(p.split()), f) for o, p, f in rows])
+    # The empty prefix too: the root's total, size, listing and entropy.
+    prefixes = [()] + naive.all_prefixes()
     for i in rng.permutation(len(prefixes)):
         prefix = prefixes[i]
         matching = [e for e in lex.entries if e.pron[: len(prefix)] == prefix]
@@ -414,6 +403,7 @@ def test_lazy_trie_matches_an_eager_build_bit_for_bit():
         members = trie.cohort_at(prefix).members
         assert [e for e, _ in members] == _eager_listing(matching, len(prefix))
         assert [p for _, p in members] == [e.frequency / total for e, _ in members]
+    assert abs(switch_entropy(trie, ()) - oracle.switch_entropy(naive, ())) <= 1e-12
 
 
 def test_cohort_deterministic_order(trie_b):
