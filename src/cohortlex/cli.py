@@ -44,7 +44,7 @@ from .analysis import (
 )
 from .cohort import CohortTrie, ImpossibleContinuationError, build_trie
 from .continuum import (
-    ContinuumPoint, DegenerateCurveError, read_identification_curves, resample_continuum,
+    ContinuumPoint, DegenerateCurveError, read_identification_curves, resample_continua,
 )
 from .lexicon import LexiconError, parse_lexicon
 from .metrics import (
@@ -264,13 +264,13 @@ def cmd_pairs(args) -> int:
 def cmd_continuum(args) -> int:
     curves = read_identification_curves(args.curve)
     fieldnames = ("item", *ContinuumPoint._fields, "midpoint", "slope")
-    rows = []
-    for item in sorted(curves):
-        continuum = resample_continuum(curves[item], mode=args.mode)
-        rows.extend(
-            (item, *point, continuum.midpoint, continuum.slope)
-            for point in continuum.points
-        )
+    items = sorted(curves)
+    continua = resample_continua([curves[item] for item in items], mode=args.mode)
+    rows = [
+        (item, *point, continuum.midpoint, continuum.slope)
+        for item, continuum in zip(items, continua)
+        for point in continuum.points
+    ]
     write_records(rows, fieldnames, args.out, args.format)
     return EXIT_OK
 

@@ -5,6 +5,11 @@ listeners labelling the onset as the first category. Those proportions
 turn the 11-step acoustic continuum into a 5-step perceptually defined
 one by picking the steps closest to the target probabilities; each
 point keeps its target, achieved proportion and fitted probability.
+
+The fitted probabilities come from a descending logistic fitted to each
+curve by least squares. All curves of a file are fitted together in one
+Levenberg-Marquardt run in numpy, so a file of a thousand curves costs
+about as many array passes as one curve does, and no scipy is loaded.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,13 +29,23 @@ N_STEPS = 11
 CONTINUUM_TARGETS = (1.0, 0.75, 0.5, 0.25, 0.0)
 
 _FIT_START = (6.0, 1.0)  # (midpoint, slope) initialization
-_FIT_MAX_EVALS = 200
-_FD_REL_STEP = np.finfo(np.float64).eps ** 0.5  # scipy's '2-point' relative step
+# Levenberg-Marquardt settings. A curve has converged when a trial step
+# is at most _FIT_TOLERANCE of its (slope, intercept), when a step the
+# model predicted well lowers its sum of squares by at most
+# _FIT_TOLERANCE of it, or when the part of its residual that a
+# Gauss-Newton step could still remove is below _FIT_TOLERANCE (scaled,
+# on a steep fit, by how far rounding the parameters moves the curve);
+# one that has not within _FIT_MAX_ITERATIONS trial steps did not
+# converge.
+_FIT_TOLERANCE = 1e-15
+_FIT_MAX_ITERATIONS = 2000
+_RADIUS_ITERATIONS = 10  # Newton steps on the damping that fits the trust radius
 
 
 class DegenerateCurveError(ValueError):
     """No descending logistic fits the identification proportions: they are
-    all equal, the fit did not converge, or its slope is not positive."""
+    all equal, the fit did not converge, it is no better than a flat line,
+    or its slope is not positive."""
 
 
 @dataclass(frozen=True)
@@ -91,82 +106,286 @@ def logistic_identification(step, midpoint: float, slope: float):
     return 1.0 / (1.0 + np.exp(slope * (np.asarray(step, dtype=float) - midpoint)))
 
 
-def _forward_step(x: float) -> float:
-    """scipy's '2-point' absolute step: sqrt(eps) * sign(x) * max(1, |x|),
-    with sign(0) = +1."""
-    return _FD_REL_STEP * (1.0 if x >= 0 else -1.0) * max(abs(x), 1.0)
+def _damped_step(d_b, d_a, residual, damping):
+    """(a, b) step of every row that solves [J; sqrt(damping) I] step =
+    [-residual; 0] in least squares, where J's columns are `d_a`, `d_b`.
+
+    The solve is Gram-Schmidt on the two columns: the normal equations
+    would square J's condition number, which passes 1 / eps on a steep
+    curve with one intermediate step, so the `d_a` column's part
+    orthogonal to `d_b`, `rest`, is formed entry by entry. A row whose J
+    is all zeros gets a zero step.
+    """
+    norm_b = (d_b * d_b).sum(axis=1)
+    cross = (d_b * d_a).sum(axis=1)
+    proj = cross / (norm_b + damping)
+    rest = d_a - proj[:, None] * d_b
+    rest_norm = (rest * rest).sum(axis=1) + (proj * proj + 1.0) * damping
+    step_a = np.where(rest_norm > 0, -(rest * residual).sum(axis=1) / rest_norm, 0.0)
+    grad_b = (d_b * residual).sum(axis=1)
+    step_b = np.where(norm_b + damping > 0, -(grad_b + cross * step_a) / (norm_b + damping), 0.0)
+    return step_a, step_b
+
+
+def _radius_damping(norm_a, norm_b, cross, det, grad_a, grad_b, radius):
+    """Damping of every row whose damped step has length `radius`.
+
+    The step's length falls with the damping `lam` as
+    sqrt(sum_k (g . v_k)^2 / (e_k + lam)^2) over the eigenpairs (e_k, v_k)
+    of J'J = [[norm_a, cross], [cross, norm_b]] (determinant `det`) and
+    the gradient g. The root is found by safeguarded Newton steps on that
+    length, as scipy's `solve_lsq_trust_region` does, for a fixed number
+    of steps. Only used where the Gauss-Newton step is longer than
+    `radius`; the step itself is then formed by `_damped_step`.
+    """
+    large = 0.5 * (norm_a + norm_b) + np.hypot(0.5 * (norm_a - norm_b), cross)
+    small = det / large
+    # the eigenvector of `large`, from whichever row of J'J - large I
+    # leaves the longer one
+    first = np.stack([cross, large - norm_a])
+    second = np.stack([large - norm_b, cross])
+    vector = np.where(np.hypot(*first) >= np.hypot(*second), first, second)
+    vx, vy = vector / np.hypot(*vector)
+    along = (grad_a * vx + grad_b * vy) ** 2
+    across = (grad_b * vx - grad_a * vy) ** 2
+
+    def excess(lam):  # step length minus the radius, and its derivative
+        length = np.sqrt(along / (large + lam) ** 2 + across / (small + lam) ** 2)
+        slope = -(along / (large + lam) ** 3 + across / (small + lam) ** 3) / length
+        return length - radius, slope
+
+    upper = np.hypot(grad_a, grad_b) / radius
+    full_rank = np.sqrt(small) > np.finfo(float).eps * N_STEPS * np.sqrt(large)
+    phi, phi_slope = excess(0.0)
+    lower = np.where(full_rank, -phi / phi_slope, 0.0)
+    lam = np.maximum(0.001 * upper, np.sqrt(lower * upper))
+    for _ in range(_RADIUS_ITERATIONS):
+        outside = (lam < lower) | (lam > upper)
+        lam = np.where(outside, np.maximum(0.001 * upper, np.sqrt(lower * upper)), lam)
+        phi, phi_slope = excess(lam)
+        upper = np.where(phi < 0, lam, upper)
+        newton = phi / phi_slope
+        lower = np.maximum(lower, lam - newton)
+        lam = lam - (phi + radius) / radius * newton
+    return lam
+
+
+def _levenberg_marquardt(proportions: np.ndarray, midpoint, slope, by_midpoint=False):
+    """Least-squares logistic fit of every row of an (n, 11) array at once.
+
+    Returns (midpoints, slopes, converged), one entry per row. Each row
+    runs its own Levenberg-Marquardt iteration from its start (`midpoint`,
+    `slope`: arrays, or numbers for every row), in the trust-region form
+    of Moré (1978) that MINPACK and scipy's TRF use:
+    a row keeps a trust radius, starting at the length of its start
+    parameters, and its step is the Gauss-Newton step when that fits in
+    the radius, else the damped step whose length is the radius. A step
+    is taken if it lowers the residual sum of squares. The radius shrinks
+    to a quarter of the step when the sum of squares falls by less than
+    a quarter of what the linear model predicted, and doubles when it
+    falls by more than three quarters of it on a step at the radius.
+
+    The parameters (a, b) are the logistic's exponent `slope * step +
+    intercept` (intercept = -slope * midpoint), with the analytic
+    Jacobian: a curve whose fit steepens without end then follows a
+    straight valley, and a curve flat to within a few percent has its
+    optimum at a finite (slope, intercept) where its midpoint would be
+    far off the continuum. With `by_midpoint` they are (slope, midpoint)
+    instead, and the search gets a tenth of the iterations: from the
+    same start it can head for a descending minimum where the
+    exponent's heads for an ascending one, but it converges slowly on a
+    steep fit and creeps toward an infinite midpoint on a curve whose
+    optimum ascends. Every operation is elementwise or a sum along one
+    row, so a row's result does not depend on the other rows.
+    """
+    steps = np.arange(1, N_STEPS + 1, dtype=float)
+    n = len(proportions)
+    first = np.zeros(n) + slope
+    second = np.zeros(n) + (midpoint if by_midpoint else -slope * midpoint)
+    radius = np.hypot(first, second)
+    converged = np.zeros(n, dtype=bool)
+    active = np.arange(n)
+    # exp overflows to inf for very steep or distant fits; the logistic
+    # and its derivative then come out as exact 0 or 1. Rows with a zero
+    # Jacobian divide by zero in the radius search; `_damped_step` gives
+    # them a zero step, and they have converged.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for _ in range(_FIT_MAX_ITERATIONS // 10 if by_midpoint else _FIT_MAX_ITERATIONS):
+            if not len(active):
+                break
+            target, delta = proportions[active], radius[active]
+            a, b = first[active], second[active]
+            if by_midpoint:
+                z = a[:, None] * (steps - b[:, None])
+            else:
+                z = a[:, None] * steps + b[:, None]
+            fitted = 1.0 / (1.0 + np.exp(z))
+            d_z = -fitted / (1.0 + np.exp(-z))  # -fitted * (1 - fitted), no cancellation
+            if by_midpoint:
+                d_a, d_b = (steps - b[:, None]) * d_z, -a[:, None] * d_z
+            else:
+                d_a, d_b = steps * d_z, d_z
+            residual = fitted - target
+            cost = (residual * residual).sum(axis=1)
+            grad_b = (d_b * residual).sum(axis=1)
+            grad_a = (d_a * residual).sum(axis=1)
+            norm_b = (d_b * d_b).sum(axis=1)
+            norm_a = (d_a * d_a).sum(axis=1)
+            cross = (d_b * d_a).sum(axis=1)
+            plain = d_a - (cross / norm_b)[:, None] * d_b
+            plain_norm = (plain * plain).sum(axis=1)
+            # The residual's projection on J's columns is the most a
+            # Gauss-Newton step could still remove. It cannot shrink
+            # below what rounding the parameters moves the curve by,
+            # about eps * (|a| |J_a| + |b| |J_b|), which passes 1e-15
+            # on a steep fit, so the test allows for it.
+            explained = np.where(norm_b > 0, grad_b**2 / norm_b, 0.0) + np.where(
+                plain_norm > 0, (plain * residual).sum(axis=1) ** 2 / plain_norm, 0.0
+            )
+            resolution = 1.0 + a * a * norm_a + b * b * norm_b
+            stalled = explained <= _FIT_TOLERANCE**2 * resolution
+
+            step_a, step_b = _damped_step(d_b, d_a, residual, 0.0)
+            outside = ~(np.hypot(step_a, step_b) <= delta)
+            if outside.any():
+                lam = _radius_damping(
+                    norm_a, norm_b, cross, norm_b * plain_norm, grad_a, grad_b, delta
+                )
+                damped_a, damped_b = _damped_step(
+                    d_b, d_a, residual, np.where(outside, lam, 0.0)
+                )
+                step_a = np.where(outside, damped_a, step_a)
+                step_b = np.where(outside, damped_b, step_b)
+            length = np.hypot(step_a, step_b)
+            moved = d_a * step_a[:, None] + d_b * step_b[:, None]
+            predicted = -(2.0 * (grad_a * step_a + grad_b * step_b) + (moved * moved).sum(axis=1))
+            trial_a, trial_b = a + step_a, b + step_b
+            if by_midpoint:
+                trial_z = trial_a[:, None] * (steps - trial_b[:, None])
+            else:
+                trial_z = trial_a[:, None] * steps + trial_b[:, None]
+            trial = 1.0 / (1.0 + np.exp(trial_z)) - target
+            actual = cost - (trial * trial).sum(axis=1)
+            ratio = np.where(
+                predicted > 0,
+                actual / predicted,
+                np.where((predicted == 0) & (actual == 0), 1.0, 0.0),
+            )
+            radius[active] = np.where(
+                ratio < 0.25,
+                0.25 * length,
+                np.where((ratio > 0.75) & (length > 0.95 * delta), 2.0 * delta, delta),
+            )
+            better = ~stalled & (actual > 0)
+            first[active] = np.where(better, trial_a, a)
+            second[active] = np.where(better, trial_b, b)
+            done = (
+                stalled
+                | ((actual < _FIT_TOLERANCE * cost) & (ratio > 0.25))
+                | (length < _FIT_TOLERANCE * (_FIT_TOLERANCE + np.hypot(a, b)))
+            )
+            converged[active[done]] = True
+            active = active[~done]
+        if by_midpoint:
+            return second, first, converged
+        return -second / first, first, converged  # slope 0: no midpoint
+
+
+def _sum_of_squares(proportions, midpoint, slope):
+    """Residual sum of squares of each row's logistic (midpoint, slope)."""
+    steps = np.arange(1, N_STEPS + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fitted = logistic_identification(steps, midpoint[:, None], slope[:, None])
+    return ((fitted - proportions) ** 2).sum(axis=1)
+
+
+def _fit_batch(proportions: np.ndarray):
+    """(midpoints, slopes, converged) of every row of an (n, 11) array.
+
+    A constant row is not fitted and counts as not converged. A row
+    whose search ends ascending or unconverged is searched again: in
+    (midpoint, slope) from the same start for a tenth of the iterations,
+    then in the exponent from wherever that stopped. It takes the second
+    result when that converged to a descending logistic with a smaller
+    sum of squares.
+    """
+    flat = np.all(proportions == proportions[:, :1], axis=1)
+    n = len(proportions)
+    midpoint, slope, converged = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
+    midpoint[~flat], slope[~flat], converged[~flat] = _levenberg_marquardt(
+        proportions[~flat], *_FIT_START
+    )
+    retry = np.flatnonzero(~flat & ~(converged & (slope > 0)))
+    if len(retry):
+        rows = proportions[retry]
+        found = _levenberg_marquardt(rows, *_FIT_START, by_midpoint=True)[:2]
+        again_midpoint, again_slope, again_converged = _levenberg_marquardt(rows, *found)
+        take = (again_converged & (again_slope > 0)) & (
+            _sum_of_squares(rows, again_midpoint, again_slope)
+            < _sum_of_squares(rows, midpoint[retry], slope[retry])
+        )
+        midpoint[retry[take]], slope[retry[take]] = again_midpoint[take], again_slope[take]
+        converged[retry[take]] = True
+    return midpoint, slope, converged
+
+
+def _fit_rows(proportions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(midpoints, slopes) of every row of an (n, 11) proportion array.
+
+    Raises DegenerateCurveError for the first row, in row order, that
+    is constant, whose fit did not converge, whose fit is no better than
+    the flat line at its mean proportion, or whose fitted slope is not
+    positive. "No better" is a sum of squares within _FIT_TOLERANCE of
+    the flat line's: the fitted slope is then zero up to rounding, as on
+    a curve symmetric about step 6, and its sign says nothing.
+    """
+    midpoint, slope, converged = _fit_batch(proportions)
+    flat_sse = ((proportions - proportions.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        tilted = _sum_of_squares(proportions, midpoint, slope) < flat_sse - _FIT_TOLERANCE
+    failed = ~converged | ~tilted | ~(slope > 0)
+    if failed.any():
+        row = int(np.argmax(failed))
+        if np.all(proportions[row] == proportions[row, 0]):
+            raise DegenerateCurveError("all identification proportions are equal")
+        if not converged[row]:
+            raise DegenerateCurveError(
+                f"logistic fit did not converge in {_FIT_MAX_ITERATIONS} iterations"
+            )
+        if not tilted[row]:
+            raise DegenerateCurveError(
+                "logistic fit is no better than a flat line: the curve does not descend"
+            )
+        raise DegenerateCurveError(
+            f"fitted slope {slope[row]:.6f} is not positive: the curve does not descend"
+        )
+    return midpoint, slope
 
 
 def fit_psychometric(curve: IdentificationCurve) -> tuple[float, float]:
     """Least-squares logistic fit of an identification curve.
 
-    Returns (midpoint, slope). Deterministic: scipy's trust-region
-    reflective solver from the fixed start (6, 1) with a budget of 200
-    residual evaluations. Raises DegenerateCurveError for a constant
-    curve (it has no midpoint), for a fit that does not converge within
-    the budget, and for a fitted slope that is not positive (a curve that
-    does not descend from the first category to the second).
-
-    The Jacobian is scipy's own `'2-point'` forward difference (step
-    sqrt(eps) * sign(x) * max(1, |x|), denominator (x + h) - x, numerator
-    f(x + h) - f(x)), with f at x and at both perturbed points computed
-    in one broadcast call. It is bit for bit the Jacobian `least_squares`
-    builds by default, so the solver takes the same steps within the same
-    budget (only residual calls count) and returns the same fit. A test
-    pins the result to a default-Jacobian `least_squares` call, so a
-    change in scipy's rule shows up there.
+    Returns (midpoint, slope): the one-curve case of the batched
+    Levenberg-Marquardt fit that `resample_continua` runs, so a curve
+    fits to the same bits alone or in a batch. The fit starts from
+    (6, 1) and stops when a step is at most 1e-15 of its parameters, when
+    a step lowers the sum of squares by at most 1e-15 of it, or when the
+    part of the residual a Gauss-Newton step could still remove is below
+    1e-15 (see `_levenberg_marquardt`); a fit that ends ascending is
+    searched again (see `_fit_batch`). Raises DegenerateCurveError for a
+    constant curve (it has no midpoint), for a fit that does not converge
+    within 2,000 iterations, for a fit no better than the flat line at
+    the mean proportion (its slope is zero up to rounding), and for a
+    fitted slope that is not positive (a curve that does not descend from
+    the first category to the second).
     """
-    from scipy.optimize import least_squares  # here: `import cohortlex` never loads scipy
-
-    proportions = np.array(curve.proportions)
-    if np.all(proportions == proportions[0]):
-        raise DegenerateCurveError("all identification proportions are equal")
-    steps = np.arange(1, N_STEPS + 1, dtype=float)
-
-    def residual(params):
-        midpoint, slope = params
-        return logistic_identification(steps, midpoint, slope) - proportions
-
-    def jacobian(params):
-        midpoint, slope = params.tolist()
-        shifted_midpoint = midpoint + _forward_step(midpoint)
-        shifted_slope = slope + _forward_step(slope)
-        # rows: the residual at x, at x + h0 e0 and at x + h1 e1
-        values = logistic_identification(
-            steps,
-            np.array([[midpoint], [shifted_midpoint], [midpoint]]),
-            np.array([[slope], [slope], [shifted_slope]]),
-        ) - proportions
-        delta = np.array([[shifted_midpoint - midpoint], [shifted_slope - slope]])
-        # built as (n, m) and transposed, the layout scipy returns
-        return ((values[1:] - values[0]) / delta).T
-
-    result = least_squares(residual, _FIT_START, jac=jacobian, max_nfev=_FIT_MAX_EVALS)
-    if not result.success:
-        raise DegenerateCurveError(
-            f"logistic fit did not converge in {_FIT_MAX_EVALS} evaluations"
-        )
-    midpoint, slope = (float(x) for x in result.x)
-    if not slope > 0:
-        raise DegenerateCurveError(
-            f"fitted slope {slope:.6f} is not positive: the curve does not descend"
-        )
-    return midpoint, slope
+    midpoint, slope = _fit_rows(np.array([curve.proportions], dtype=float))
+    return float(midpoint[0]), float(slope[0])
 
 
-def resample_continuum(
-    curve: IdentificationCurve, mode: str = "raw"
+def _resampled(
+    curve: IdentificationCurve, mode: str, midpoint: float, slope: float
 ) -> PerceptualContinuum:
-    """Pick the 5 steps nearest the target identification probabilities.
-
-    Greedy assignment in target order 1 -> 0; each step is used at most
-    once; distance ties break toward the lower step index. `mode`
-    selects what "nearest" compares against: the raw pretest proportions
-    (default) or the fitted logistic probabilities.
-    """
-    if mode not in ("raw", "fitted"):
-        raise ValueError(f"mode must be 'raw' or 'fitted', got {mode!r}")
-    midpoint, slope = fit_psychometric(curve)
     fitted = logistic_identification(np.arange(1, N_STEPS + 1), midpoint, slope)
     reference = fitted if mode == "fitted" else np.array(curve.proportions)
 
@@ -182,6 +401,38 @@ def resample_continuum(
             target, step, curve.proportion_at(step), float(fitted[step - 1])
         ))
     return PerceptualContinuum(tuple(points), midpoint, slope)
+
+
+def resample_continua(
+    curves: Sequence[IdentificationCurve], mode: str = "raw"
+) -> list[PerceptualContinuum]:
+    """`resample_continuum` of every curve, with all fits in one batch.
+
+    Raises DegenerateCurveError for the first curve, in the given order,
+    that `fit_psychometric` rejects.
+    """
+    if mode not in ("raw", "fitted"):
+        raise ValueError(f"mode must be 'raw' or 'fitted', got {mode!r}")
+    proportions = np.array([curve.proportions for curve in curves], dtype=float)
+    midpoints, slopes = _fit_rows(proportions.reshape(-1, N_STEPS))
+    return [
+        _resampled(curve, mode, midpoint, slope)
+        for curve, midpoint, slope in zip(curves, midpoints.tolist(), slopes.tolist())
+    ]
+
+
+def resample_continuum(
+    curve: IdentificationCurve, mode: str = "raw"
+) -> PerceptualContinuum:
+    """Pick the 5 steps nearest the target identification probabilities.
+
+    Greedy assignment in target order 1 -> 0; each step is used at most
+    once; distance ties break toward the lower step index. `mode`
+    selects what "nearest" compares against: the raw pretest proportions
+    (default) or the fitted logistic probabilities.
+    """
+    (continuum,) = resample_continua([curve], mode)
+    return continuum
 
 
 def read_identification_curves(path: str | Path) -> dict[str, IdentificationCurve]:

@@ -7,6 +7,7 @@ genuinely diverges so listeners get a point of disambiguation.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -125,5 +126,10 @@ def find_word_pairs(
                     results.append(WordPair(
                         orth_a, orth_b, voiced, voiceless, shared_len, point,
                     ))
-    results.sort(key=lambda pair: (-pair.shared_len, pair.word_a, pair.word_b))
+    # The dedupe leaves no two pairs with equal (word_a, word_b), so the
+    # tuple order never compares past word_b; the stable second sort then
+    # gives (shared_len descending, word_a, word_b) without building a key
+    # tuple per pair.
+    results.sort()
+    results.sort(key=itemgetter(4), reverse=True)
     return results

@@ -4,7 +4,9 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohortlex import analysis, build_trie, cli, make_lexicon, parse_lexicon, write_lexicon
+from cohortlex import (
+    analysis, build_trie, cli, continuum, make_lexicon, parse_lexicon, write_lexicon,
+)
 from tests import records_reference as reference
 from tests.conftest import SIM_ROWS, TOY_B_ROWS, generated_rows
 
@@ -66,18 +70,14 @@ def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
-def test_commands_that_fit_nothing_never_load_scipy(sim_path):
-    # scipy is imported where a fit or a chi-square tail calls it, so
-    # importing the package and running these commands leave it unloaded.
+def scipy_modules_after(argvs):
+    """Run `cli.main` on each argv in a fresh interpreter that first
+    imports the package: each command's name and exit code, then the
+    sorted scipy modules loaded by the end."""
     script = f"""
 import contextlib, io, sys
 import cohortlex, cohortlex.cli
-for argv in (
-    ["ingest-check", "--lexicon", {sim_path!r}],
-    ["trace", "--lexicon", {sim_path!r}, "--all", "--pair", "B,P"],
-    ["compare", "--lexicon", {sim_path!r}, "--pair", "B,P"],
-    ["pairs", "--lexicon", {sim_path!r}, "--min-shared", "1"],
-):
+for argv in {argvs!r}:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cohortlex.cli.main(argv)
     print(argv[0], code)
@@ -91,8 +91,27 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == [
-        "ingest-check 0", "trace 0", "compare 0", "pairs 0", "[]",
+    return result.stdout.splitlines()
+
+
+def test_commands_that_fit_nothing_never_load_scipy(sim_path):
+    # scipy is imported where a fit or a chi-square tail calls it, so
+    # importing the package and running these commands leave it unloaded.
+    assert scipy_modules_after([
+        ["ingest-check", "--lexicon", sim_path],
+        ["trace", "--lexicon", sim_path, "--all", "--pair", "B,P"],
+        ["compare", "--lexicon", sim_path, "--pair", "B,P"],
+        ["pairs", "--lexicon", sim_path, "--min-shared", "1"],
+    ]) == ["ingest-check 0", "trace 0", "compare 0", "pairs 0", "[]"]
+
+
+def test_continuum_never_loads_scipy(tmp_path):
+    # the logistic fits are the package's own Levenberg-Marquardt, in numpy
+    curve_path = tmp_path / "curves.csv"
+    write_curve(curve_path, [1.0, 1.0, 0.97, 0.9, 0.8, 0.6, 0.4, 0.2, 0.08, 0.02, 0.0])
+    argv = ["continuum", "--in", str(curve_path)]
+    assert scipy_modules_after([argv, argv + ["--mode", "fitted"]]) == [
+        "continuum 0", "continuum 0", "[]",
     ]
 
 
@@ -426,8 +445,9 @@ def test_csv_labels_with_commas_and_quotes_stay_one_cell(capsys, tmp_path):
 
 
 # Three noisy descending curves whose 6-decimal midpoint, slope or fitted
-# probability moves by one last digit when the fit's Jacobian is the
-# analytic derivative instead of scipy's 2-point difference.
+# probability moves by a last digit or more when the fit stops short of
+# the least-squares optimum: every cell equals a fit by
+# `continuum_reference.reference_fit` at 1e-15 tolerances.
 GOLDEN_CURVES = {
     "early": [0.945, 0.954, 0.939, 0.55, 0.094, 0.0, 0.0, 0.004, 0.0, 0.0, 0.0],
     "dip": [1.0, 0.973, 0.958, 0.534, 0.064, 0.049, 0.0, 0.022, 0.038, 0.0, 0.002],
@@ -437,39 +457,39 @@ GOLDEN_CURVES = {
 GOLDEN_CONTINUUM = {
     "raw": """\
 item,target,step,achieved_proportion,fitted_probability,midpoint,slope
-dip,1.000000,1,1.000000,0.999799,4.051099,2.790535
-dip,0.750000,3,0.958000,0.949460,4.051099,2.790535
-dip,0.500000,4,0.534000,0.535588,4.051099,2.790535
-dip,0.250000,5,0.064000,0.066116,4.051099,2.790535
-dip,0.000000,7,0.000000,0.000267,4.051099,2.790535
-early,1.000000,2,0.954000,0.993944,4.080962,2.451079
-early,0.750000,3,0.939000,0.933982,4.080962,2.451079
-early,0.500000,4,0.550000,0.549449,4.080962,2.451079
-early,0.250000,5,0.094000,0.095122,4.080962,2.451079
-early,0.000000,6,0.000000,0.008980,4.080962,2.451079
-late,1.000000,1,1.000000,0.999904,5.713753,1.961821
-late,0.750000,5,0.820000,0.802224,5.713753,1.961821
-late,0.500000,6,0.357000,0.363185,5.713753,1.961821
-late,0.250000,7,0.069000,0.074235,5.713753,1.961821
-late,0.000000,9,0.000000,0.001583,5.713753,1.961821
+dip,1.000000,1,1.000000,0.999799,4.051098,2.790542
+dip,0.750000,3,0.958000,0.949460,4.051098,2.790542
+dip,0.500000,4,0.534000,0.535588,4.051098,2.790542
+dip,0.250000,5,0.064000,0.066115,4.051098,2.790542
+dip,0.000000,7,0.000000,0.000267,4.051098,2.790542
+early,1.000000,2,0.954000,0.993944,4.080962,2.451081
+early,0.750000,3,0.939000,0.933982,4.080962,2.451081
+early,0.500000,4,0.550000,0.549449,4.080962,2.451081
+early,0.250000,5,0.094000,0.095122,4.080962,2.451081
+early,0.000000,6,0.000000,0.008980,4.080962,2.451081
+late,1.000000,1,1.000000,0.999904,5.713753,1.961822
+late,0.750000,5,0.820000,0.802225,5.713753,1.961822
+late,0.500000,6,0.357000,0.363185,5.713753,1.961822
+late,0.250000,7,0.069000,0.074235,5.713753,1.961822
+late,0.000000,9,0.000000,0.001583,5.713753,1.961822
 """,
     "fitted": """\
 item,target,step,achieved_proportion,fitted_probability,midpoint,slope
-dip,1.000000,1,1.000000,0.999799,4.051099,2.790535
-dip,0.750000,3,0.958000,0.949460,4.051099,2.790535
-dip,0.500000,4,0.534000,0.535588,4.051099,2.790535
-dip,0.250000,5,0.064000,0.066116,4.051099,2.790535
-dip,0.000000,11,0.002000,0.000000,4.051099,2.790535
-early,1.000000,1,0.945000,0.999475,4.080962,2.451079
-early,0.750000,3,0.939000,0.933982,4.080962,2.451079
-early,0.500000,4,0.550000,0.549449,4.080962,2.451079
-early,0.250000,5,0.094000,0.095122,4.080962,2.451079
-early,0.000000,11,0.000000,0.000000,4.080962,2.451079
-late,1.000000,1,1.000000,0.999904,5.713753,1.961821
-late,0.750000,5,0.820000,0.802224,5.713753,1.961821
-late,0.500000,6,0.357000,0.363185,5.713753,1.961821
-late,0.250000,7,0.069000,0.074235,5.713753,1.961821
-late,0.000000,11,0.042000,0.000031,5.713753,1.961821
+dip,1.000000,1,1.000000,0.999799,4.051098,2.790542
+dip,0.750000,3,0.958000,0.949460,4.051098,2.790542
+dip,0.500000,4,0.534000,0.535588,4.051098,2.790542
+dip,0.250000,5,0.064000,0.066115,4.051098,2.790542
+dip,0.000000,11,0.002000,0.000000,4.051098,2.790542
+early,1.000000,1,0.945000,0.999475,4.080962,2.451081
+early,0.750000,3,0.939000,0.933982,4.080962,2.451081
+early,0.500000,4,0.550000,0.549449,4.080962,2.451081
+early,0.250000,5,0.094000,0.095122,4.080962,2.451081
+early,0.000000,11,0.000000,0.000000,4.080962,2.451081
+late,1.000000,1,1.000000,0.999904,5.713753,1.961822
+late,0.750000,5,0.820000,0.802225,5.713753,1.961822
+late,0.500000,6,0.357000,0.363185,5.713753,1.961822
+late,0.250000,7,0.069000,0.074235,5.713753,1.961822
+late,0.000000,11,0.042000,0.000031,5.713753,1.961822
 """,
 }
 
@@ -507,6 +527,9 @@ SCALE_PINS = {
     "trace --all --pair B,P --smoothing 0.1": "394258ca2baab1e579ed7555a334c7e5",
     "trace --all --pair D,T --smoothing 0.1": "d679dde3339075b4f6326121121d411c",
     "trace --all --pair G,K --smoothing 0.1": "643a8c13d268d9862ad99acab7bc3924",
+    # 1,000 generated curves (see scale_curves_path)
+    "continuum --mode raw": "b7ccdcde46aa1e0487bd0e1f16a28abe",
+    "continuum --mode fitted": "788b17e77587552067a083f2deab8951",
 }
 
 
@@ -526,9 +549,29 @@ def scale_path(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def scale_curves_path(tmp_path_factory):
+    # noisy descending logistics rounded to 3 decimals, as a pretest
+    # reports them, with midpoints and slopes over the usual range
+    rng = random.Random(101)
+    lines = ["item,step,proportion"]
+    for item in range(1_000):
+        midpoint, slope = rng.uniform(4.0, 8.0), rng.uniform(0.8, 2.5)
+        for step in range(1, 12):
+            p = 1.0 / (1.0 + math.exp(slope * (step - midpoint))) + rng.gauss(0.0, 0.03)
+            lines.append(f"item{item:04d},{step},{min(1.0, max(0.0, p)):.3f}")
+    path = tmp_path_factory.mktemp("scale") / "curves.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
 @pytest.mark.parametrize("command", SCALE_PINS)
-def test_outputs_at_scale_are_pinned(capsys, scale_path, command):
-    code, out, _ = run_cli(capsys, command.split() + ["--lexicon", scale_path])
+def test_outputs_at_scale_are_pinned(capsys, request, command):
+    if command.startswith("continuum"):
+        inputs = ["--in", request.getfixturevalue("scale_curves_path")]
+    else:
+        inputs = ["--lexicon", request.getfixturevalue("scale_path")]
+    code, out, _ = run_cli(capsys, command.split() + inputs)
     assert code == 0
     assert hashlib.md5(out.encode()).hexdigest() == SCALE_PINS[command]
 
@@ -644,7 +687,7 @@ def test_continuum_column_named_twice_exits_1(capsys, tmp_path):
 @pytest.mark.parametrize(
     "proportions, message",
     [
-        ([0.0] * 10 + [1.0], "did not converge"),
+        ([0.0] * 10 + [1.0], "is not positive"),
         ([0.5] * 10 + [0.51], "is not positive"),
     ],
     ids=["reversed", "nearly-flat"],
@@ -660,6 +703,33 @@ def test_continuum_failed_fit_exits_3(capsys, tmp_path, proportions, message, mo
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert len(err.splitlines()) == 1
+
+
+def test_continuum_reports_the_first_failing_item_in_sorted_order(
+    capsys, tmp_path, monkeypatch
+):
+    # file order z, b, a: "a" rises (slope not positive) and sorts first,
+    # ahead of the flat "b"; once the cap is cut to 3 iterations, "a"
+    # stops converging first instead
+    curves = {
+        "z": [1.0, 1.0, 0.97, 0.9, 0.8, 0.6, 0.4, 0.2, 0.08, 0.02, 0.0],
+        "b": [0.5] * 11,
+        "a": [0.0] * 10 + [1.0],
+    }
+    curve_path = tmp_path / "items.csv"
+    curve_path.write_text("item,step,proportion\n" + "".join(
+        f"{item},{step},{prop}\n"
+        for item, props in curves.items()
+        for step, prop in enumerate(props, start=1)
+    ), encoding="utf-8")
+    argv = ["continuum", "--in", str(curve_path)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: fitted slope -") and err.count("\n") == 1
+    assert "is not positive" in err
+    monkeypatch.setattr(continuum, "_FIT_MAX_ITERATIONS", 3)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (3, "", "error: logistic fit did not converge in 3 iterations\n")
 
 
 def test_simfit_small_run(capsys, tmp_path, sim_path):

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import least_squares
 
+import cohortlex.continuum as continuum
 from cohortlex import (
     CONTINUUM_TARGETS,
     DegenerateCurveError,
@@ -14,8 +14,10 @@ from cohortlex import (
     fit_psychometric,
     logistic_identification,
     read_identification_curves,
+    resample_continua,
     resample_continuum,
 )
+from tests.continuum_reference import reference_fit, sum_of_squares
 
 EXAMPLE = IdentificationCurve(
     (1.0, 1.0, 0.97, 0.9, 0.8, 0.6, 0.4, 0.2, 0.08, 0.02, 0.0)
@@ -72,11 +74,33 @@ def test_fit_constant_curve_degenerate():
         fit_psychometric(IdentificationCurve((0.5,) * 11))
 
 
-def test_fit_reversed_curve_does_not_converge():
-    # an ascending step at the last point drives the midpoint off to
-    # about -1.2e5 until the evaluation budget runs out
-    with pytest.raises(DegenerateCurveError, match="did not converge"):
+def test_fit_reversed_curve_has_no_positive_slope():
+    # converges, to a logistic that ascends steeply at the last step
+    with pytest.raises(DegenerateCurveError, match="slope -71.290169 is not positive"):
         fit_psychometric(IdentificationCurve((0.0,) * 10 + (1.0,)))
+
+
+def test_fit_that_reaches_the_iteration_cap_does_not_converge(monkeypatch):
+    monkeypatch.setattr(continuum, "_FIT_MAX_ITERATIONS", 3)
+    with pytest.raises(DegenerateCurveError, match="did not converge in 3 iterations$"):
+        fit_psychometric(EXAMPLE)
+
+
+def test_fit_symmetric_curve_is_no_better_than_a_flat_line():
+    # the least-squares slope is 0; the fit's is 0 up to rounding, of
+    # either sign
+    with pytest.raises(DegenerateCurveError, match="no better than a flat line"):
+        fit_psychometric(IdentificationCurve((0.5,) * 5 + (0.51,) + (0.5,) * 5))
+
+
+def test_fit_takes_a_better_descending_minimum_from_the_second_search():
+    # the exponent search from (6, 1) ends at an ascending minimum; the
+    # (midpoint, slope) search heads for this descending one, which fits
+    # better
+    curve = (0.979, 1.0, 0.999, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.946, 1.0)
+    assert fit_psychometric(IdentificationCurve(curve)) == pytest.approx(
+        (24.677148, 0.291057), rel=1e-6
+    )
 
 
 def test_fit_nearly_flat_curve_has_no_positive_slope():
@@ -260,27 +284,6 @@ def test_read_names_the_item_with_an_incomplete_step_set(tmp_path):
         read_identification_curves(path)
 
 
-def default_jacobian_fit(curve):
-    """`fit_psychometric`'s outcome with scipy's default `jac='2-point'`:
-    (midpoint, slope), or the DegenerateCurveError message."""
-    proportions = np.array(curve.proportions)
-    if np.all(proportions == proportions[0]):
-        return "all identification proportions are equal"
-    steps = np.arange(1, N_STEPS + 1, dtype=float)
-
-    def residual(params):
-        midpoint, slope = params
-        return logistic_identification(steps, midpoint, slope) - proportions
-
-    result = least_squares(residual, (6.0, 1.0), max_nfev=200)
-    if not result.success:
-        return "logistic fit did not converge in 200 evaluations"
-    midpoint, slope = (float(x) for x in result.x)
-    if not slope > 0:
-        return f"fitted slope {slope:.6f} is not positive: the curve does not descend"
-    return midpoint, slope
-
-
 proportion = st.floats(0.0, 1.0)
 
 
@@ -320,18 +323,64 @@ def pin_curves(draw):
     return tuple(descending) + (draw(st.floats(descending[-1], 1.0)),)
 
 
-def bits(outcome):
-    return outcome if isinstance(outcome, str) else tuple(x.hex() for x in outcome)
+def outcome(fit, proportions):
+    """A fit's (midpoint, slope), or the kind of DegenerateCurveError it raised."""
+    try:
+        return fit(proportions)
+    except DegenerateCurveError as exc:
+        return next(
+            kind for kind in ("equal", "converge", "flat line", "positive") if kind in str(exc)
+        )
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(proportions=pin_curves())
-def test_fit_matches_default_jacobian_least_squares(proportions):
-    # the fit's own Jacobian is scipy's '2-point' rule in one call; equal
-    # bits here mean the solver took the same steps
-    curve = IdentificationCurve(proportions)
-    try:
-        got = fit_psychometric(curve)
-    except DegenerateCurveError as exc:
-        got = str(exc)
-    assert bits(got) == bits(default_jacobian_fit(curve))
+# flat to within 0.3%, midpoint far off the continuum
+@example(proportions=(1.0,) * 9 + (0.997, 1.0))
+# the exponent search ends ascending; the second search finds a better,
+# descending fit
+@example(proportions=(0.979, 1.0, 0.999, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.946, 1.0))
+@example(proportions=(0.938, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.958, 1.0, 0.824))
+# symmetric about step 6: the optimum slope is 0
+@example(proportions=(0.875,) * 5 + (0.8706025052210794,) + (0.875,) * 5)
+def test_fit_matches_tight_least_squares(proportions):
+    # Same outcome, and where both fit, a sum of squares no larger than
+    # the reference's. The parameters themselves are not compared: a
+    # step-like curve has no attained minimum (both fits steepen until
+    # they stop), and on a flat or steep noisy curve the sum of squares
+    # resolves them only to about 1e-7.
+    got = outcome(lambda p: fit_psychometric(IdentificationCurve(p)), proportions)
+    want = outcome(reference_fit, proportions)
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple)
+        assert sum_of_squares(proportions, *got) <= sum_of_squares(proportions, *want) + 1e-15
+    else:
+        assert got == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(batch=st.lists(pin_curves(), min_size=1, max_size=8))
+def test_a_curve_fits_to_the_same_bits_alone_and_in_a_batch(batch):
+    midpoints, slopes, converged = continuum._fit_batch(np.array(batch))
+    for row, proportions in enumerate(batch):
+        alone = continuum._fit_batch(np.array([proportions]))
+        assert (midpoints[row].hex(), slopes[row].hex(), converged[row]) == (
+            alone[0][0].hex(), alone[1][0].hex(), alone[2][0]
+        )
+
+
+def test_resample_continua_equals_one_curve_at_a_time():
+    curves = [EXAMPLE, synthetic_curve(5.2, 0.9), synthetic_curve(7.5, 2.0)]
+    for mode in ("raw", "fitted"):
+        assert resample_continua(curves, mode) == [
+            resample_continuum(curve, mode) for curve in curves
+        ]
+
+
+def test_resample_continua_names_the_first_failing_curve():
+    rising = IdentificationCurve((0.0,) * 10 + (1.0,))
+    flat = IdentificationCurve((0.5,) * 11)
+    with pytest.raises(DegenerateCurveError, match="not positive"):
+        resample_continua([EXAMPLE, rising, flat])
+    with pytest.raises(DegenerateCurveError, match="are equal"):
+        resample_continua([flat, rising, EXAMPLE])
