@@ -30,6 +30,7 @@ import gc
 import io
 import json
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .analysis import (
@@ -56,7 +57,7 @@ from .metrics import (
     model_correlation,
     model_divergence_ranking,
 )
-from .stimuli import WordPair, find_word_pairs
+from .stimuli import WordPair, _pair_rows
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -93,8 +94,8 @@ def _json_cell(value):
 # Cell types `csv.writer` already writes as `_csv_cell` would: str as is,
 # int through str, None as an empty cell.
 _PLAIN_CSV_TYPES = frozenset((str, int, type(None)))
-# Rows converted per block: converting the whole table at once would hold
-# every cell's text in memory next to the rows and the output buffer.
+# Rows converted and written per block: converting the whole table at
+# once would hold every cell's text in memory next to the rows.
 _CSV_BLOCK_ROWS = 1024
 
 
@@ -104,33 +105,46 @@ def _csv_column(cells):
     return [_csv_cell(cell) for cell in cells]
 
 
+def _csv_blocks(rows, fieldnames):
+    """The CSV text of the header and `rows`, one block of rows at a time."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(fieldnames)
+    rows = iter(rows)
+    while True:
+        block = list(islice(rows, _CSV_BLOCK_ROWS))
+        writer.writerows(zip(*(_csv_column(column) for column in zip(*block))))
+        yield buffer.getvalue()
+        if len(block) < _CSV_BLOCK_ROWS:
+            return
+        buffer.seek(0)
+        buffer.truncate()
+
+
 def write_records(rows, fieldnames, out_path: str | None, fmt: str) -> None:
-    """Serialize rows (a list of tuples in `fieldnames` order) as CSV rows or
-    a JSON array.
+    """Serialize rows (any iterable of tuples in `fieldnames` order) as CSV
+    rows or a JSON array, to `out_path` or else stdout.
 
     A field a row does not have is an explicit None: an empty CSV cell,
     a JSON null. Floats are rounded to 6 decimals in both formats, so the
     two carry identical values field for field. A CSV cell holding a
     comma or a quote is quoted, so every row keeps one cell per field.
-    CSV cells are converted a column at a time, in blocks of rows.
+    CSV is converted a column at a time and written a block of rows at a
+    time, so the rows may come from a one-shot iterator and the whole
+    text is never held; JSON is built whole, then written.
     """
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(fieldnames)
-        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = rows[start:start + _CSV_BLOCK_ROWS]
-            writer.writerows(zip(*(_csv_column(column) for column in zip(*block))))
-        text = buffer.getvalue()
+        chunks = _csv_blocks(rows, fieldnames)
     elif fmt == "json":
         payload = [dict(zip(fieldnames, map(_json_cell, row))) for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
+        chunks = [json.dumps(payload, indent=2) + "\n"]
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(out_path).write_text(text, encoding="utf-8")
+        with Path(out_path).open("w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
 
 
 def _parse_pair(raw: str) -> tuple[str, str]:
@@ -254,10 +268,9 @@ def cmd_compare(args) -> int:
 
 def cmd_pairs(args) -> int:
     lexicon = parse_lexicon(args.lexicon, smoothing=args.smoothing)
-    pairs = find_word_pairs(
-        lexicon, args.min_shared, require_divergence=not args.keep_undiverged
-    )
-    write_records(pairs, WordPair._fields, args.out, args.format)
+    # The rows stream to the writer: no `WordPair` is built.
+    rows = _pair_rows(lexicon, args.min_shared, require_divergence=not args.keep_undiverged)
+    write_records(rows, WordPair._fields, args.out, args.format)
     return EXIT_OK
 
 

@@ -13,6 +13,7 @@ reads the file; `LexiconEntry` values are built only when asked for.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -121,9 +122,14 @@ class Lexicon:
         frequency_unit: str = "counts",
     ):
         entries = tuple(entries)
+        code_of = _CodeTable()
+        codes: list[int] = []
+        for entry in entries:
+            codes += map(code_of.__getitem__, entry.pron)
         self._set_columns(
             [e.orthography for e in entries],
-            [phoneme for e in entries for phoneme in e.pron],
+            tuple(code_of),
+            codes,
             [len(e.pron) for e in entries],
             [e.frequency for e in entries],
             frozenset(inventory),
@@ -138,23 +144,21 @@ class Lexicon:
         return lexicon
 
     def _set_columns(
-        self, orthographies, flat_phonemes, lengths, frequencies, inventory, frequency_unit
+        self, orthographies, phonemes, codes, lengths, frequencies, inventory, frequency_unit
     ) -> None:
-        """Code, store and validate the columns.
+        """Store and validate the columns.
 
-        `flat_phonemes` is every entry's phonemes in entry order, and
-        `lengths` the entries' phoneme counts; an `inventory` of None is
-        the phonemes used. The checks run over whole columns. An error
-        about one entry names the first entry that breaks a rule, checking
-        an entry for a duplicate before its phonemes; the summed frequency
-        is checked last.
+        `codes` is every entry's phoneme codes in entry order, numbering
+        the `phonemes` in order of first use, and `lengths` the entries'
+        phoneme counts; an `inventory` of None is the phonemes used. The
+        checks run over whole columns. An error about one entry names the
+        first entry that breaks a rule, checking an entry for a duplicate
+        before its phonemes; the summed frequency is checked last.
         """
         if not orthographies:
             raise LexiconValidationError("empty lexicon")
-        phonemes = tuple(dict.fromkeys(flat_phonemes))
-        code_of = {phoneme: code for code, phoneme in enumerate(phonemes)}
         dtype = np.int16 if len(phonemes) <= 1 << 15 else np.int32
-        codes = np.fromiter(map(code_of.__getitem__, flat_phonemes), dtype, len(flat_phonemes))
+        codes = np.array(codes, dtype)
         offsets = np.zeros(len(lengths) + 1, np.int64)
         np.cumsum(lengths, out=offsets[1:])
         columns = {
@@ -239,7 +243,8 @@ class Lexicon:
         # arrays are read-only too.
         return Lexicon._from_columns, (
             self.orthographies,
-            self.flat_phonemes(),
+            self.phonemes,
+            self.codes,
             np.diff(self.offsets).tolist(),
             self.frequencies.tolist(),
             self.inventory,
@@ -300,6 +305,15 @@ class Lexicon:
         return tuple(map(self.entry, indices))
 
 
+class _CodeTable(dict):
+    """Phoneme -> code; a phoneme not yet in the table gets the next code,
+    so codes number the phonemes in order of first use."""
+
+    def __missing__(self, phoneme: Phoneme) -> int:
+        code = self[phoneme] = len(self)
+        return code
+
+
 def _split_pron(raw: str) -> list[Phoneme]:
     # Upper-casing never creates or removes whitespace, so this splits
     # exactly as upper-casing each token would.
@@ -326,10 +340,13 @@ def parse_lexicon(path: str | Path, smoothing: float = 0.0) -> Lexicon:
     unit = "counts"
     declared_inventory: frozenset[Phoneme] | None = None
     orthographies: list[str] = []
-    flat_phonemes: list[Phoneme] = []
+    code_of = _CodeTable()
+    codes: list[int] = []
     lengths: list[int] = []
-    frequencies: list[float] = []
-    entry_lines: list[int] = []
+    # Arrays, not lists, so as not to keep an object per float and line
+    # number.
+    frequencies = array("d")
+    entry_lines = array("i")
     try:
         with path.open(encoding="utf-8-sig") as handle:
             for line_number, line in enumerate(handle, start=1):
@@ -375,7 +392,7 @@ def parse_lexicon(path: str | Path, smoothing: float = 0.0) -> Lexicon:
                 except LexiconValidationError as exc:
                     raise LexiconValidationError(f"line {line_number}: {exc}") from None
                 orthographies.append(orthography)
-                flat_phonemes += pron
+                codes += map(code_of.__getitem__, pron)
                 lengths.append(len(pron))
                 frequencies.append(frequency)
                 entry_lines.append(line_number)
@@ -383,7 +400,7 @@ def parse_lexicon(path: str | Path, smoothing: float = 0.0) -> Lexicon:
         raise LexiconError(f"{path}: not UTF-8 text") from None
     try:
         return Lexicon._from_columns(
-            orthographies, flat_phonemes, lengths, frequencies, declared_inventory, unit
+            orthographies, tuple(code_of), codes, lengths, frequencies, declared_inventory, unit
         )
     except LexiconValidationError as exc:
         if exc.entry_index is None:

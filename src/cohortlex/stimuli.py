@@ -7,12 +7,15 @@ genuinely diverges so listeners get a point of disambiguation.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from .lexicon import PLOSIVE_VOICING_PAIRS, Lexicon, Phoneme, PhonemeSeq
+
+
+# Rows built per block by the iterator `_pair_rows` returns.
+_ROW_BLOCK = 4096
 
 
 class WordPair(NamedTuple):
@@ -58,78 +61,135 @@ def find_word_pairs(
     kept: B/P, D/T, G/K in turn, then buckets, voiced entries and
     voiceless entries each in lexicon order.
     """
+    return list(map(WordPair._make, _pair_rows(lexicon, min_shared, require_divergence)))
+
+
+def _pair_rows(lexicon: Lexicon, min_shared: int, require_divergence: bool):
+    """`find_word_pairs`' pairs as plain tuples in `WordPair` field order.
+
+    The search runs in numpy over the candidates' padded code rows and is
+    done before this returns; the rows are an iterator over its result.
+    """
     if min_shared < 1:
         raise ValueError(f"min_shared must be >= 1, got {min_shared}")
     start = 1 + min_shared
-    orthographies = lexicon.orthographies
-    codes = memoryview(lexicon.codes)
-    raw = lexicon.codes.tobytes()
-    width = lexicon.codes.itemsize
-    offsets = lexicon.offsets.tolist()
+    codes, offsets = lexicon.codes, lexicon.offsets
+    # 2 * voicing pair + side (0 voiced, 1 voiceless) per onset code, -1
+    # for codes that are not a plosive onset.
+    group_of = np.full(len(lexicon.phonemes), -1, np.int8)
     code_of = {phoneme: code for code, phoneme in enumerate(lexicon.phonemes)}
-    # One pass over the lexicon fills every voicing pair's buckets. A
-    # bucket holds the voiced and the voiceless entries sharing one
-    # post-onset stretch of codes, each list in lexicon order.
-    by_pair: list[tuple[tuple[Phoneme, Phoneme], dict]] = []
-    side_of: dict[int, tuple[dict, int]] = {}
-    for onset_pair in PLOSIVE_VOICING_PAIRS:
-        buckets: dict[bytes, tuple[list, list]] = {}
-        by_pair.append((onset_pair, buckets))
+    for pair_index, onset_pair in enumerate(PLOSIVE_VOICING_PAIRS):
         for side, onset in enumerate(onset_pair):
             if onset in code_of:
-                side_of[code_of[onset]] = (buckets, side)
-    onsets = lexicon.codes[lexicon.offsets[:-1]]
-    long_enough = np.diff(lexicon.offsets) >= start
-    candidates = np.flatnonzero(np.isin(onsets, list(side_of)) & long_enough)
-    # Two candidates can share an unordered orthography pair only through
-    # a spelling with two bucketed entries, so only such pairs are
-    # checked against (and added to) the dedupe set.
-    spelled: set[str] = set()
-    homographs: set[str] = set()
-    for index in candidates.tolist():
-        first = offsets[index]
-        buckets, side = side_of[codes[first]]
-        # The codes of positions 2..start, as bytes: a hashable run.
-        key = raw[(first + 1) * width:(first + start) * width]
-        bucket = buckets.get(key)
-        if bucket is None:
-            bucket = buckets[key] = ([], [])
-        bucket[side].append((orthographies[index], first, offsets[index + 1] - first))
-        if orthographies[index] in spelled:
-            homographs.add(orthographies[index])
-        spelled.add(orthographies[index])
-    results: list[WordPair] = []
-    seen: set[frozenset[str]] = set()
-    for (voiced, voiceless), buckets in by_pair:
-        for voiced_entries, voiceless_entries in buckets.values():
-            for orth_a, first_a, len_a in voiced_entries:
-                homograph_a = orth_a in homographs
-                for orth_b, first_b, len_b in voiceless_entries:
-                    # The bucket key already matches up to `start`.
-                    end = min(len_a, len_b)
-                    index = start
-                    while index < end and codes[first_a + index] == codes[first_b + index]:
-                        index += 1
-                    if index < end:
-                        point = index + 1
-                        shared_len = index - 1
-                    elif require_divergence:
-                        continue
-                    else:
-                        point = None
-                        shared_len = end - 1
-                    if homograph_a or orth_b in homographs:
-                        orth_key = frozenset((orth_a, orth_b))
-                        if orth_key in seen:
-                            continue
-                        seen.add(orth_key)
-                    results.append(WordPair(
-                        orth_a, orth_b, voiced, voiceless, shared_len, point,
-                    ))
-    # The dedupe leaves no two pairs with equal (word_a, word_b), so the
-    # tuple order never compares past word_b; the stable second sort then
-    # gives (shared_len descending, word_a, word_b) without building a key
-    # tuple per pair.
-    results.sort()
-    results.sort(key=itemgetter(4), reverse=True)
-    return results
+                group_of[code_of[onset]] = 2 * pair_index + side
+    group = group_of[codes[offsets[:-1]]]
+    lengths = np.diff(offsets)
+    candidates = np.flatnonzero((group >= 0) & (lengths >= start))
+    n = len(candidates)
+    if not n:
+        return iter(())
+    group, lengths, firsts = group[candidates], lengths[candidates], offsets[candidates]
+    pair, side = group >> 1, group & 1
+    # tails[j] holds each candidate's code at position j + 1, or -1 past
+    # its end (row 0, the onset, is not filled); the last row is all -1,
+    # so every comparison ends.
+    width = int(lengths.max())
+    tails = np.full((width + 1, n), -1, codes.dtype)
+    for j in range(1, width):
+        has = np.flatnonzero(lengths > j)
+        tails[j, has] = codes[firsts[has] + j]
+
+    # Buckets: candidates of one voicing pair with equal codes at
+    # positions 2..start. One stable sort puts each bucket's voiced
+    # entries, then its voiceless ones, together, each in lexicon order.
+    order = np.lexsort((side, *tails[min_shared:0:-1], pair)).astype(np.int32)
+    new = np.zeros(n, bool)
+    new[0] = True
+    for column in (pair, *tails[1:start]):
+        column = column[order]
+        new[1:] |= column[1:] != column[:-1]
+    bucket_start = np.flatnonzero(new).astype(np.int32)
+    voiced = np.add.reduceat(side[order] == 0, bucket_start, dtype=np.int32)
+    voiceless = np.diff(bucket_start, append=np.int32(n)) - voiced
+    # Search order: voicing pair, then the bucket's first entry in
+    # lexicon order. A bucket missing a side holds no pair.
+    first = np.minimum.reduceat(order, bucket_start)
+    buckets = np.lexsort((first, pair[order[bucket_start]]))
+    buckets = buckets[(voiced[buckets] > 0) & (voiceless[buckets] > 0)]
+
+    # Each bucket's voiced x voiceless product, in (voiced, voiceless)
+    # order: each voiced entry meets the run of its bucket's voiceless
+    # entries. `a` and `b` are candidate indices, one per pair.
+    starts, voiced, voiceless = bucket_start[buckets], voiced[buckets], voiceless[buckets]
+    runs = np.repeat(voiceless, voiced)
+    a = order[np.repeat(_ranges(starts, voiced), runs)]
+    b = order[_ranges(np.repeat(starts + voiced, voiced), runs)]
+    pair = pair[a]
+
+    # The first position past the key where the two differ, or where one
+    # ends, one column at a time over the pairs still equal.
+    stop = np.empty(len(a), np.int32)
+    diverged = np.empty(len(a), bool)
+    left = np.arange(len(a), dtype=np.int32)
+    for j in range(start, width + 1):
+        code_a, code_b = tails[j][a[left]], tails[j][b[left]]
+        ends = (code_a < 0) | (code_b < 0)
+        done = ends | (code_a != code_b)
+        stop[left[done]] = j
+        diverged[left[done]] = ~ends[done]
+        left = left[~done]
+    if require_divergence:
+        a, b, pair, stop, diverged = (x[diverged] for x in (a, b, pair, stop, diverged))
+
+    spellings = np.array(lexicon.orthographies, dtype=object)[candidates]
+    rank = _spelling_ranks(spellings.tolist())
+    # Two pairs can share an unordered spelling pair only through a
+    # spelling of two candidates, so only those pairs are deduped: the
+    # first in search order is kept.
+    homograph = np.bincount(rank)[rank] > 1
+    maybe = np.flatnonzero(homograph[a] | homograph[b])
+    if len(maybe):
+        rank_a, rank_b = rank[a[maybe]].astype(np.int64), rank[b[maybe]]
+        key = np.minimum(rank_a, rank_b) * n + np.maximum(rank_a, rank_b)
+        keep = np.ones(len(a), bool)
+        keep[maybe] = False
+        keep[maybe[np.unique(key, return_index=True)[1]]] = True
+        a, b, pair, stop, diverged = (x[keep] for x in (a, b, pair, stop, diverged))
+    shown = np.lexsort((rank[b], rank[a], -stop))
+    return _rows(spellings, *(x[shown] for x in (a, b, pair, stop, diverged)))
+
+
+def _spelling_ranks(spellings: list[str]) -> np.ndarray:
+    """Each spelling's rank among the distinct ones in code-point order,
+    which is Python's `str` order."""
+    ordered = sorted(set(spellings))
+    rank_of = dict(zip(ordered, range(len(ordered))))
+    return np.fromiter(map(rank_of.__getitem__, spellings), np.int32, len(spellings))
+
+
+def _rows(spellings, a, b, pair, stop, diverged):
+    """The pairs' rows in `WordPair` field order, built a block at a time."""
+    voiced_onsets, voiceless_onsets = (
+        np.array(onsets, dtype=object) for onsets in zip(*PLOSIVE_VOICING_PAIRS)
+    )
+    for lo in range(0, len(a), _ROW_BLOCK):
+        block = slice(lo, lo + _ROW_BLOCK)
+        yield from zip(
+            spellings[a[block]].tolist(),
+            spellings[b[block]].tolist(),
+            voiced_onsets[pair[block]].tolist(),
+            voiceless_onsets[pair[block]].tolist(),
+            (stop[block] - 1).tolist(),
+            np.where(diverged[block], stop[block] + 1, None).tolist(),
+        )
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """`arange(s, s + c)` for each start s and count c > 0, concatenated,
+    as int32: a run of 1 steps, with a jump to each next start, summed."""
+    ends = np.cumsum(counts, dtype=np.int64)
+    steps = np.ones(int(ends[-1]) if len(ends) else 0, np.int32)
+    if len(steps):
+        steps[0] = starts[0]
+        steps[ends[:-1]] = starts[1:] - starts[:-1] - counts[:-1] + 1
+    return np.cumsum(steps, out=steps)

@@ -645,6 +645,17 @@ def test_rows_write_the_bytes_of_the_dict_writer(table, drop_none):
             assert written(cli.write_records, rows, fieldnames, fmt) == expected
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(table=record_tables())
+def test_a_one_shot_row_iterator_writes_the_bytes_of_the_dict_writer(table):
+    fieldnames, rows = table
+    records = [dict(zip(fieldnames, row)) for row in rows]
+    for fmt in ("csv", "json"):
+        expected = written(reference.write_records, records, fieldnames, fmt)
+        with mock.patch.object(cli, "_CSV_BLOCK_ROWS", 2):
+            assert written(cli.write_records, (row for row in rows), fieldnames, fmt) == expected
+
+
 def test_no_rows_write_the_header_or_an_empty_array():
     fieldnames = ("a", "b")
     for write in (cli.write_records, reference.write_records):

@@ -1,9 +1,16 @@
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cohortlex import divergence_point, find_word_pairs, make_lexicon
+from cohortlex import (
+    WordPair, cli, divergence_point, find_word_pairs, make_lexicon, write_lexicon,
+)
 from tests import word_pairs_reference as reference
 
 LONG_OVERLAP_ROWS = [
@@ -225,3 +232,91 @@ def test_pairs_match_reference_search(lexicon):
             assert find_word_pairs(
                 lexicon, min_shared, require_divergence
             ) == reference.find_word_pairs(lexicon, min_shared, require_divergence)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(lexicon=pair_lexicons())
+def test_pairs_match_reference_search_at_min_shared_4(lexicon):
+    # test_pairs_match_reference_search covers min_shared 1-3; at 4 the
+    # key spans a whole drawn stem, so most candidates are too short.
+    for require_divergence in (True, False):
+        assert find_word_pairs(
+            lexicon, 4, require_divergence
+        ) == reference.find_word_pairs(lexicon, 4, require_divergence)
+
+
+@pytest.mark.parametrize(
+    "rows, min_shared_values",
+    [
+        # no plosive onset at all
+        ([("mat", "M AE T", 1.0), ("sat", "S AE T", 2.0)], (1, 2)),
+        # voiced onsets without their voiceless partners
+        ([("bat", "B AE T", 1.0), ("dot", "D AA T", 2.0), ("gut", "G AH T", 3.0)], (1, 2)),
+        # a voiced onset whose only plosive company is another pair's
+        ([("bat", "B AE T", 1.0), ("tat", "T AE T", 2.0)], (1, 2)),
+        # every word shorter than 1 + min_shared
+        ([("bay", "B EY", 1.0), ("pay", "P EY", 2.0), ("bait", "B EY T", 1.0),
+          ("pate", "P EY T", 1.0), ("b", "B", 1.0), ("p", "P", 1.0)], (3, 4)),
+    ],
+    ids=["no-candidate", "voiced-only", "partner-missing", "all-short"],
+)
+def test_pairs_without_candidates_or_partners(rows, min_shared_values):
+    lexicon = make_lexicon(rows)
+    for min_shared in min_shared_values:
+        for require_divergence in (True, False):
+            assert find_word_pairs(lexicon, min_shared, require_divergence) == []
+            assert reference.find_word_pairs(lexicon, min_shared, require_divergence) == []
+
+
+def cli_output(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(lexicon=pair_lexicons(), min_shared=st.integers(1, 3), keep=st.booleans())
+def test_pairs_prints_the_bytes_of_the_written_pair_list(lexicon, min_shared, keep):
+    pairs = find_word_pairs(lexicon, min_shared, require_divergence=not keep)
+    with tempfile.TemporaryDirectory() as tmp:
+        lexicon_path, out_path = Path(tmp) / "lexicon.tsv", Path(tmp) / "pairs.out"
+        write_lexicon(lexicon, lexicon_path)
+        for fmt in ("csv", "json"):
+            want = io.StringIO()
+            with contextlib.redirect_stdout(want):
+                cli.write_records(pairs, WordPair._fields, None, fmt)
+            argv = ["pairs", "--lexicon", str(lexicon_path), "--min-shared",
+                    str(min_shared), "--format", fmt] + (["--keep-undiverged"] if keep else [])
+            assert cli_output(argv) == (0, want.getvalue())
+            assert cli_output(argv + ["--out", str(out_path)]) == (0, "")
+            assert out_path.read_bytes() == want.getvalue().encode("utf-8")
+
+
+def test_pairs_builds_no_word_pair(tmp_path, monkeypatch):
+    rows = [(f"b{i}", f"B AE {i % 7} T", 1.0) for i in range(100)]
+    rows += [(f"p{i}", f"P AE {i % 5} T", 1.0) for i in range(100)]
+    path = tmp_path / "lexicon.tsv"
+    write_lexicon(make_lexicon(rows), path)
+
+    def refuse(*args):
+        raise AssertionError("built a WordPair")
+
+    monkeypatch.setattr(WordPair, "_make", classmethod(refuse))
+    monkeypatch.setattr(WordPair, "__new__", refuse)
+    with pytest.raises(AssertionError, match="built a WordPair"):
+        find_word_pairs(make_lexicon(rows), 1)
+    code, out = cli_output(["pairs", "--lexicon", str(path), "--min-shared", "1"])
+    assert code == 0 and len(out.splitlines()) > 1
