@@ -214,32 +214,31 @@ def _dummies(name: str, labels: Sequence, codes: np.ndarray) -> list[tuple[str, 
 def ols_fit(dataset: RegressionDataset, predictors: Iterable[str]) -> FitResult:
     """Least-squares fit of `response` on the selected predictor set.
 
-    The design is factored by pivoted QR. It must have more rows than
-    columns (else ValueError), and a rank-deficient one raises
-    SingularDesignError naming the collinear columns. The SSE is summed
-    from the explicit residuals; when it is not finite (responses too
-    large, or not finite) the fit raises ValueError. The log-likelihood
-    uses the maximum-likelihood variance estimate (SSE/n) floored at
-    1e-12 so exact fits stay finite.
+    The design is factored by a QR without pivoting (Golub & Van Loan,
+    Matrix Computations, 5.2). It must have more rows than columns (else
+    ValueError), and a rank-deficient one raises SingularDesignError
+    naming, in design order, the columns that lie in the span of the
+    columns before them (see _spanned_columns). The SSE is summed from
+    the explicit residuals; when it is not finite (responses too large,
+    or not finite) the fit raises ValueError, as does a design column
+    holding a NaN or an infinity. The log-likelihood uses the
+    maximum-likelihood variance estimate (SSE/n) floored at 1e-12 so
+    exact fits stay finite.
     """
-    from scipy import linalg  # here: `import cohortlex` never loads scipy
-
     predictors = frozenset(predictors)
     X, names = _design_matrix(dataset, predictors)
     n, p = X.shape
     if n <= p:
         raise ValueError(f"need more rows than parameters: n={n}, p={p}")
-    q, r_matrix, pivots = linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r_matrix))
-    tol = diag[0] * max(n, p) * np.finfo(float).eps if diag[0] > 0 else 0.0
-    rank = int(np.sum(diag > tol))
-    if rank < p:
-        collinear = [names[j] for j in sorted(pivots[rank:])]
+    _require_finite(dict(zip(names, X.T)))
+    q, r_matrix = np.linalg.qr(X)
+    tol = _rank_tolerance(n, r_matrix)
+    if np.any(np.abs(np.diagonal(r_matrix)) <= tol):
+        collinear = [names[j] for j in _spanned_columns(X, tol)]
         raise SingularDesignError(f"collinear design columns: {collinear}")
     y = dataset.columns["response"]
-    beta = np.empty(p)
     with np.errstate(over="ignore", invalid="ignore"):
-        beta[pivots] = linalg.solve_triangular(r_matrix, q.T @ y, check_finite=False)
+        beta = np.linalg.solve(r_matrix, q.T @ y)
         residuals = y - X @ beta
         sse = float(residuals @ residuals)
     if not math.isfinite(sse):
@@ -254,37 +253,76 @@ def ols_fit(dataset: RegressionDataset, predictors: Iterable[str]) -> FitResult:
     )
 
 
+def _require_finite(columns: Mapping[str, np.ndarray]) -> None:
+    """Raise ValueError naming the design columns that hold a NaN or an
+    infinity: no QR of them has a rank."""
+    bad = [name for name, column in columns.items() if not np.isfinite(column).all()]
+    if bad:
+        raise ValueError(f"design columns are not finite: {bad}")
+
+
+def _rank_tolerance(n: int, *r_factors: np.ndarray) -> float:
+    """The rank rule's tolerance for a design of n rows factored as the
+    triangular `r_factors` side by side: its largest column norm (R's
+    column norms are the design's) times max(n, p) times machine epsilon.
+    A design column is lost when its |R| diagonal entry is at or below it.
+    """
+    p = sum(r.shape[1] for r in r_factors)
+    # hypot sums the squares without overflow
+    scale = max(float(np.hypot.reduce(r, axis=0).max(initial=0.0)) for r in r_factors)
+    return scale * max(n, p) * np.finfo(float).eps
+
+
+def _spanned_columns(x: np.ndarray, tol: float) -> list[int]:
+    """Indices, in order, of the columns of `x` that lie in the span of
+    the columns before them: those whose |R| diagonal entry, in a QR of
+    the columns before them that are not themselves lost, is at or below
+    `tol`. Each lost column is dropped and the rest refactored, so no
+    pivot order and no lost column's rounding direction decides a later
+    column. Zero rows are added to a design with fewer rows than
+    columns; they change no column's distance from a span.
+    """
+    n, p = x.shape
+    if n < p:
+        x = np.vstack([x, np.zeros((p - n, p))])
+    kept, lost, start = list(range(p)), [], 0
+    while True:
+        diag = np.abs(np.diagonal(np.linalg.qr(x[:, kept], mode="r")))
+        small = np.flatnonzero(diag[start:] <= tol)
+        if not small.size:
+            return lost
+        start += int(small[0])
+        lost.append(kept.pop(start))
+
+
 def _partialled_factors(
     nuisance: np.ndarray, metrics: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
     """Factors of the design [nuisance | metrics] with the nuisance span
     partialled out of the metric columns.
 
-    A pivoted QR of `nuisance` gives Q_N; the metric columns minus their
-    projection on Q_N are factored by a second pivoted QR as Q_M R_M, with
-    R_M's columns in `metrics` order. Returns (Q_N, Q_M, R_M, lost):
-    `lost` lists, sorted, the nuisance columns past the nuisance rank or,
-    when there are none, the metric columns past theirs, as indices into
-    [nuisance | metrics]. The ranks follow ols_fit's rule: an |R|
-    diagonal entry counts when it exceeds the largest first entry of the
-    two QRs times max(n, p) times machine epsilon. An empty `lost` means
-    the design has full column rank.
+    A QR of `nuisance` gives Q_N; the metric columns minus their
+    projection on Q_N are factored by a second QR as Q_M R_M. Neither QR
+    pivots. numpy's QR copies a Fortran-ordered input fastest and returns
+    Q C-ordered, so each input and each Q is made Fortran-ordered once:
+    the per-response products `q @ (q.T @ y)` run fastest on that layout.
+    Returns (Q_N, Q_M, R_M, lost): `lost` lists, in order, the columns of
+    [nuisance | metrics] that lie in the span of the columns before them
+    (see _spanned_columns), under ols_fit's tolerance rule on the two
+    Rs' column norms. An empty `lost` means the design has full column
+    rank.
     """
-    from scipy import linalg
-
-    q_n, r_n, pivots_n = linalg.qr(nuisance, mode="economic", pivoting=True)
+    q_n, r_n = np.linalg.qr(np.asfortranarray(nuisance))
+    q_n = np.asfortranarray(q_n)
     residual = metrics - q_n @ (q_n.T @ metrics)
-    q_m, r_pivoted, pivots_m = linalg.qr(residual, mode="economic", pivoting=True)
-    diag_n, diag_m = np.abs(np.diag(r_n)), np.abs(np.diag(r_pivoted))
-    size = max(len(nuisance), nuisance.shape[1] + metrics.shape[1])
-    tol = max(diag_n[0], diag_m[0]) * size * np.finfo(float).eps
-    rank = int(np.sum(diag_n > tol))
-    if rank < nuisance.shape[1]:
-        return q_n, q_m, None, sorted(pivots_n[rank:].tolist())
-    rank = int(np.sum(diag_m > tol))
-    r_m = np.empty_like(r_pivoted)
-    r_m[:, pivots_m] = r_pivoted
-    return q_n, q_m, r_m, sorted((nuisance.shape[1] + pivots_m[rank:]).tolist())
+    q_m, r_m = np.linalg.qr(np.asfortranarray(residual))
+    tol = _rank_tolerance(len(nuisance), r_n, r_m)
+    lost = []
+    if any(
+        r.shape[0] < r.shape[1] or np.any(np.abs(np.diagonal(r)) <= tol) for r in (r_n, r_m)
+    ):
+        lost = _spanned_columns(np.column_stack([nuisance, metrics]), tol)
+    return q_n, np.asfortranarray(q_m), r_m, lost
 
 
 def _loglik_from_sse(n: int, sse: float) -> float:
@@ -329,17 +367,43 @@ def _chi_square_test(delta: float, df: int) -> ModelComparisonResult:
 def chi_square_sf(x: float, df: int) -> float:
     """Upper-tail probability of the chi-square distribution.
 
-    scipy's `special.chdtrc`, the regularized upper incomplete gamma
-    Q(df/2, x/2); the test suite pins it to the closed forms for df 1-10.
-    A NaN statistic or df is rejected; x = inf gives 0.0 and x = 0 gives 1.0.
+    The regularized upper incomplete gamma Q(df/2, x/2) for an integer
+    df >= 1, from its finite sum in h = x/2 (Abramowitz & Stegun
+    26.4.4-26.4.5): the terms e^-h h^j / j! for j = 0, 1, ... < df/2 at
+    even df, and erfc(sqrt(h)) plus the terms e^-h h^j / Gamma(j + 1) for
+    j = 1/2, 3/2, ... < df/2 at odd df. Each term is taken in log space,
+    so none underflows before the sum does, and the terms are added
+    exactly by `math.fsum`. The terms rise up to j near h and fall after
+    it; those more than 40 (sqrt(h) + 1) from the largest one are below
+    e^-800 of it and are not summed, so a large df costs no more than
+    its peak's width. A NaN statistic, a df below 1 or a non-integer df
+    raises ValueError; x = inf gives 0.0 and x = 0 gives 1.0.
     """
     if not x >= 0:
         raise ValueError(f"x must be >= 0, got {x}")
+    if not float(df).is_integer():
+        raise ValueError(f"df must be an integer, got {df}")
     if not df >= 1:
         raise ValueError(f"df must be >= 1, got {df}")
-    from scipy import special
-
-    return float(special.chdtrc(df, x))
+    if x == 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    h = x / 2.0
+    log_h = math.log(h)
+    df = int(df)
+    offset = (df % 2) / 2.0
+    width = math.ceil(40.0 * (math.sqrt(h) + 1.0))
+    count = df // 2
+    peak = min(max(round(h - offset), 0), count - 1)
+    first, stop = max(peak - width, 0), min(peak + width + 1, count)
+    terms = [
+        math.exp(j * log_h - h - math.lgamma(j + 1.0))
+        for j in (offset + i for i in range(first, stop))
+    ]
+    if df % 2:
+        terms.append(math.erfc(math.sqrt(h)))
+    return min(1.0, math.fsum(terms))
 
 
 def bonferroni_alpha(alpha: float) -> float:
@@ -418,9 +482,10 @@ def _check_cells(
     `p_a` and, past position 1, the metric values of its continuation. The
     cell-level design has these columns and one row per distinct cell.
     When its rank is deficient under ols_fit's tolerance rule, every
-    simulated design is too; the message names the position and the
-    columns that pivot last. `levels` holds the pair and ambiguity
-    columns as _levels codes them.
+    simulated design is too; the message names the position and, in
+    design order, the columns that lie in the span of the columns before
+    them. `levels` holds the pair and ambiguity columns as _levels codes
+    them.
     """
     names = ["(intercept)"]
     nuisance = [np.ones(len(per_trace["ambiguity"]))]
@@ -560,11 +625,13 @@ def _removal_tests(
     dataset: RegressionDataset, models: Iterable[str], df: int | None
 ) -> Callable[[np.ndarray], dict[str, ModelComparisonResult]]:
     """_coded_removal_tests on a dataset's columns, its categorical ones
-    coded by _levels."""
+    coded by _levels; a continuous column with a NaN or an infinity
+    raises ValueError naming it."""
     columns = dataset.columns
     continuous = {
         name: np.asarray(columns[name], dtype=float) for name in CONTINUOUS_PREDICTORS
     }
+    _require_finite(continuous)
     categorical = {name: _levels(columns[name]) for name in ("phoneme_pair", "ambiguity")}
     subjects = _levels(columns["subject_id"])[1]
     return _coded_removal_tests(continuous, categorical, subjects, models, df)
@@ -589,13 +656,14 @@ def _coded_removal_tests(
     Lovell 1963). Demeaning every column within subject absorbs the
     intercept and the subject dummies exactly, so neither is built. The
     demeaned nuisance block (latency, trial, block, amplitude, pair and
-    ambiguity dummies) is factored by a pivoted QR, and the four metric
-    columns, residualized against it, as Q_M R_M. For each response the
-    full fit's SSE is summed from the explicit residuals; a reduced fit's
-    SSE adds the residual of c = Q_M' y on the kept columns of R_M, a
-    4 x 2 least-squares problem. The full design's rank is the number of
-    subjects plus the demeaned block's, checked by ols_fit's tolerance
-    rule.
+    ambiguity dummies) is factored by a QR, and the four metric columns,
+    residualized against it, as Q_M R_M (_partialled_factors). For each
+    response the full fit's SSE is summed from the explicit residuals; a
+    reduced fit's SSE adds the residual of c = Q_M' y on the kept columns
+    of R_M, a 4 x 2 least-squares problem. The full design's rank is the
+    number of subjects plus the demeaned block's, checked by ols_fit's
+    tolerance rule, so a rank-deficient design names its columns in the
+    order [nuisance block | metrics].
     """
     names = [name for name in CONTINUOUS_PREDICTORS if name not in _METRICS]
     block = [np.asarray(continuous[name], dtype=float) for name in names]

@@ -14,7 +14,7 @@ cyclic collection for the duration of that call. Library functions
 never touch the collector.
 
 Exit codes:
-    0  requested computation completed
+    0  requested computation completed, or stdout closed by its reader
     1  input errors: unreadable files, lexicon parse or validation
        failures, bad parameter values
     2  lookup and usage errors: unknown word, bad command line
@@ -29,6 +29,7 @@ import csv
 import gc
 import io
 import json
+import os
 import sys
 from itertools import islice
 from pathlib import Path
@@ -475,7 +476,18 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flushed here, so a reader that leaves early is met below and not
+        # at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`cohortlex pairs ... | head`): stop
+        # quietly, with stdout on devnull so the flush at exit succeeds
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (
         ImpossibleContinuationError,
         DegenerateCurveError,

@@ -371,6 +371,61 @@ def test_chi_square_sf_returns_python_floats():
     assert type(chi_square_sf(3.0, 2)) is float
 
 
+def test_chi_square_sf_matches_closed_forms_from_df_11_to_40():
+    # with test_chi_square_sf_matches_closed_forms: df 1-40
+    for df in range(11, 41):
+        for x in (0.0, 0.05, 0.8, 2.0, 4.0, 9.0, 25.0, 80.0, 200.0):
+            assert chi_square_sf(x, df) == pytest.approx(
+                chi_square_sf_closed_form(x, df), abs=1e-12
+            )
+
+
+def test_chi_square_sf_matches_scipy_chdtrc():
+    # scipy is a test dependency only: the package sums the closed forms
+    from scipy import special
+
+    for df in range(1, 41):
+        xs = np.concatenate([
+            np.geomspace(1e-12, 5 * df + 50, 120), np.linspace(0.5, 5 * df + 50, 60),
+        ])
+        for x in xs.tolist():
+            assert chi_square_sf(x, df) == pytest.approx(
+                float(special.chdtrc(df, x)), rel=1e-12, abs=0
+            )
+    # far in the tail, where the plain product of the terms underflows
+    tail = chi_square_sf(1495.0, 500)
+    assert math.isfinite(tail) and tail > 0.0
+    assert tail == pytest.approx(float(special.chdtrc(500, 1495.0)), rel=1e-12, abs=0)
+
+
+def test_chi_square_sf_ends_of_the_range():
+    for df in (1, 2, 3, 40, 501):
+        assert chi_square_sf(math.inf, df) == 0.0
+        assert chi_square_sf(0.0, df) == 1.0
+
+
+def test_chi_square_sf_with_a_huge_df_sums_only_the_peak():
+    # the terms far from j = x/2 are not summed: a df of 10^12 costs what
+    # its peak's width does
+    assert chi_square_sf(3.0, 10**12) == 1.0
+    assert chi_square_sf(3.0, 10**12 + 1) == 1.0
+    assert chi_square_sf(1e6, 2) == 0.0
+
+
+def test_non_integer_df_is_rejected():
+    with pytest.raises(ValueError, match=r"df must be an integer, got 1\.5"):
+        chi_square_sf(3.0, 1.5)
+    data = random_dataset(np.random.default_rng(19), 60)
+    full = ols_fit(data, ("acoustic_surprisal", "acoustic_entropy"))
+    reduced = ols_fit(data, ("acoustic_surprisal",))
+    with pytest.raises(ValueError, match=r"df must be an integer, got 1\.5"):
+        likelihood_ratio_test(full, reduced, df=1.5)
+    with pytest.raises(ValueError, match=r"df must be an integer, got 2\.5"):
+        compare_removals(data, df=2.5)
+    # an integral float is an integer df
+    assert chi_square_sf(3.0, 2.0) == chi_square_sf(3.0, 2)
+
+
 def test_bonferroni_alpha():
     assert bonferroni_alpha(0.05) == pytest.approx(0.05 / 6)
 
@@ -697,6 +752,21 @@ def test_removal_tests_need_more_rows_than_parameters():
         permutation_calibration(data, n_permutations=5, alpha=0.05, seed=1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_design_columns_are_named(bad):
+    data = random_dataset(np.random.default_rng(18), 40)
+    entropy = data.columns["acoustic_entropy"].copy()
+    entropy[3] = bad
+    data = RegressionDataset({**data.columns, "acoustic_entropy": entropy})
+    message = r"design columns are not finite: \['acoustic_entropy'\]"
+    with pytest.raises(ValueError, match=message):
+        ols_fit(data, FULL_PREDICTORS)
+    with pytest.raises(ValueError, match=message):
+        compare_removals(data)
+    with pytest.raises(ValueError, match=message):
+        permutation_calibration(data, n_permutations=5, alpha=0.05, seed=1)
+
+
 def test_removal_tests_reject_negative_df():
     data = random_dataset(np.random.default_rng(16), 40)
     message = r"negative degrees of freedom: -1"
@@ -829,6 +899,115 @@ def test_removal_tests_match_separate_fits(drawn):
             model: likelihood_ratio_test(full, ols_fit(data, without_model(model)), df=df)
             for model in MODEL_PREDICTORS
         })
+
+
+def spanned_by_earlier(X):
+    """The columns of X, in order, that raise no matrix rank of the
+    columns before them."""
+    ranks = [0] + [np.linalg.matrix_rank(X[:, : j + 1]) for j in range(X.shape[1])]
+    return [j for j in range(X.shape[1]) if ranks[j + 1] == ranks[j]]
+
+
+DAMAGES = ("duplicate", "sum", "scaled", "constant", "dummy", "within-subject")
+
+
+@st.composite
+def damaged_columns(draw):
+    """Grouped dataset columns (grouped_columns) with 0-3 exact collinearities
+    drawn from DAMAGES, each setting one continuous column: a copy, a sum
+    or a scaled copy of others, a constant (the intercept), the 0.75
+    ambiguity dummy, or a value per subject (the subject intercepts).
+    Sometimes each pair's ambiguity is fixed, so that a pair dummy equals
+    the ambiguity dummy."""
+    rows = draw(st.lists(st.integers(8, 15), min_size=2, max_size=4, unique=True))
+    pairs = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = grouped_columns(rng, rows, ("B-P", "D-T", "G-K")[:pairs])
+    if pairs == 2 and draw(st.booleans()):
+        columns["ambiguity"] = np.where(columns["phoneme_pair"] == "B-P", 0.25, 0.75)
+    names = list(analysis.CONTINUOUS_PREDICTORS)
+    for damage in draw(st.lists(st.sampled_from(DAMAGES), max_size=3)):
+        target, first, second = draw(st.permutations(names))[:3]
+        columns[target] = {
+            "duplicate": lambda: columns[first],
+            "sum": lambda: np.add(columns[first], columns[second], dtype=float),
+            "scaled": lambda: 3.7 * np.asarray(columns[first], dtype=float),
+            "constant": lambda: np.full(sum(rows), 2.5),
+            "dummy": lambda: (np.asarray(columns["ambiguity"]) == 0.75).astype(float),
+            "within-subject": lambda: np.repeat(rng.normal(size=len(rows)), rows),
+        }[damage]()
+    return columns
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(columns=damaged_columns())
+def test_singular_designs_name_the_columns_spanned_by_earlier_ones(columns):
+    # The rank rule: a column is named when it lies in the span of the
+    # columns before it, in each path's design order. ols_fit's order is
+    # _design_matrix's; the removal test absorbs the intercept and the
+    # subject dummies first, then takes the nuisance block, then the metrics.
+    data = RegressionDataset(columns)
+    X, names = _design_matrix(data, FULL_PREDICTORS)
+    expected = [names[j] for j in spanned_by_earlier(X)]
+    if expected:
+        with pytest.raises(SingularDesignError) as excinfo:
+            ols_fit(data, FULL_PREDICTORS)
+        assert str(excinfo.value) == f"collinear design columns: {expected}"
+    else:
+        ols_fit(data, FULL_PREDICTORS)
+    absorbed = [j for j, name in enumerate(names) if j == 0 or name.startswith("subject_id=")]
+    metrics = [names.index(name) for name in METRIC_NAMES]
+    order = absorbed + [j for j in range(len(names)) if j not in absorbed + metrics] + metrics
+    expected = [names[order[j]] for j in spanned_by_earlier(X[:, order])]
+    if expected:
+        with pytest.raises(SingularDesignError) as excinfo:
+            compare_removals(data)
+        assert str(excinfo.value) == f"collinear design columns: {expected}"
+    else:
+        compare_removals(data)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    traces=st.integers(2, 12),
+    pairs=st.integers(1, 3),
+    damages=st.lists(st.sampled_from(DAMAGES[:5]), max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_singular_cells_name_the_columns_spanned_by_earlier_ones(traces, pairs, damages, seed):
+    # the cell check names the same columns, in the order intercept, pair
+    # dummies, ambiguity dummies, metrics; fewer traces than columns included
+    rng = np.random.default_rng(seed)
+    per_trace = {name: rng.normal(size=traces) for name in METRIC_NAMES}
+    per_trace["phoneme_pair"] = rng.choice(("B-P", "D-T", "G-K")[:pairs], traces)
+    per_trace["ambiguity"] = rng.choice(AMBIGUITY_LEVELS, traces)
+    for damage, names in zip(damages, (rng.permutation(METRIC_NAMES) for _ in damages)):
+        target, first, second = names[:3]
+        per_trace[target] = {
+            "duplicate": per_trace[first],
+            "sum": per_trace[first] + per_trace[second],
+            "scaled": 3.7 * per_trace[first],
+            "constant": np.full(traces, 2.5),
+            "dummy": (per_trace["ambiguity"] == 0.75).astype(float),
+        }[damage]
+    levels = {name: analysis._levels(per_trace[name]) for name in ("phoneme_pair", "ambiguity")}
+    columns, names = [np.ones(traces)], ["(intercept)"]
+    for name, (labels, codes) in levels.items():
+        for label, dummy in analysis._dummies(name, labels, codes):
+            columns.append(dummy)
+            names.append(label)
+    columns.extend(per_trace[name] for name in METRIC_NAMES)
+    names.extend(METRIC_NAMES)
+    expected = [names[j] for j in spanned_by_earlier(np.column_stack(columns))]
+    if expected:
+        with pytest.raises(SingularDesignError) as excinfo:
+            analysis._check_cells(per_trace, levels, 2)
+        assert str(excinfo.value) == (
+            f"position 2: the cells of the traces that reach it cannot separate "
+            f"columns {expected}"
+        )
+    else:
+        analysis._check_cells(per_trace, levels, 2)
 
 
 def reference_simulate_rows(traces, position, generator, betas, noise_sd,
@@ -1175,7 +1354,7 @@ def test_model_recovery_errors_match_the_composition(trie_sim):
     traces = build_trace_set(trie_sim)
     assert assert_same_error(
         [traces[0]] * 300 + traces, 1, 4, **{**params, "trials_per_subject": 10}
-    ) == (SingularDesignError, "collinear design columns: ['acoustic_entropy']")
+    ) == (SingularDesignError, "collinear design columns: ['switch_entropy']")
     # two off-grid levels: the first in trace order is named
     off_grid = build_trace_set(trie_sim, ambiguities=(0.5, 0.6))
     kind, message = assert_same_error(off_grid, 1, 0, **params)

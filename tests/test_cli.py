@@ -83,26 +83,78 @@ for argv in {argvs!r}:
     print(argv[0], code)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
+    return run_python(script).splitlines()
+
+
+def fresh_env():
+    """os.environ with this checkout's package first on PYTHONPATH."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))
     ))
+
+
+def run_python(script):
+    """Run `script` in a fresh interpreter; its stdout, once it exits 0."""
     result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, "-c", script], capture_output=True, text=True, env=fresh_env(),
+        timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    return result.stdout.splitlines()
+    return result.stdout
 
 
 def test_commands_that_fit_nothing_never_load_scipy(sim_path):
-    # scipy is imported where a fit or a chi-square tail calls it, so
-    # importing the package and running these commands leave it unloaded.
+    # The regression is numpy's QR and the package's own chi-square tail,
+    # so no command, simfit included, loads scipy.
     assert scipy_modules_after([
         ["ingest-check", "--lexicon", sim_path],
         ["trace", "--lexicon", sim_path, "--all", "--pair", "B,P"],
         ["compare", "--lexicon", sim_path, "--pair", "B,P"],
         ["pairs", "--lexicon", sim_path, "--min-shared", "1"],
-    ]) == ["ingest-check 0", "trace 0", "compare 0", "pairs 0", "[]"]
+        ["simfit", "--lexicon", sim_path, "--position", "2", "--sims", "3", "--trials", "40"],
+    ]) == ["ingest-check 0", "trace 0", "compare 0", "pairs 0", "simfit 0", "[]"]
+
+
+def test_the_regression_runs_where_scipy_cannot_be_imported(sim_path):
+    # `sys.modules["scipy"] = None` makes every scipy import fail
+    script = f"""
+import contextlib, io, math, sys
+sys.modules["scipy"] = None
+from cohortlex import analysis, build_trie, cli, parse_lexicon
+with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(["simfit", "--lexicon", {sim_path!r}, "--position", "2", "--sims", "3",
+                     "--trials", "40"])
+traces = analysis.build_trace_set(build_trie(parse_lexicon({sim_path!r})))
+data = analysis.simulate_dataset(traces, 2, "acoustic", (1.0, 1.0), 0.5, 3, 1.0, 40, 0)
+fit = analysis.ols_fit(data, analysis.FULL_PREDICTORS)
+tests = analysis.compare_removals(data)
+calibration = analysis.permutation_calibration(data, 20, 0.05, 1)
+values = [fit.log_likelihood, calibration.fraction_below_alpha, analysis.chi_square_sf(3.0, 2)]
+values += [result.p_value for result in tests.values()]
+print(code, len(out.getvalue().splitlines()), all(map(math.isfinite, values)))
+"""
+    assert run_python(script) == "0 9 True\n"
+
+
+def test_a_closed_stdout_ends_quietly(tmp_path):
+    # A reader that takes one line and closes the pipe (`| head -1`) ends
+    # the command with exit 0 and nothing on stderr. The pairs fill far
+    # more than a pipe's buffer, so the writer meets the closed pipe.
+    path = tmp_path / "many.tsv"
+    path.write_text("".join(
+        f"{onset.lower()}{i}\t{onset} AE X{i}\t1\n" for i in range(200) for onset in "BP"
+    ), encoding="utf-8")
+    process = subprocess.Popen(
+        [sys.executable, "-m", "cohortlex.cli", "pairs", "--lexicon", str(path),
+         "--min-shared", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_env(),
+    )
+    assert process.stdout.readline() == b"word_a,word_b,onset_a,onset_b,shared_len,divergence_point\n"
+    process.stdout.close()
+    assert process.wait(timeout=60) == 0
+    assert process.stderr.read() == b""
+    process.stderr.close()
 
 
 def test_continuum_never_loads_scipy(tmp_path):
@@ -828,7 +880,7 @@ def test_simfit_position_1_fails_before_simulating(capsys, monkeypatch, tmp_path
     assert out == ""
     assert err == (
         "error: position 1: the cells of the traces that reach it cannot separate "
-        "columns ['acoustic_surprisal', 'acoustic_entropy', 'switch_entropy']\n"
+        "columns ['acoustic_entropy', 'switch_surprisal', 'switch_entropy']\n"
     )
     assert simulated == [] and seeded == []
     assert not data_out.exists()
