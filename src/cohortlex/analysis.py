@@ -218,12 +218,12 @@ def ols_fit(dataset: RegressionDataset, predictors: Iterable[str]) -> FitResult:
     Matrix Computations, 5.2). It must have more rows than columns (else
     ValueError), and a rank-deficient one raises SingularDesignError
     naming, in design order, the columns that lie in the span of the
-    columns before them (see _spanned_columns). The SSE is summed from
-    the explicit residuals; when it is not finite (responses too large,
-    or not finite) the fit raises ValueError, as does a design column
-    holding a NaN or an infinity. The log-likelihood uses the
-    maximum-likelihood variance estimate (SSE/n) floored at 1e-12 so
-    exact fits stay finite.
+    columns before them, or the columns too small to rank next to the
+    largest (see _check_rank). The SSE is summed from the explicit
+    residuals; when it is not finite (responses too large, or not
+    finite) the fit raises ValueError, as does a design column holding a
+    NaN or an infinity. The log-likelihood uses the maximum-likelihood
+    variance estimate (SSE/n) floored at 1e-12 so exact fits stay finite.
     """
     predictors = frozenset(predictors)
     X, names = _design_matrix(dataset, predictors)
@@ -232,10 +232,7 @@ def ols_fit(dataset: RegressionDataset, predictors: Iterable[str]) -> FitResult:
         raise ValueError(f"need more rows than parameters: n={n}, p={p}")
     _require_finite(dict(zip(names, X.T)))
     q, r_matrix = np.linalg.qr(X)
-    tol = _rank_tolerance(n, r_matrix)
-    if np.any(np.abs(np.diagonal(r_matrix)) <= tol):
-        collinear = [names[j] for j in _spanned_columns(X, tol)]
-        raise SingularDesignError(f"collinear design columns: {collinear}")
+    _check_rank((X,), (r_matrix,), names, "collinear design columns:")
     y = dataset.columns["response"]
     with np.errstate(over="ignore", invalid="ignore"):
         beta = np.linalg.solve(r_matrix, q.T @ y)
@@ -261,16 +258,46 @@ def _require_finite(columns: Mapping[str, np.ndarray]) -> None:
         raise ValueError(f"design columns are not finite: {bad}")
 
 
-def _rank_tolerance(n: int, *r_factors: np.ndarray) -> float:
-    """The rank rule's tolerance for a design of n rows factored as the
-    triangular `r_factors` side by side: its largest column norm (R's
-    column norms are the design's) times max(n, p) times machine epsilon.
-    A design column is lost when its |R| diagonal entry is at or below it.
+def _check_rank(
+    blocks: Sequence[np.ndarray],
+    r_factors: Sequence[np.ndarray],
+    names: Sequence[str],
+    describe: str,
+    columns: np.ndarray | None = None,
+) -> None:
+    """Raise SingularDesignError when the design [blocks side by side],
+    factored as the triangular `r_factors` side by side, is rank deficient.
+
+    The rank rule: the tolerance is the largest column norm of the Rs
+    (R's column norms are its block's) times max(n, p) times machine
+    epsilon, and a column is lost when its |R| diagonal entry is at or
+    below it. A column whose own norm (in `columns`, by default the
+    design) is not zero but at or below the tolerance is negligible next
+    to the largest, not in a span: the error then says the design is too
+    badly scaled to rank, naming those columns and the largest. Otherwise
+    it names after `describe`, in design order, the columns in the span
+    of the columns before them (see _spanned_columns); an all-zero column
+    lies in every span.
     """
+    n = len(blocks[0])
     p = sum(r.shape[1] for r in r_factors)
     # hypot sums the squares without overflow
-    scale = max(float(np.hypot.reduce(r, axis=0).max(initial=0.0)) for r in r_factors)
-    return scale * max(n, p) * np.finfo(float).eps
+    norms = np.concatenate([np.hypot.reduce(r, axis=0) for r in r_factors])
+    tol = float(norms.max(initial=0.0)) * max(n, p) * np.finfo(float).eps
+    if not any(
+        r.shape[0] < r.shape[1] or np.any(np.abs(np.diagonal(r)) <= tol) for r in r_factors
+    ):
+        return
+    design = np.column_stack(blocks)
+    own = np.hypot.reduce(design if columns is None else columns, axis=0)
+    negligible = [names[j] for j in np.flatnonzero((own > 0) & (own <= tol))]
+    if negligible:
+        raise SingularDesignError(
+            f"design too badly scaled to rank: columns {negligible} are negligible "
+            f"next to column {names[int(np.argmax(norms))]!r}"
+        )
+    spanned = [names[j] for j in _spanned_columns(design, tol)]
+    raise SingularDesignError(f"{describe} {spanned}")
 
 
 def _spanned_columns(x: np.ndarray, tol: float) -> list[int]:
@@ -296,8 +323,12 @@ def _spanned_columns(x: np.ndarray, tol: float) -> list[int]:
 
 
 def _partialled_factors(
-    nuisance: np.ndarray, metrics: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    nuisance: np.ndarray,
+    metrics: np.ndarray,
+    names: Sequence[str],
+    describe: str,
+    columns: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factors of the design [nuisance | metrics] with the nuisance span
     partialled out of the metric columns.
 
@@ -306,23 +337,17 @@ def _partialled_factors(
     pivots. numpy's QR copies a Fortran-ordered input fastest and returns
     Q C-ordered, so each input and each Q is made Fortran-ordered once:
     the per-response products `q @ (q.T @ y)` run fastest on that layout.
-    Returns (Q_N, Q_M, R_M, lost): `lost` lists, in order, the columns of
-    [nuisance | metrics] that lie in the span of the columns before them
-    (see _spanned_columns), under ols_fit's tolerance rule on the two
-    Rs' column norms. An empty `lost` means the design has full column
-    rank.
+    Returns (Q_N, Q_M, R_M). A design [nuisance | metrics] (columns
+    `names`) that is rank deficient under ols_fit's rank rule, on the two
+    Rs' column norms, raises SingularDesignError (see _check_rank, which
+    takes `describe` and `columns`).
     """
     q_n, r_n = np.linalg.qr(np.asfortranarray(nuisance))
     q_n = np.asfortranarray(q_n)
     residual = metrics - q_n @ (q_n.T @ metrics)
     q_m, r_m = np.linalg.qr(np.asfortranarray(residual))
-    tol = _rank_tolerance(len(nuisance), r_n, r_m)
-    lost = []
-    if any(
-        r.shape[0] < r.shape[1] or np.any(np.abs(np.diagonal(r)) <= tol) for r in (r_n, r_m)
-    ):
-        lost = _spanned_columns(np.column_stack([nuisance, metrics]), tol)
-    return q_n, np.asfortranarray(q_m), r_m, lost
+    _check_rank((nuisance, metrics), (r_n, r_m), names, describe, columns)
+    return q_n, np.asfortranarray(q_m), r_m
 
 
 def _loglik_from_sse(n: int, sse: float) -> float:
@@ -484,8 +509,9 @@ def _check_cells(
     When its rank is deficient under ols_fit's tolerance rule, every
     simulated design is too; the message names the position and, in
     design order, the columns that lie in the span of the columns before
-    them. `levels` holds the pair and ambiguity columns as _levels codes
-    them.
+    them, unless the cells are too badly scaled to rank (see
+    _check_rank). `levels` holds the pair and ambiguity columns as
+    _levels codes them.
     """
     names = ["(intercept)"]
     nuisance = [np.ones(len(per_trace["ambiguity"]))]
@@ -498,12 +524,12 @@ def _check_cells(
         np.column_stack(nuisance + [per_trace[name] for name in _METRICS]), axis=0
     )
     split = len(nuisance)
-    *_, lost = _partialled_factors(cells[:, :split], cells[:, split:])
-    if lost:
-        raise SingularDesignError(
-            f"position {position}: the cells of the traces that reach it "
-            f"cannot separate columns {[names[j] for j in lost]}"
-        )
+    _partialled_factors(
+        cells[:, :split],
+        cells[:, split:],
+        names,
+        f"position {position}: the cells of the traces that reach it cannot separate columns",
+    )
 
 
 def simulate_dataset(
@@ -688,13 +714,14 @@ def _coded_removal_tests(
     def demean(z: np.ndarray) -> np.ndarray:
         return z - indicators @ (weights.T @ z)
 
+    columns = np.array(block).T
     with np.errstate(over="ignore", invalid="ignore"):
-        block = demean(np.array(block).T)
-    q_n, q_m, r_m, lost = _partialled_factors(block[:, :split], block[:, split:])
-    if lost:
-        raise SingularDesignError(
-            f"collinear design columns: {[names[j] for j in lost]}"
-        )
+        block = demean(columns)
+    # a column constant within subject demeans to rounding residue: it is
+    # in the subject dummies' span, so its own norm is taken before demeaning
+    q_n, q_m, r_m = _partialled_factors(
+        block[:, :split], block[:, split:], names, "collinear design columns:", columns
+    )
     reduced = {}
     for model in models:
         keep = [k for k, name in enumerate(_METRICS) if name not in MODEL_PREDICTORS[model]]

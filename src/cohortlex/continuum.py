@@ -29,6 +29,10 @@ N_STEPS = 11
 CONTINUUM_TARGETS = (1.0, 0.75, 0.5, 0.25, 0.0)
 
 _FIT_START = (6.0, 1.0)  # (midpoint, slope) initialization
+# Midpoints, at slope 1, from which a fit that ends ascending or
+# unconverged is searched again. One start alone leaves curves whose
+# descending optimum only the other finds.
+_RETRY_MIDPOINTS = (1.0, 11.0)
 # Levenberg-Marquardt settings. A curve has converged when a trial step
 # is at most _FIT_TOLERANCE of its (slope, intercept), when a step the
 # model predicted well lowers its sum of squares by at most
@@ -170,7 +174,7 @@ def _radius_damping(norm_a, norm_b, cross, det, grad_a, grad_b, radius):
     return lam
 
 
-def _levenberg_marquardt(proportions: np.ndarray, midpoint, slope, by_midpoint=False):
+def _levenberg_marquardt(proportions: np.ndarray, midpoint, slope):
     """Least-squares logistic fit of every row of an (n, 11) array at once.
 
     Returns (midpoints, slopes, converged), one entry per row. Each row
@@ -190,18 +194,13 @@ def _levenberg_marquardt(proportions: np.ndarray, midpoint, slope, by_midpoint=F
     Jacobian: a curve whose fit steepens without end then follows a
     straight valley, and a curve flat to within a few percent has its
     optimum at a finite (slope, intercept) where its midpoint would be
-    far off the continuum. With `by_midpoint` they are (slope, midpoint)
-    instead, and the search gets a tenth of the iterations: from the
-    same start it can head for a descending minimum where the
-    exponent's heads for an ascending one, but it converges slowly on a
-    steep fit and creeps toward an infinite midpoint on a curve whose
-    optimum ascends. Every operation is elementwise or a sum along one
-    row, so a row's result does not depend on the other rows.
+    far off the continuum. Every operation is elementwise or a sum along
+    one row, so a row's result does not depend on the other rows.
     """
     steps = np.arange(1, N_STEPS + 1, dtype=float)
     n = len(proportions)
     first = np.zeros(n) + slope
-    second = np.zeros(n) + (midpoint if by_midpoint else -slope * midpoint)
+    second = np.zeros(n) - slope * midpoint
     radius = np.hypot(first, second)
     converged = np.zeros(n, dtype=bool)
     active = np.arange(n)
@@ -210,21 +209,15 @@ def _levenberg_marquardt(proportions: np.ndarray, midpoint, slope, by_midpoint=F
     # Jacobian divide by zero in the radius search; `_damped_step` gives
     # them a zero step, and they have converged.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for _ in range(_FIT_MAX_ITERATIONS // 10 if by_midpoint else _FIT_MAX_ITERATIONS):
+        for _ in range(_FIT_MAX_ITERATIONS):
             if not len(active):
                 break
             target, delta = proportions[active], radius[active]
             a, b = first[active], second[active]
-            if by_midpoint:
-                z = a[:, None] * (steps - b[:, None])
-            else:
-                z = a[:, None] * steps + b[:, None]
+            z = a[:, None] * steps + b[:, None]
             fitted = 1.0 / (1.0 + np.exp(z))
             d_z = -fitted / (1.0 + np.exp(-z))  # -fitted * (1 - fitted), no cancellation
-            if by_midpoint:
-                d_a, d_b = (steps - b[:, None]) * d_z, -a[:, None] * d_z
-            else:
-                d_a, d_b = steps * d_z, d_z
+            d_a, d_b = steps * d_z, d_z
             residual = fitted - target
             cost = (residual * residual).sum(axis=1)
             grad_b = (d_b * residual).sum(axis=1)
@@ -260,11 +253,7 @@ def _levenberg_marquardt(proportions: np.ndarray, midpoint, slope, by_midpoint=F
             moved = d_a * step_a[:, None] + d_b * step_b[:, None]
             predicted = -(2.0 * (grad_a * step_a + grad_b * step_b) + (moved * moved).sum(axis=1))
             trial_a, trial_b = a + step_a, b + step_b
-            if by_midpoint:
-                trial_z = trial_a[:, None] * (steps - trial_b[:, None])
-            else:
-                trial_z = trial_a[:, None] * steps + trial_b[:, None]
-            trial = 1.0 / (1.0 + np.exp(trial_z)) - target
+            trial = 1.0 / (1.0 + np.exp(trial_a[:, None] * steps + trial_b[:, None])) - target
             actual = cost - (trial * trial).sum(axis=1)
             ratio = np.where(
                 predicted > 0,
@@ -286,8 +275,6 @@ def _levenberg_marquardt(proportions: np.ndarray, midpoint, slope, by_midpoint=F
             )
             converged[active[done]] = True
             active = active[~done]
-        if by_midpoint:
-            return second, first, converged
         return -second / first, first, converged  # slope 0: no midpoint
 
 
@@ -303,11 +290,12 @@ def _fit_batch(proportions: np.ndarray):
     """(midpoints, slopes, converged) of every row of an (n, 11) array.
 
     A constant row is not fitted and counts as not converged. A row
-    whose search ends ascending or unconverged is searched again: in
-    (midpoint, slope) from the same start for a tenth of the iterations,
-    then in the exponent from wherever that stopped. It takes the second
-    result when that converged to a descending logistic with a smaller
-    sum of squares.
+    whose search from _FIT_START ends ascending or unconverged is
+    searched again from each of _RETRY_MIDPOINTS at slope 1, all starts
+    in one run on the retried rows stacked. It takes the converged
+    descending result with the smallest sum of squares, when that is
+    smaller than the first result's; on equal sums the earlier start
+    wins.
     """
     flat = np.all(proportions == proportions[:, :1], axis=1)
     n = len(proportions)
@@ -318,14 +306,19 @@ def _fit_batch(proportions: np.ndarray):
     retry = np.flatnonzero(~flat & ~(converged & (slope > 0)))
     if len(retry):
         rows = proportions[retry]
-        found = _levenberg_marquardt(rows, *_FIT_START, by_midpoint=True)[:2]
-        again_midpoint, again_slope, again_converged = _levenberg_marquardt(rows, *found)
-        take = (again_converged & (again_slope > 0)) & (
-            _sum_of_squares(rows, again_midpoint, again_slope)
-            < _sum_of_squares(rows, midpoint[retry], slope[retry])
+        starts = len(_RETRY_MIDPOINTS)
+        found = _levenberg_marquardt(
+            np.tile(rows, (starts, 1)), np.repeat(_RETRY_MIDPOINTS, len(retry)), 1.0
         )
-        midpoint[retry[take]], slope[retry[take]] = again_midpoint[take], again_slope[take]
-        converged[retry[take]] = True
+        best = _sum_of_squares(rows, midpoint[retry], slope[retry])
+        for again_midpoint, again_slope, again_converged in zip(
+            *(np.split(result, starts) for result in found)
+        ):
+            again = _sum_of_squares(rows, again_midpoint, again_slope)
+            take = again_converged & (again_slope > 0) & (again < best)
+            midpoint[retry[take]], slope[retry[take]] = again_midpoint[take], again_slope[take]
+            converged[retry[take]] = True
+            best = np.where(take, again, best)
     return midpoint, slope, converged
 
 
@@ -371,13 +364,14 @@ def fit_psychometric(curve: IdentificationCurve) -> tuple[float, float]:
     (6, 1) and stops when a step is at most 1e-15 of its parameters, when
     a step lowers the sum of squares by at most 1e-15 of it, or when the
     part of the residual a Gauss-Newton step could still remove is below
-    1e-15 (see `_levenberg_marquardt`); a fit that ends ascending is
-    searched again (see `_fit_batch`). Raises DegenerateCurveError for a
-    constant curve (it has no midpoint), for a fit that does not converge
-    within 2,000 iterations, for a fit no better than the flat line at
-    the mean proportion (its slope is zero up to rounding), and for a
-    fitted slope that is not positive (a curve that does not descend from
-    the first category to the second).
+    1e-15 (see `_levenberg_marquardt`); a fit that ends ascending or
+    unconverged is searched again from midpoints 1 and 11 (see
+    `_fit_batch`). Raises DegenerateCurveError for a constant curve (it
+    has no midpoint), for a fit that does not converge within 2,000
+    iterations, for a fit no better than the flat line at the mean
+    proportion (its slope is zero up to rounding), and for a fitted
+    slope that is not positive (a curve that does not descend from the
+    first category to the second).
     """
     midpoint, slope = _fit_rows(np.array([curve.proportions], dtype=float))
     return float(midpoint[0]), float(slope[0])

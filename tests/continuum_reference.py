@@ -1,6 +1,6 @@
 """Slow reference for `fit_psychometric`: scipy's trust-region reflective
-least squares run to tight tolerances, under the same four exit-3 rules
-and the same second search.
+least squares run to tight tolerances, under the same four exit-3 rules,
+from every start the fit retries from and one more.
 
 `least_squares` stops at xtol = ftol = gtol = 1e-15 with an analytic
 Jacobian and a generous evaluation budget, so its result is the
@@ -9,10 +9,15 @@ searches the logistic's exponent `slope * step + intercept` from the
 fit's start (midpoint 6, slope 1), as the fit does: in (midpoint, slope)
 the optimum of a curve flat to within a few percent lies at a midpoint
 far off the continuum, and the search there spends its budget creeping
-toward it. Where that search ends ascending or unconverged, a search in
-(midpoint, slope) from the same start, cut off after the fit's 200
-trial steps, and an exponent search from where it stopped follow, and
-their result is taken when it descends with a smaller sum of squares.
+toward it. Where that search ends ascending or unconverged, exponent
+searches follow from three more starts: where a search in (midpoint,
+slope) from the fit's start stops after 200 trial steps, and the fit's
+own retry starts, midpoints 1 and 11 at slope 1. The reference takes
+the converged descending result with the smallest sum of squares, when
+that is smaller than the first search's. The fit has no (midpoint,
+slope) search; the reference keeps it because an extra start can only
+lower the reference's sum of squares, so it makes the pin stricter,
+never looser.
 """
 
 import numpy as np
@@ -23,8 +28,9 @@ from cohortlex import N_STEPS, DegenerateCurveError
 
 TOLERANCE = 1e-15
 MAX_EVALS = 10_000
-MIDPOINT_EVALS = 201  # the fit's 200 trial steps, plus the evaluation at the start
+MIDPOINT_EVALS = 201  # 200 trial steps, plus the evaluation at the start
 STEPS = np.arange(1, N_STEPS + 1, dtype=float)
+RETRY_STARTS = ((1.0, -1.0), (1.0, -11.0))  # (slope, intercept): midpoints 1 and 11
 
 
 def _search(proportions, start, by_midpoint=False, max_nfev=MAX_EVALS):
@@ -60,9 +66,10 @@ def reference_fit(proportions) -> tuple[float, float]:
     found = _search(proportions, (1.0, -6.0))
     if not (found.success and found.x[0] > 0):
         midpoint, slope = _search(proportions, (6.0, 1.0), True, MIDPOINT_EVALS).x
-        again = _search(proportions, (slope, -slope * midpoint))
-        if again.success and again.x[0] > 0 and again.cost < found.cost:
-            found = again
+        for start in ((slope, -slope * midpoint),) + RETRY_STARTS:
+            again = _search(proportions, start)
+            if again.success and again.x[0] > 0 and again.cost < found.cost:
+                found = again
     if not found.success:
         raise DegenerateCurveError(
             f"logistic fit did not converge in {MAX_EVALS} evaluations"

@@ -1010,6 +1010,60 @@ def test_singular_cells_name_the_columns_spanned_by_earlier_ones(traces, pairs, 
         analysis._check_cells(per_trace, levels, 2)
 
 
+def test_a_badly_scaled_design_is_named_as_too_badly_scaled_to_rank():
+    # One 1e300 cell sets the rank rule's tolerance far above every other
+    # column's norm. Those columns are negligible next to it, not in the
+    # span of the columns before them, and the intercept comes first.
+    columns = grouped_columns(np.random.default_rng(3), [20, 20])
+    entropy = np.array(columns["acoustic_entropy"], dtype=float)
+    ols_fit(RegressionDataset({**columns, "acoustic_entropy": entropy}), FULL_PREDICTORS)
+    compare_removals(RegressionDataset({**columns, "acoustic_entropy": entropy}))
+    entropy[5] = 1e300
+    data = RegressionDataset({**columns, "acoustic_entropy": entropy})
+    nuisance = ["phoneme_latency", "trial_number", "block_number", "onset_amplitude",
+                "phoneme_pair=D-T", "phoneme_pair=G-K", "ambiguity=0.75"]
+    others = ["acoustic_surprisal", "switch_surprisal", "switch_entropy"]
+    in_design_order = ["(intercept)", *others, *nuisance, "subject_id=s2"]
+    with pytest.raises(SingularDesignError) as excinfo:
+        ols_fit(data, FULL_PREDICTORS)
+    assert str(excinfo.value) == (
+        f"design too badly scaled to rank: columns {in_design_order} "
+        "are negligible next to column 'acoustic_entropy'"
+    )
+    # the removal tests absorb the intercept and the subject dummies
+    with pytest.raises(SingularDesignError) as excinfo:
+        compare_removals(data)
+    assert str(excinfo.value) == (
+        f"design too badly scaled to rank: columns {nuisance + others} "
+        "are negligible next to column 'acoustic_entropy'"
+    )
+    # the cell check, on 12 traces of one pair
+    rng = np.random.default_rng(4)
+    per_trace = {name: rng.normal(size=12) for name in METRIC_NAMES}
+    per_trace["phoneme_pair"] = np.full(12, "B-P")
+    per_trace["ambiguity"] = np.tile(AMBIGUITY_LEVELS, 6)
+    levels = {name: analysis._levels(per_trace[name]) for name in ("phoneme_pair", "ambiguity")}
+    analysis._check_cells(per_trace, levels, 2)
+    per_trace["switch_surprisal"][0] = 1e300
+    with pytest.raises(SingularDesignError) as excinfo:
+        analysis._check_cells(per_trace, levels, 2)
+    assert str(excinfo.value) == (
+        "design too badly scaled to rank: columns ['(intercept)', 'ambiguity=0.75', "
+        "'acoustic_surprisal', 'acoustic_entropy', 'switch_entropy'] "
+        "are negligible next to column 'switch_surprisal'"
+    )
+
+
+def test_an_all_zero_column_is_collinear_not_badly_scaled():
+    # an all-zero column lies in every span, so it keeps the collinear wording
+    columns = grouped_columns(np.random.default_rng(3), [20, 20])
+    data = RegressionDataset({**columns, "onset_amplitude": np.zeros(40)})
+    for fit in (lambda: ols_fit(data, FULL_PREDICTORS), lambda: compare_removals(data)):
+        with pytest.raises(SingularDesignError) as excinfo:
+            fit()
+        assert str(excinfo.value) == "collinear design columns: ['onset_amplitude']"
+
+
 def reference_simulate_rows(traces, position, generator, betas, noise_sd,
                             n_subjects, subject_sd, trials_per_subject, seed):
     """The per-row simulation loop the columnar simulator replaced."""

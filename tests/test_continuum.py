@@ -95,12 +95,22 @@ def test_fit_symmetric_curve_is_no_better_than_a_flat_line():
 
 def test_fit_takes_a_better_descending_minimum_from_the_second_search():
     # the exponent search from (6, 1) ends at an ascending minimum; the
-    # (midpoint, slope) search heads for this descending one, which fits
+    # search from midpoint 1 or 11 finds this descending one, which fits
     # better
     curve = (0.979, 1.0, 0.999, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.946, 1.0)
     assert fit_psychometric(IdentificationCurve(curve)) == pytest.approx(
         (24.677148, 0.291057), rel=1e-6
     )
+
+
+def test_fit_takes_a_descending_fit_the_first_search_missed():
+    # the search from (6, 1) ends at an ascending minimum whose sum of
+    # squares is 0.044744 (slope -0.076663); a retry start reaches a steep
+    # descent at the last step that fits better
+    curve = (0.912, 1.0, 1.0, 0.812, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.869)
+    midpoint, slope = fit_psychometric(IdentificationCurve(curve))
+    assert (midpoint, slope) == pytest.approx((11.104827, 18.050164), rel=1e-6)
+    assert sum_of_squares(curve, midpoint, slope) < 0.044744
 
 
 def test_fit_nearly_flat_curve_has_no_positive_slope():
@@ -337,10 +347,16 @@ def outcome(fit, proportions):
 @given(proportions=pin_curves())
 # flat to within 0.3%, midpoint far off the continuum
 @example(proportions=(1.0,) * 9 + (0.997, 1.0))
-# the exponent search ends ascending; the second search finds a better,
-# descending fit
+# the exponent search from (6, 1) ends ascending; a search from a retry
+# start finds a better, descending fit
 @example(proportions=(0.979, 1.0, 0.999, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.946, 1.0))
 @example(proportions=(0.938, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.958, 1.0, 0.824))
+# dips below saturation: only the retry starts at midpoints 1 and 11 find
+# the descending fit, which a (midpoint, slope) search misses
+@example(proportions=(0.912, 1.0, 1.0, 0.812, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.869))
+@example(proportions=(0.851, 1.0, 1.0, 1.0, 1.0, 0.84, 1.0, 1.0, 1.0, 1.0, 0.858))
+@example(proportions=(1.0, 0.994, 0.844, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.917))
+@example(proportions=(0.128, 0.0, 0.0, 0.0, 0.0, 0.0, 0.103, 0.0, 0.0, 0.156, 0.0))
 # symmetric about step 6: the optimum slope is 0
 @example(proportions=(0.875,) * 5 + (0.8706025052210794,) + (0.875,) * 5)
 def test_fit_matches_tight_least_squares(proportions):
