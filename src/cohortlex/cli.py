@@ -16,7 +16,7 @@ never touch the collector.
 Exit codes:
     0  requested computation completed, or stdout closed by its reader
     1  input errors: unreadable files, lexicon parse or validation
-       failures, bad parameter values
+       failures, bad parameter values, sizes too large to allocate
     2  lookup and usage errors: unknown word, bad command line
     3  domain errors: impossible continuation, degenerate identification
        curve, singular design, non-nested fits
@@ -31,7 +31,6 @@ import io
 import json
 import os
 import sys
-from itertools import islice
 from pathlib import Path
 
 from .analysis import (
@@ -58,7 +57,7 @@ from .metrics import (
     model_correlation,
     model_divergence_ranking,
 )
-from .stimuli import WordPair, _pair_rows
+from .stimuli import WordPair, _pair_columns
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -92,55 +91,60 @@ def _json_cell(value):
     return value
 
 
-# Cell types `csv.writer` already writes as `_csv_cell` would: str as is,
-# int through str, None as an empty cell.
-_PLAIN_CSV_TYPES = frozenset((str, int, type(None)))
+# Cell types both formats already write as the cell functions would:
+# str as is, int as digits, None as an empty cell or null.
+_PLAIN_TYPES = frozenset((str, int, type(None)))
 # Rows converted and written per block: converting the whole table at
-# once would hold every cell's text in memory next to the rows.
-_CSV_BLOCK_ROWS = 1024
+# once would hold every cell's text in memory next to the columns.
+_BLOCK_ROWS = 1024
 
 
-def _csv_column(cells):
-    if set(map(type, cells)) <= _PLAIN_CSV_TYPES:
-        return cells
-    return [_csv_cell(cell) for cell in cells]
-
-
-def _csv_blocks(rows, fieldnames):
-    """The CSV text of the header and `rows`, one block of rows at a time."""
+def _blocks(columns, fieldnames, fmt):
+    """The table's text a block of rows at a time: the CSV header, then
+    each block; or each block of the JSON array, then its closing."""
+    cell = _csv_cell if fmt == "csv" else _json_cell
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(fieldnames)
-    rows = iter(rows)
-    while True:
-        block = list(islice(rows, _CSV_BLOCK_ROWS))
-        writer.writerows(zip(*(_csv_column(column) for column in zip(*block))))
-        yield buffer.getvalue()
-        if len(block) < _CSV_BLOCK_ROWS:
-            return
-        buffer.seek(0)
-        buffer.truncate()
-
-
-def write_records(rows, fieldnames, out_path: str | None, fmt: str) -> None:
-    """Serialize rows (any iterable of tuples in `fieldnames` order) as CSV
-    rows or a JSON array, to `out_path` or else stdout.
-
-    A field a row does not have is an explicit None: an empty CSV cell,
-    a JSON null. Floats are rounded to 6 decimals in both formats, so the
-    two carry identical values field for field. A CSV cell holding a
-    comma or a quote is quoted, so every row keeps one cell per field.
-    CSV is converted a column at a time and written a block of rows at a
-    time, so the rows may come from a one-shot iterator and the whole
-    text is never held; JSON is built whole, then written.
-    """
     if fmt == "csv":
-        chunks = _csv_blocks(rows, fieldnames)
-    elif fmt == "json":
-        payload = [dict(zip(fieldnames, map(_json_cell, row))) for row in rows]
-        chunks = [json.dumps(payload, indent=2) + "\n"]
-    else:
+        writer.writerow(fieldnames)
+        yield buffer.getvalue()
+    n_rows = len(columns[0])
+    for lo in range(0, n_rows, _BLOCK_ROWS):
+        block = [column[lo:lo + _BLOCK_ROWS] for column in columns]
+        rows = zip(*(
+            cells if set(map(type, cells)) <= _PLAIN_TYPES else list(map(cell, cells))
+            for cells in block
+        ))
+        if fmt == "csv":
+            buffer.seek(0)
+            buffer.truncate()
+            writer.writerows(rows)
+            yield buffer.getvalue()
+        else:
+            # the block's objects as `json.dumps` indents them in the
+            # whole array, without the array's brackets
+            text = json.dumps([dict(zip(fieldnames, row)) for row in rows], indent=2)
+            yield ("[\n" if lo == 0 else ",\n") + text[2:-2]
+    if fmt == "json":
+        yield "\n]\n" if n_rows else "[]\n"
+
+
+def write_records(columns, fieldnames, out_path: str | None, fmt: str) -> None:
+    """Serialize a table, one column per field in `fieldnames` order, as
+    CSV rows or a JSON array, to `out_path` or else stdout.
+
+    Each column is a sequence (a list, a tuple or a numpy object array)
+    of str, int, float, bool or None cells, all of one length. None is an
+    empty CSV cell, a JSON null. Floats are rounded to 6 decimals in both
+    formats, so the two carry identical values field for field. A CSV
+    cell holding a comma or a quote is quoted, so every row keeps one
+    cell per field. Both formats are converted and written a block of
+    rows at a time, so the whole text is never held; a column's block of
+    str, int and None cells only is passed on unconverted.
+    """
+    if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
+    chunks = _blocks(columns, fieldnames, fmt)
     if out_path is None:
         sys.stdout.writelines(chunks)
     else:
@@ -192,7 +196,7 @@ def cmd_ingest_check(args) -> int:
         float(lexicon.total_frequency),
         lexicon.frequency_unit,
     )
-    write_records([row], fieldnames, args.out, args.format)
+    write_records([[cell] for cell in row], fieldnames, args.out, args.format)
     return EXIT_OK
 
 
@@ -225,7 +229,7 @@ def cmd_trace(args) -> int:
         for trace in traces
         for point in trace.points
     ]
-    write_records(rows, fieldnames, args.out, args.format)
+    write_records(list(zip(*rows)), fieldnames, args.out, args.format)
     return EXIT_OK
 
 
@@ -263,15 +267,16 @@ def cmd_compare(args) -> int:
                 rows.append(
                     ("divergence", position, quantity, None, entry.orthography, rank, gap)
                 )
-    write_records(rows, fieldnames, args.out, args.format)
+    columns = list(zip(*rows)) or [()] * len(fieldnames)  # no rows: a header or []
+    write_records(columns, fieldnames, args.out, args.format)
     return EXIT_OK
 
 
 def cmd_pairs(args) -> int:
     lexicon = parse_lexicon(args.lexicon, smoothing=args.smoothing)
-    # The rows stream to the writer: no `WordPair` is built.
-    rows = _pair_rows(lexicon, args.min_shared, require_divergence=not args.keep_undiverged)
-    write_records(rows, WordPair._fields, args.out, args.format)
+    # The search's columns go to the writer: no `WordPair` is built.
+    columns = _pair_columns(lexicon, args.min_shared, require_divergence=not args.keep_undiverged)
+    write_records(columns, WordPair._fields, args.out, args.format)
     return EXIT_OK
 
 
@@ -285,7 +290,7 @@ def cmd_continuum(args) -> int:
         for item, continuum in zip(items, continua)
         for point in continuum.points
     ]
-    write_records(rows, fieldnames, args.out, args.format)
+    write_records(list(zip(*rows)), fieldnames, args.out, args.format)
     return EXIT_OK
 
 
@@ -330,7 +335,7 @@ def cmd_simfit(args) -> int:
         ("switch", summary.switch_detection_rate),
     ):
         rows.append(("summary", None, model, None, None, None, None, None, rate))
-    write_records(rows, fieldnames, args.out, args.format)
+    write_records(list(zip(*rows)), fieldnames, args.out, args.format)
     print(
         f"generator={summary.generator} sims={summary.n_sims} "
         f"alpha={summary.alpha:.6f} "
@@ -500,7 +505,7 @@ def main(argv=None) -> int:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return EXIT_LOOKUP
-    except (LexiconError, ValueError, OSError) as exc:
+    except (LexiconError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     finally:

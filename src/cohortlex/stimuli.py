@@ -14,10 +14,6 @@ import numpy as np
 from .lexicon import PLOSIVE_VOICING_PAIRS, Lexicon, Phoneme, PhonemeSeq
 
 
-# Rows built per block by the iterator `_pair_rows` returns.
-_ROW_BLOCK = 4096
-
-
 class WordPair(NamedTuple):
     """A voiced/voiceless onset pair with a shared post-onset stretch: one
     row of `pairs`, fields in column order.
@@ -61,14 +57,15 @@ def find_word_pairs(
     kept: B/P, D/T, G/K in turn, then buckets, voiced entries and
     voiceless entries each in lexicon order.
     """
-    return list(map(WordPair._make, _pair_rows(lexicon, min_shared, require_divergence)))
+    columns = _pair_columns(lexicon, min_shared, require_divergence)
+    return list(map(WordPair._make, zip(*columns)))
 
 
-def _pair_rows(lexicon: Lexicon, min_shared: int, require_divergence: bool):
-    """`find_word_pairs`' pairs as plain tuples in `WordPair` field order.
+def _pair_columns(lexicon: Lexicon, min_shared: int, require_divergence: bool):
+    """`find_word_pairs`' pairs as columns in `WordPair` field order: one
+    numpy object array of str, int or None cells per field.
 
-    The search runs in numpy over the candidates' padded code rows and is
-    done before this returns; the rows are an iterator over its result.
+    The search runs in numpy over the candidates' padded code rows.
     """
     if min_shared < 1:
         raise ValueError(f"min_shared must be >= 1, got {min_shared}")
@@ -87,7 +84,7 @@ def _pair_rows(lexicon: Lexicon, min_shared: int, require_divergence: bool):
     candidates = np.flatnonzero((group >= 0) & (lengths >= start))
     n = len(candidates)
     if not n:
-        return iter(())
+        return [np.empty(0, object)] * len(WordPair._fields)
     group, lengths, firsts = group[candidates], lengths[candidates], offsets[candidates]
     pair, side = group >> 1, group & 1
     # tails[j] holds each candidate's code at position j + 1, or -1 past
@@ -156,7 +153,18 @@ def _pair_rows(lexicon: Lexicon, min_shared: int, require_divergence: bool):
         keep[maybe[np.unique(key, return_index=True)[1]]] = True
         a, b, pair, stop, diverged = (x[keep] for x in (a, b, pair, stop, diverged))
     shown = np.lexsort((rank[b], rank[a], -stop))
-    return _rows(spellings, *(x[shown] for x in (a, b, pair, stop, diverged)))
+    a, b, pair, stop, diverged = (x[shown] for x in (a, b, pair, stop, diverged))
+    voiced_onsets, voiceless_onsets = (
+        np.array(onsets, dtype=object) for onsets in zip(*PLOSIVE_VOICING_PAIRS)
+    )
+    return [
+        spellings[a],
+        spellings[b],
+        voiced_onsets[pair],
+        voiceless_onsets[pair],
+        (stop - 1).astype(object),
+        np.where(diverged, stop + 1, None),
+    ]
 
 
 def _spelling_ranks(spellings: list[str]) -> np.ndarray:
@@ -165,23 +173,6 @@ def _spelling_ranks(spellings: list[str]) -> np.ndarray:
     ordered = sorted(set(spellings))
     rank_of = dict(zip(ordered, range(len(ordered))))
     return np.fromiter(map(rank_of.__getitem__, spellings), np.int32, len(spellings))
-
-
-def _rows(spellings, a, b, pair, stop, diverged):
-    """The pairs' rows in `WordPair` field order, built a block at a time."""
-    voiced_onsets, voiceless_onsets = (
-        np.array(onsets, dtype=object) for onsets in zip(*PLOSIVE_VOICING_PAIRS)
-    )
-    for lo in range(0, len(a), _ROW_BLOCK):
-        block = slice(lo, lo + _ROW_BLOCK)
-        yield from zip(
-            spellings[a[block]].tolist(),
-            spellings[b[block]].tolist(),
-            voiced_onsets[pair[block]].tolist(),
-            voiceless_onsets[pair[block]].tolist(),
-            (stop[block] - 1).tolist(),
-            np.where(diverged[block], stop[block] + 1, None).tolist(),
-        )
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -1,11 +1,12 @@
 """The dict-per-record output writer, kept as a test reference.
 
-The package's `cli.write_records` takes rows as tuples in field order and
-converts CSV cells a column at a time, passing columns of plain str, int
-and None cells to `csv.writer` untouched. This is the writer it
-replaced, which takes one dict per record, looks every field up with
-`record.get` and converts every cell through `_csv_cell`. The tests
-assert that both write the same bytes for the same rows.
+The package's `cli.write_records` takes the table as columns, one per
+field, and converts and writes it a block of rows at a time, passing a
+block's columns of plain str, int and None cells on untouched. This is
+the writer it replaced, which takes one dict per record, looks every
+field up with `record.get`, converts every cell and builds the whole
+text before writing it. The tests assert that both write the same bytes
+for the same records.
 """
 
 from __future__ import annotations

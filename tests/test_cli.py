@@ -654,8 +654,8 @@ any_cells = st.one_of(
 
 @st.composite
 def record_tables(draw):
-    """Field names and rows as tuples; each column draws either plain cells
-    only or any cells, so both CSV column paths come up."""
+    """Field names and one list of cells per field; each column draws either
+    plain cells only or any cells, so both column paths come up."""
     n_fields = draw(st.integers(1, 4))
     fieldnames = tuple(f"f{i}" for i in range(n_fields))
     n_rows = draw(st.integers(0, 6))
@@ -666,14 +666,14 @@ def record_tables(draw):
         ))
         for _ in fieldnames
     ]
-    return fieldnames, list(zip(*columns))
+    return fieldnames, columns
 
 
-def written(write, rows, fieldnames, fmt):
+def written(write, table, fieldnames, fmt):
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):
-            write(rows, fieldnames, None, fmt)
+            write(table, fieldnames, None, fmt)
     except TypeError as exc:
         return f"TypeError: {exc}"
     return out.getvalue()
@@ -681,38 +681,73 @@ def written(write, rows, fieldnames, fmt):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(table=record_tables(), drop_none=st.booleans())
-def test_rows_write_the_bytes_of_the_dict_writer(table, drop_none):
+def test_columns_write_the_bytes_of_the_dict_writer(table, drop_none):
     # The dict writer read a field a record lacks as None, so a dict may
     # also leave out its None cells.
-    fieldnames, rows = table
+    fieldnames, columns = table
     records = [
         {f: v for f, v in zip(fieldnames, row) if not (drop_none and v is None)}
-        for row in rows
+        for row in zip(*columns)
     ]
     for fmt in ("csv", "json"):
         expected = written(reference.write_records, records, fieldnames, fmt)
-        assert written(cli.write_records, rows, fieldnames, fmt) == expected
+        assert written(cli.write_records, columns, fieldnames, fmt) == expected
         # blocks of two rows, so a column's cell types change across blocks
-        with mock.patch.object(cli, "_CSV_BLOCK_ROWS", 2):
-            assert written(cli.write_records, rows, fieldnames, fmt) == expected
+        with mock.patch.object(cli, "_BLOCK_ROWS", 2):
+            assert written(cli.write_records, columns, fieldnames, fmt) == expected
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(table=record_tables())
-def test_a_one_shot_row_iterator_writes_the_bytes_of_the_dict_writer(table):
-    fieldnames, rows = table
-    records = [dict(zip(fieldnames, row)) for row in rows]
+def test_numpy_object_columns_write_the_bytes_of_the_dict_writer(table):
+    fieldnames, columns = table
+    records = [dict(zip(fieldnames, row)) for row in zip(*columns)]
+    arrays = []
+    for column in columns:
+        array = np.empty(len(column), dtype=object)
+        array[:] = column
+        arrays.append(array)
     for fmt in ("csv", "json"):
         expected = written(reference.write_records, records, fieldnames, fmt)
-        with mock.patch.object(cli, "_CSV_BLOCK_ROWS", 2):
-            assert written(cli.write_records, (row for row in rows), fieldnames, fmt) == expected
+        with mock.patch.object(cli, "_BLOCK_ROWS", 2):
+            assert written(cli.write_records, arrays, fieldnames, fmt) == expected
 
 
 def test_no_rows_write_the_header_or_an_empty_array():
     fieldnames = ("a", "b")
-    for write in (cli.write_records, reference.write_records):
-        assert written(write, [], fieldnames, "csv") == "a,b\n"
-        assert written(write, [], fieldnames, "json") == "[]\n"
+    for write, table in ((cli.write_records, [[], []]), (reference.write_records, [])):
+        assert written(write, table, fieldnames, "csv") == "a,b\n"
+        assert written(write, table, fieldnames, "json") == "[]\n"
+
+
+class ChunkRecorder:
+    """A stdout that keeps each item passed to `writelines`."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def writelines(self, chunks):
+        self.chunks.extend(chunks)
+
+
+def recorded_chunks(columns, fieldnames, fmt):
+    stdout = ChunkRecorder()
+    with mock.patch.object(cli, "_BLOCK_ROWS", 2), mock.patch.object(sys, "stdout", stdout):
+        cli.write_records(columns, fieldnames, None, fmt)
+    return stdout.chunks
+
+
+def test_both_formats_are_written_a_block_of_rows_at_a_time():
+    fieldnames = ("word", "n", "value")
+    columns = [["a", "b,c", "d", "e", "f"], [1, 2, None, 4, 5], [0.5, None, 1.25, True, -2.0]]
+    records = [dict(zip(fieldnames, row)) for row in zip(*columns)]
+    csv_chunks = recorded_chunks(columns, fieldnames, "csv")
+    json_chunks = recorded_chunks(columns, fieldnames, "json")
+    # the header, then one chunk per block of two rows
+    assert csv_chunks[0] == "word,n,value\n" and len(csv_chunks) == 4
+    assert len(json_chunks) >= 3
+    for fmt, chunks in (("csv", csv_chunks), ("json", json_chunks)):
+        assert "".join(chunks) == written(reference.write_records, records, fieldnames, fmt)
 
 
 def test_an_unknown_format_is_rejected():
@@ -2133,6 +2168,19 @@ def test_simfit_overflow_exits_1_with_one_error_line(capsys, sim_path, flags, me
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+# Petabyte draws: numpy refuses the allocation at once, whatever the
+# machine's memory.
+@pytest.mark.parametrize("flag", ["--trials", "--subjects"])
+def test_simfit_too_large_to_allocate_exits_1_with_one_error_line(capsys, sim_path, flag):
+    code, out, err = run_cli(
+        capsys, ["simfit", "--lexicon", sim_path, "--sims", "1", flag, "1000000000000000"]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_simfit_reports_skipped_traces_on_stderr(capsys, tmp_path, sim_path):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cohortlex import (
     WordPair, cli, divergence_point, find_word_pairs, make_lexicon, write_lexicon,
 )
+from tests import records_reference
 from tests import word_pairs_reference as reference
 
 LONG_OVERLAP_ROWS = [
@@ -297,7 +298,9 @@ def test_pairs_prints_the_bytes_of_the_written_pair_list(lexicon, min_shared, ke
         for fmt in ("csv", "json"):
             want = io.StringIO()
             with contextlib.redirect_stdout(want):
-                cli.write_records(pairs, WordPair._fields, None, fmt)
+                records_reference.write_records(
+                    [pair._asdict() for pair in pairs], WordPair._fields, None, fmt
+                )
             argv = ["pairs", "--lexicon", str(lexicon_path), "--min-shared",
                     str(min_shared), "--format", fmt] + (["--keep-undiverged"] if keep else [])
             assert cli_output(argv) == (0, want.getvalue())
