@@ -232,7 +232,7 @@ def ols_fit(dataset: RegressionDataset, predictors: Iterable[str]) -> FitResult:
         raise ValueError(f"need more rows than parameters: n={n}, p={p}")
     _require_finite(dict(zip(names, X.T)))
     q, r_matrix = np.linalg.qr(X)
-    _check_rank((X,), (r_matrix,), names, "collinear design columns:")
+    _check_rank(X, r_matrix, names, "collinear design columns:")
     y = dataset.columns["response"]
     with np.errstate(over="ignore", invalid="ignore"):
         beta = np.linalg.solve(r_matrix, q.T @ y)
@@ -259,19 +259,20 @@ def _require_finite(columns: Mapping[str, np.ndarray]) -> None:
 
 
 def _check_rank(
-    blocks: Sequence[np.ndarray],
-    r_factors: Sequence[np.ndarray],
+    design: np.ndarray,
+    r: np.ndarray,
     names: Sequence[str],
     describe: str,
     columns: np.ndarray | None = None,
 ) -> None:
-    """Raise SingularDesignError when the design [blocks side by side],
-    factored as the triangular `r_factors` side by side, is rank deficient.
+    """Raise SingularDesignError when `design`, factored without pivoting
+    with triangular factor `r`, is rank deficient.
 
-    The rank rule: the tolerance is the largest column norm of the Rs
-    (R's column norms are its block's) times max(n, p) times machine
-    epsilon, and a column is lost when its |R| diagonal entry is at or
-    below it. A column whose own norm (in `columns`, by default the
+    The rank rule: the tolerance is the largest column norm of R (R's
+    column norms are the design's) times max(n, p) times machine epsilon,
+    and a column is lost when its |R| diagonal entry is at or below it; a
+    design with fewer rows than columns has a trapezoidal R and is rank
+    deficient. A column whose own norm (in `columns`, by default the
     design) is not zero but at or below the tolerance is negligible next
     to the largest, not in a span: the error then says the design is too
     badly scaled to rank, naming those columns and the largest. Otherwise
@@ -279,16 +280,12 @@ def _check_rank(
     of the columns before them (see _spanned_columns); an all-zero column
     lies in every span.
     """
-    n = len(blocks[0])
-    p = sum(r.shape[1] for r in r_factors)
+    n, p = design.shape
     # hypot sums the squares without overflow
-    norms = np.concatenate([np.hypot.reduce(r, axis=0) for r in r_factors])
+    norms = np.hypot.reduce(r, axis=0)
     tol = float(norms.max(initial=0.0)) * max(n, p) * np.finfo(float).eps
-    if not any(
-        r.shape[0] < r.shape[1] or np.any(np.abs(np.diagonal(r)) <= tol) for r in r_factors
-    ):
+    if r.shape[0] == p and not np.any(np.abs(np.diagonal(r)) <= tol):
         return
-    design = np.column_stack(blocks)
     own = np.hypot.reduce(design if columns is None else columns, axis=0)
     negligible = [names[j] for j in np.flatnonzero((own > 0) & (own <= tol))]
     if negligible:
@@ -322,32 +319,40 @@ def _spanned_columns(x: np.ndarray, tol: float) -> list[int]:
         lost.append(kept.pop(start))
 
 
-def _partialled_factors(
-    nuisance: np.ndarray,
-    metrics: np.ndarray,
-    names: Sequence[str],
-    describe: str,
-    columns: np.ndarray | None = None,
+def _householder(
+    design: np.ndarray, names: Sequence[str], describe: str, columns: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Factors of the design [nuisance | metrics] with the nuisance span
-    partialled out of the metric columns.
+    """One Householder QR of `design` (columns `names`) without pivoting,
+    Q kept as its reflectors in compact-WY form, Q = I - V T V' (Golub &
+    Van Loan, Matrix Computations, 5.1-5.2; Schreiber & Van Loan 1989),
+    so Q'y = y - V (T' (V' y)) and no Q is formed.
 
-    A QR of `nuisance` gives Q_N; the metric columns minus their
-    projection on Q_N are factored by a second QR as Q_M R_M. Neither QR
-    pivots. numpy's QR copies a Fortran-ordered input fastest and returns
-    Q C-ordered, so each input and each Q is made Fortran-ordered once:
-    the per-response products `q @ (q.T @ y)` run fastest on that layout.
-    Returns (Q_N, Q_M, R_M). A design [nuisance | metrics] (columns
-    `names`) that is rank deficient under ols_fit's rank rule, on the two
-    Rs' column norms, raises SingularDesignError (see _check_rank, which
-    takes `describe` and `columns`).
+    Returns (V, T, R): V unit lower trapezoidal and Fortran-ordered, the
+    layout on which V'y and V z run fastest; T upper triangular, built by
+    LAPACK dlarft's recurrence, which divides by nothing, so a tau of 0 (a
+    column with nothing below the diagonal, as the last of a square
+    design) is no special case; R upper triangular, or trapezoidal when
+    `design` has fewer rows than columns. A rank-deficient design raises
+    SingularDesignError (see _check_rank, which takes `describe` and
+    `columns`).
     """
-    q_n, r_n = np.linalg.qr(np.asfortranarray(nuisance))
-    q_n = np.asfortranarray(q_n)
-    residual = metrics - q_n @ (q_n.T @ metrics)
-    q_m, r_m = np.linalg.qr(np.asfortranarray(residual))
-    _check_rank((nuisance, metrics), (r_n, r_m), names, describe, columns)
-    return q_n, np.asfortranarray(q_m), r_m
+    # numpy factors a copy of the design and returns it transposed: h holds
+    # R on and above the diagonal and the reflectors' tails below it
+    h, tau = np.linalg.qr(np.asfortranarray(design), mode="raw")
+    h = h.T
+    k = len(tau)
+    r = np.triu(h[:k])
+    _check_rank(design, r, names, describe, columns)
+    # the reflectors are written over h's copy of the design, which a
+    # Fortran-ordered design leaves Fortran-ordered
+    v = np.asfortranarray(h[:, :k])
+    v[:k] = np.tril(v[:k], -1) + np.eye(k)
+    gram = v.T @ v
+    t = np.zeros((k, k))
+    for j in range(k):
+        t[:j, j] = -tau[j] * (t[:j, :j] @ gram[:j, j])
+        t[j, j] = tau[j]
+    return v, t, r
 
 
 def _loglik_from_sse(n: int, sse: float) -> float:
@@ -505,8 +510,10 @@ def _check_cells(
     A trial's intercept, pair and ambiguity dummies and four metrics are
     fixed by its trace's cell: the voicing pair, the word's own onset,
     `p_a` and, past position 1, the metric values of its continuation. The
-    cell-level design has these columns and one row per distinct cell.
-    When its rank is deficient under ols_fit's tolerance rule, every
+    cell-level design has these columns and one row per distinct cell,
+    and is factored by the removal test's one Householder QR
+    (_householder). When its R is rank deficient under ols_fit's
+    tolerance rule, or the cells are fewer than the columns, every
     simulated design is too; the message names the position and, in
     design order, the columns that lie in the span of the columns before
     them, unless the cells are too badly scaled to rank (see
@@ -523,10 +530,8 @@ def _check_cells(
     cells = np.unique(
         np.column_stack(nuisance + [per_trace[name] for name in _METRICS]), axis=0
     )
-    split = len(nuisance)
-    _partialled_factors(
-        cells[:, :split],
-        cells[:, split:],
+    _householder(
+        cells,
         names,
         f"position {position}: the cells of the traces that reach it cannot separate columns",
     )
@@ -659,14 +664,27 @@ def _removal_tests(
     }
     _require_finite(continuous)
     categorical = {name: _levels(columns[name]) for name in ("phoneme_pair", "ambiguity")}
-    subjects = _levels(columns["subject_id"])[1]
-    return _coded_removal_tests(continuous, categorical, subjects, models, df)
+    demeaning = _subject_demeaning(_levels(columns["subject_id"])[1])
+    return _coded_removal_tests(continuous, categorical, demeaning, models, df)
+
+
+def _subject_demeaning(subjects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indicators, weights) of rows coded by subject, every code from 0 to
+    the largest one in use: indicators[i, s] is 1 when row i is subject
+    s's, and weights are the indicators over each subject's row count, so
+    z - indicators @ (weights.T @ z) is z demeaned within subject. Both
+    are Fortran-ordered: the matrix products, and so the last bits of
+    every SSE, depend on the layout."""
+    n = len(subjects)
+    indicators = np.zeros((n, len(np.bincount(subjects))), order="F")
+    indicators[np.arange(n), subjects] = 1.0
+    return indicators, indicators / indicators.sum(axis=0)
 
 
 def _coded_removal_tests(
     continuous: Mapping[str, np.ndarray],
     categorical: Mapping[str, tuple[Sequence, np.ndarray]],
-    subjects: np.ndarray,
+    demeaning: tuple[np.ndarray, np.ndarray],
     models: Iterable[str],
     df: int | None,
 ) -> Callable[[np.ndarray], dict[str, ModelComparisonResult]]:
@@ -675,19 +693,20 @@ def _coded_removal_tests(
     The design is given as columns: `continuous` maps every
     CONTINUOUS_PREDICTORS name to its column, `categorical` maps
     `phoneme_pair` and then `ambiguity` to (labels, codes) as _levels
-    gives them (labels that no code uses get no dummy), and `subjects`
-    holds each row's subject code, every code from 0 to the largest one
-    in use. The full design is built once, so all fits share one dummy
-    coding, and factored once by partialling out (Frisch & Waugh 1933;
-    Lovell 1963). Demeaning every column within subject absorbs the
-    intercept and the subject dummies exactly, so neither is built. The
-    demeaned nuisance block (latency, trial, block, amplitude, pair and
-    ambiguity dummies) is factored by a QR, and the four metric columns,
-    residualized against it, as Q_M R_M (_partialled_factors). For each
-    response the full fit's SSE is summed from the explicit residuals; a
-    reduced fit's SSE adds the residual of c = Q_M' y on the kept columns
-    of R_M, a 4 x 2 least-squares problem. The full design's rank is the
-    number of subjects plus the demeaned block's, checked by ols_fit's
+    gives them (labels that no code uses get no dummy), and `demeaning`
+    is the rows' _subject_demeaning, built once and shared by every
+    design on the same subjects. The full design is built once, so all
+    fits share one dummy coding, and solved within subject (Frisch &
+    Waugh 1933; Lovell 1963): demeaning every column within subject
+    absorbs the intercept and the subject dummies exactly, so neither is
+    built. The demeaned design [nuisance block | metrics] (the nuisance
+    block: latency, trial, block, amplitude, pair and ambiguity dummies)
+    is factored once by one Householder QR (_householder). For each
+    demeaned response, u = Q'y: the full fit's SSE is the sum of squares
+    of u below the design's columns, and a reduced fit's SSE adds the
+    residual of u's metric rows, c, on the kept columns of R's metric
+    block, a 4 x 2 least-squares problem. The full design's rank is the
+    number of subjects plus the demeaned design's, checked by ols_fit's
     tolerance rule, so a rank-deficient design names its columns in the
     order [nuisance block | metrics].
     """
@@ -700,42 +719,43 @@ def _coded_removal_tests(
     split = len(block)
     names.extend(_METRICS)
     block.extend(np.asarray(continuous[name], dtype=float) for name in _METRICS)
-    counts = np.bincount(subjects)
-    n = len(subjects)
-    p = 1 + len(names) + max(len(counts) - 1, 0)
+    indicators, weights = demeaning
+    n, n_subjects = indicators.shape
+    p = 1 + len(names) + max(n_subjects - 1, 0)
     if n <= p:
         raise ValueError(f"need more rows than parameters: n={n}, p={p}")
-    # the block and the indicators are Fortran-ordered: the matrix
-    # products, and so the last bits of every SSE, depend on the layout
-    indicators = np.zeros((n, len(counts)), order="F")
-    indicators[np.arange(n), subjects] = 1.0
-    weights = indicators / indicators.sum(axis=0)
 
     def demean(z: np.ndarray) -> np.ndarray:
         return z - indicators @ (weights.T @ z)
 
-    columns = np.array(block).T
+    # the columns are stacked as rows, so every transpose is Fortran-ordered,
+    # and the design is demeaned in the place of its subject-mean product:
+    # each entry of that product is one subject mean (times 1, plus zeros),
+    # so the design equals demean(columns) bit for bit
+    stacked = np.array(block)
+    columns = stacked.T
     with np.errstate(over="ignore", invalid="ignore"):
-        block = demean(columns)
+        design = (weights.T @ columns).T @ indicators.T
+        np.subtract(stacked, design, out=design)
+    design = design.T
     # a column constant within subject demeans to rounding residue: it is
     # in the subject dummies' span, so its own norm is taken before demeaning
-    q_n, q_m, r_m = _partialled_factors(
-        block[:, :split], block[:, split:], names, "collinear design columns:", columns
-    )
+    v, t, r = _householder(design, names, "collinear design columns:", columns)
+    k = len(names)
+    r_m = r[split:, split:]
     reduced = {}
     for model in models:
-        keep = [k for k, name in enumerate(_METRICS) if name not in MODEL_PREDICTORS[model]]
+        keep = [j for j, name in enumerate(_METRICS) if name not in MODEL_PREDICTORS[model]]
         # an orthonormal basis of the complement of the kept columns' span
         complement = np.linalg.qr(r_m[:, keep], mode="complete")[0][:, len(keep):]
         reduced[model] = complement, (len(_METRICS) - len(keep) if df is None else df)
 
     def test(y: np.ndarray) -> dict[str, ModelComparisonResult]:
         with np.errstate(over="ignore", invalid="ignore"):
-            residuals = demean(y)
-            residuals = residuals - q_n @ (q_n.T @ residuals)
-            c = q_m.T @ residuals
-            residuals = residuals - q_m @ c
-            sse = float(residuals @ residuals)
+            u = demean(y)
+            u = u - v @ (t.T @ (v.T @ u))
+            sse = float(u[k:] @ u[k:])
+            c = u[split:k]
             sse_reduced = {
                 model: sse + float(np.sum((complement.T @ c) ** 2))
                 for model, (complement, _) in reduced.items()
@@ -797,11 +817,14 @@ def model_recovery(
     tallies = {"acoustic": 0, "switch": 0}
     for sim in range(n_sims):
         trace_idx, subject, covariates, response = draw(per_trace, seed + sim)
+        if sim == 0:
+            # _trials gives every draw the same subject codes
+            demeaning = _subject_demeaning(subject)
         continuous = {**covariates, **{name: per_trace[name][trace_idx] for name in _METRICS}}
         categorical = {
             name: (labels, codes[trace_idx]) for name, (labels, codes) in levels.items()
         }
-        test = _coded_removal_tests(continuous, categorical, subject, MODEL_PREDICTORS, df)
+        test = _coded_removal_tests(continuous, categorical, demeaning, MODEL_PREDICTORS, df)
         for model, result in test(response).items():
             detected = result.p_value < alpha
             tallies[model] += detected
@@ -853,10 +876,7 @@ def permutation_calibration(
     test = _removal_tests(dataset, ("acoustic",), None)
     y = dataset.columns["response"]
     rng = np.random.default_rng(seed)
-    p_values = [
-        test(y[rng.permutation(len(y))])["acoustic"].p_value
-        for _ in range(n_permutations)
-    ]
+    p_values = [test(rng.permutation(y))["acoustic"].p_value for _ in range(n_permutations)]
     below = sum(1 for pv in p_values if pv < alpha)
     return CalibrationResult(
         n_permutations=n_permutations,

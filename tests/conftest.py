@@ -62,6 +62,27 @@ def generated_rows(seed: int, n_words: int) -> list[str]:
     return rows
 
 
+def mirrored_rows(seed: int, n_continuations: int) -> list[str]:
+    """Rows of a synthetic B/P lexicon in which every continuation exists
+    under both onsets, 2-7 phonemes after the onset, with Zipf-like
+    integer counts, in the shape of `bench/gen.py`'s mirrored lexicon."""
+    rng = random.Random(seed)
+    vowels = [f"{v}{s}" for v in ("AE", "IH", "UW", "AO", "EH", "AA") for s in "012"]
+    consonants = ["N", "T", "K", "S", "R", "D", "M", "L"]
+    tails = []
+    while len(tails) < n_continuations:
+        length = 2 + len(tails) % 6
+        tail = tuple(rng.choice(consonants if i % 2 else vowels) for i in range(length))
+        if tail not in tails:
+            tails.append(tail)
+    return [
+        f"{onset.lower()}{''.join(tail).lower()}\t{onset} {' '.join(tail)}"
+        f"\t{int(1 / (1 - rng.random()))}"
+        for tail in tails
+        for onset in "BP"
+    ]
+
+
 @pytest.fixture
 def toy_a():
     return make_lexicon(TOY_A_ROWS)

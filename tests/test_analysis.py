@@ -835,30 +835,65 @@ def grouped_columns(rng, rows_per_subject, pairs=("B-P", "D-T", "G-K")):
     }
 
 
+# Removal-test designs: three subjects of unequal size, and the recovery
+# benchmark's shape, 10 subjects x 500 trials numbered 1-500 with latency
+# N(87, 25), the scales that set its conditioning.
+LSTSQ_DESIGNS = {
+    "unequal subjects": lambda rng: grouped_columns(rng, [17, 40, 63]),
+    "benchmark shape": lambda rng: {
+        **grouped_columns(rng, [500] * 10),
+        "trial_number": rng.integers(1, 501, 5000),
+    },
+}
+
+
 @pytest.mark.parametrize("df", [None, 1])
 def test_removal_test_sses_match_lstsq_reference(monkeypatch, df):
-    # The removal tests partial the subject intercepts and nuisance block
-    # out of the design; every SSE they take (the full fit's, then each
-    # reduced fit's) must equal an SVD least-squares solve of the whole
-    # design, or of its column subset, to 1e-12.
-    data = RegressionDataset(grouped_columns(np.random.default_rng(24), [17, 40, 63]))
-    y = data.columns["response"]
-    seen = []
-
-    def record(n, sse):
-        seen.append(sse)
-        return loglik_from_sse(n, sse)
-
+    # The removal tests demean within subject and factor the design once;
+    # every SSE they take (the full fit's, then each reduced fit's) must
+    # equal an SVD least-squares solve of the whole design, or of its
+    # column subset, to 1e-12.
     loglik_from_sse = analysis._loglik_from_sse
-    monkeypatch.setattr(analysis, "_loglik_from_sse", record)
-    results = analysis._removal_tests(data, MODEL_PREDICTORS, df)(y)
-    expected = []
-    for predictors in (FULL_PREDICTORS, without_model("acoustic"), without_model("switch")):
-        X, _ = _design_matrix(data, predictors)
-        beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-        expected.append(float(np.sum((y - X @ beta) ** 2)))
-    assert seen == pytest.approx(expected, rel=1e-12)
-    assert [result.df for result in results.values()] == [2 if df is None else df] * 2
+    for design in LSTSQ_DESIGNS.values():
+        data = RegressionDataset(design(np.random.default_rng(24)))
+        y = data.columns["response"]
+        seen = []
+
+        def record(n, sse):
+            seen.append(sse)
+            return loglik_from_sse(n, sse)
+
+        monkeypatch.setattr(analysis, "_loglik_from_sse", record)
+        results = analysis._removal_tests(data, MODEL_PREDICTORS, df)(y)
+        expected = []
+        for predictors in (FULL_PREDICTORS, without_model("acoustic"), without_model("switch")):
+            X, _ = _design_matrix(data, predictors)
+            beta, *_ = np.linalg.lstsq(X, y, rcond=None)
+            expected.append(float(np.sum((y - X @ beta) ** 2)))
+        assert seen == pytest.approx(expected, rel=1e-12)
+        assert [result.df for result in results.values()] == [2 if df is None else df] * 2
+
+
+@pytest.mark.parametrize("shape", ["square", "column left reduced"])
+def test_householder_factors_reproduce_numpy_qr_when_a_tau_is_zero(shape):
+    # A Householder step whose column has nothing below the diagonal has
+    # tau = 0: the last step of a square design, or a column that the
+    # first reflector, acting on two rows only, leaves reduced. The
+    # compact-WY factors must still give numpy's Q and R.
+    rng = np.random.default_rng(3)
+    if shape == "square":
+        design, zero = rng.normal(size=(5, 5)), 4
+    else:
+        design, zero = rng.normal(size=(8, 3)), 1
+        design[2:, :2] = 0.0
+    assert np.linalg.qr(design, mode="raw")[1][zero] == 0.0
+    names = [f"x{j}" for j in range(design.shape[1])]
+    v, t, r = analysis._householder(design, names, "collinear design columns:")
+    q, r_reference = np.linalg.qr(design, mode="complete")
+    y = rng.normal(size=len(design))
+    assert np.allclose(y - v @ (t.T @ (v.T @ y)), q.T @ y, rtol=0, atol=1e-12)
+    assert np.allclose(np.eye(len(design)) - v @ t @ v.T, q, rtol=0, atol=1e-12)
+    assert np.allclose(r, r_reference[: design.shape[1]], rtol=0, atol=1e-12)
 
 
 @st.composite

@@ -21,7 +21,7 @@ from cohortlex import (
     analysis, build_trie, cli, continuum, make_lexicon, parse_lexicon, write_lexicon,
 )
 from tests import records_reference as reference
-from tests.conftest import SIM_ROWS, TOY_B_ROWS, generated_rows
+from tests.conftest import SIM_ROWS, TOY_B_ROWS, generated_rows, mirrored_rows
 
 # Disjoint post-onset continuations: nothing after a B onset exists after a
 # P onset, so with fully certain evidence the joint path reduces to the
@@ -1164,6 +1164,49 @@ def test_simfit_output_bytes_are_pinned(capsys, sim_path, df, fmt):
     code, out, err = run_cli(capsys, argv)
     assert (code, err) == (0, GOLDEN_SIMFIT_ERR)
     assert out == GOLDEN_SIMFIT[df, fmt]
+
+
+# md5s of simfit's stdout and stderr at the recovery benchmark's shape: a
+# 64-word mirrored B/P lexicon, 10 subjects x 500 trials, 100 simulations.
+# Every printed cell of the 200 removal tests is covered.
+BENCH_SHAPE_SIMFIT_ARGS = [
+    "--subjects", "10", "--trials", "500", "--sims", "100", "--position", "2",
+    "--noise", "0.5", "--betas", "1,1",
+]
+BENCH_SHAPE_SIMFIT_PINS = {
+    ("acoustic", None): (
+        "25107701295168beb9b48c13aae6437b", "ed28cb245a847ab3e86e75221c8b3a99"
+    ),
+    ("acoustic", "1"): (
+        "cc4fd7a5895b457ec58d439641503ecc", "ae501e810c2c062ce7c73dceeec7280c"
+    ),
+    ("switch", None): (
+        "d8337f7d704e06f348b91a2fa119bdf5", "1f266373d6007823220f324c7d21a6c1"
+    ),
+    ("switch", "1"): (
+        "7d639a6951a125eb73319bd52cd7ee6b", "afe2270229be6c5ff1909a7efc21b224"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def mirrored_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("mirrored") / "mirrored.tsv"
+    path.write_text("\n".join(mirrored_rows(7201, 32)) + "\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("generator, df", BENCH_SHAPE_SIMFIT_PINS)
+def test_simfit_output_at_the_benchmark_shape_is_pinned(capsys, mirrored_path, generator, df):
+    argv = ["simfit", "--lexicon", mirrored_path, "--generator", generator,
+            *BENCH_SHAPE_SIMFIT_ARGS]
+    if df is not None:
+        argv += ["--df", df]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    assert (
+        hashlib.md5(out.encode()).hexdigest(), hashlib.md5(err.encode()).hexdigest()
+    ) == BENCH_SHAPE_SIMFIT_PINS[generator, df]
 
 
 # `trace` and `compare` output for the onset pair B,P, per run: whether the
