@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -320,7 +321,7 @@ def _spanned_columns(x: np.ndarray, tol: float) -> list[int]:
 
 
 def _householder(
-    design: np.ndarray, names: Sequence[str], describe: str, columns: np.ndarray | None = None
+    design: np.ndarray, names: Sequence[str], columns: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One Householder QR of `design` (columns `names`) without pivoting,
     Q kept as its reflectors in compact-WY form, Q = I - V T V' (Golub &
@@ -333,8 +334,8 @@ def _householder(
     column with nothing below the diagonal, as the last of a square
     design) is no special case; R upper triangular, or trapezoidal when
     `design` has fewer rows than columns. A rank-deficient design raises
-    SingularDesignError (see _check_rank, which takes `describe` and
-    `columns`).
+    SingularDesignError naming its collinear columns (see _check_rank,
+    which takes `columns`).
     """
     # numpy factors a copy of the design and returns it transposed: h holds
     # R on and above the diagonal and the reflectors' tails below it
@@ -342,7 +343,7 @@ def _householder(
     h = h.T
     k = len(tau)
     r = np.triu(h[:k])
-    _check_rank(design, r, names, describe, columns)
+    _check_rank(design, r, names, "collinear design columns:", columns)
     # the reflectors are written over h's copy of the design, which a
     # Fortran-ordered design leaves Fortran-ordered
     v = np.asfortranarray(h[:, :k])
@@ -510,9 +511,9 @@ def _check_cells(
     A trial's intercept, pair and ambiguity dummies and four metrics are
     fixed by its trace's cell: the voicing pair, the word's own onset,
     `p_a` and, past position 1, the metric values of its continuation. The
-    cell-level design has these columns and one row per distinct cell,
-    and is factored by the removal test's one Householder QR
-    (_householder). When its R is rank deficient under ols_fit's
+    cell-level design has these columns and one row per distinct cell.
+    Only its R is formed, by the QR whose R _householder keeps (numpy's,
+    without pivoting). When that R is rank deficient under ols_fit's
     tolerance rule, or the cells are fewer than the columns, every
     simulated design is too; the message names the position and, in
     design order, the columns that lie in the span of the columns before
@@ -530,8 +531,9 @@ def _check_cells(
     cells = np.unique(
         np.column_stack(nuisance + [per_trace[name] for name in _METRICS]), axis=0
     )
-    _householder(
+    _check_rank(
         cells,
+        np.linalg.qr(cells, mode="r"),
         names,
         f"position {position}: the cells of the traces that reach it cannot separate columns",
     )
@@ -568,9 +570,11 @@ def simulate_dataset(
     generator, so a fixed seed reproduces the dataset exactly.
     Parameters so large that a response overflows raise ValueError.
     """
-    draw = _trials(generator, betas, noise_sd, n_subjects, subject_sd, trials_per_subject)
+    draw, subject = _trials(
+        generator, betas, noise_sd, n_subjects, subject_sd, trials_per_subject
+    )
     per_trace = _trace_columns(traces, position)
-    trace_idx, subject, covariates, response = draw(per_trace, seed)
+    trace_idx, covariates, response = draw(per_trace, seed)
     width = len(str(n_subjects))
     subject_ids = np.array([f"s{s + 1:0{width}d}" for s in range(n_subjects)])
     return RegressionDataset({
@@ -588,12 +592,13 @@ def _trials(
     n_subjects: int,
     subject_sd: float,
     trials_per_subject: int,
-) -> Callable[[Mapping[str, np.ndarray], int], tuple]:
-    """simulate_dataset's argument checks, in its order; then its draws,
-    bound to these parameters: draw(per_trace, seed) on _trace_columns'
-    columns gives, per trial, its trace index, its subject code
-    (0..n_subjects-1, subject by subject), the four covariate columns and
-    the response, and raises ValueError when a response is not finite."""
+) -> tuple[Callable[[Mapping[str, np.ndarray], int], tuple], np.ndarray]:
+    """simulate_dataset's argument checks, in its order; then (draw, subject):
+    its draws, bound to these parameters, and each trial's subject code
+    (0..n_subjects-1, subject by subject), which the parameters fix. Per
+    trial, draw(per_trace, seed) on _trace_columns' columns gives its trace
+    index, four covariates and response; it raises ValueError when a
+    response is not finite."""
     if generator not in MODEL_PREDICTORS:
         raise ValueError(f"generator must be 'acoustic' or 'switch', got {generator!r}")
     if n_subjects < 2:
@@ -647,9 +652,9 @@ def _trials(
             "block_number": blocks,
             "onset_amplitude": amplitude,
         }
-        return trace_idx, subject, covariates, response
+        return trace_idx, covariates, response
 
-    return draw
+    return draw, subject
 
 
 def _removal_tests(
@@ -740,7 +745,7 @@ def _coded_removal_tests(
     design = design.T
     # a column constant within subject demeans to rounding residue: it is
     # in the subject dummies' span, so its own norm is taken before demeaning
-    v, t, r = _householder(design, names, "collinear design columns:", columns)
+    v, t, r = _householder(design, names, columns)
     k = len(names)
     r_m = r[split:, split:]
     reduced = {}
@@ -809,36 +814,34 @@ def model_recovery(
         raise ValueError(f"need at least one simulation, got {n_sims}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    draw = _trials(generator, betas, noise_sd, n_subjects, subject_sd, trials_per_subject)
+    draw, subject = _trials(
+        generator, betas, noise_sd, n_subjects, subject_sd, trials_per_subject
+    )
     per_trace = _trace_columns(traces, position)
     levels = {name: _levels(per_trace[name]) for name in ("phoneme_pair", "ambiguity")}
     _check_cells(per_trace, levels, position)
+    demeaning = _subject_demeaning(subject)
     records = []
-    tallies = {"acoustic": 0, "switch": 0}
     for sim in range(n_sims):
-        trace_idx, subject, covariates, response = draw(per_trace, seed + sim)
-        if sim == 0:
-            # _trials gives every draw the same subject codes
-            demeaning = _subject_demeaning(subject)
+        trace_idx, covariates, response = draw(per_trace, seed + sim)
         continuous = {**covariates, **{name: per_trace[name][trace_idx] for name in _METRICS}}
         categorical = {
             name: (labels, codes[trace_idx]) for name, (labels, codes) in levels.items()
         }
         test = _coded_removal_tests(continuous, categorical, demeaning, MODEL_PREDICTORS, df)
         for model, result in test(response).items():
-            detected = result.p_value < alpha
-            tallies[model] += detected
             records.append(ComparisonRecord(
                 sim, model, result.chi2, result.df, result.p_value,
-                result.delta_loglik, detected,
+                result.delta_loglik, result.p_value < alpha,
             ))
+    detections = Counter(record.removed for record in records if record.detected)
     return RecoverySummary(
         generator=generator,
         n_sims=n_sims,
         alpha=alpha,
-        acoustic_detection_rate=tallies["acoustic"] / n_sims,
-        switch_detection_rate=tallies["switch"] / n_sims,
-        generating_detection_rate=tallies[generator] / n_sims,
+        acoustic_detection_rate=detections["acoustic"] / n_sims,
+        switch_detection_rate=detections["switch"] / n_sims,
+        generating_detection_rate=detections[generator] / n_sims,
         records=tuple(records),
     )
 

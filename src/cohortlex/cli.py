@@ -245,12 +245,10 @@ def cmd_compare(args) -> int:
     rows = []
     for position in range(1, max_position + 1):
         n_here = sum(1 for t in traces if t.point_at(position) is not None)
+        if n_here < 3:
+            _warn(f"position {position}: only {n_here} traces, correlation skipped")
         for quantity in _QUANTITIES:
-            if n_here < 3:
-                _warn(
-                    f"position {position}: only {n_here} traces, correlation skipped"
-                )
-            else:
+            if n_here >= 3:
                 try:
                     r = model_correlation(traces, position, quantity)
                 except UndefinedCorrelationError:

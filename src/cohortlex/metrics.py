@@ -114,9 +114,11 @@ def switch_entropy(trie: CohortTrie, prefix: PhonemeSeq) -> float:
 
 
 def _no_onset_admits(evidence: AcousticEvidence, continuation: PhonemeSeq):
+    onsets = f"neither /{evidence.phoneme_a}/ nor /{evidence.phoneme_b}/"
+    if not continuation:  # the onset position
+        return ImpossibleContinuationError(f"{onsets} starts any word")
     return ImpossibleContinuationError(
-        f"neither /{evidence.phoneme_a}/ nor /{evidence.phoneme_b}/ admits "
-        f"the continuation /{' '.join(continuation)}/"
+        f"{onsets} admits the continuation /{' '.join(continuation)}/"
     )
 
 
@@ -215,12 +217,7 @@ def _acoustic_surprisal(evidence, node_a, node_b, before_a, before_b, continuati
         evidence, (_freq(node_a), _freq(node_b)), (before_a, before_b)
     )
     if inner <= 0:
-        if continuation:
-            raise _no_onset_admits(evidence, continuation)
-        raise ImpossibleContinuationError(
-            f"neither /{evidence.phoneme_a}/ nor /{evidence.phoneme_b}/ "
-            "starts any word"
-        )
+        raise _no_onset_admits(evidence, continuation)
     return max(0.0, -math.log2(inner))
 
 

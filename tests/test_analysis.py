@@ -888,7 +888,7 @@ def test_householder_factors_reproduce_numpy_qr_when_a_tau_is_zero(shape):
         design[2:, :2] = 0.0
     assert np.linalg.qr(design, mode="raw")[1][zero] == 0.0
     names = [f"x{j}" for j in range(design.shape[1])]
-    v, t, r = analysis._householder(design, names, "collinear design columns:")
+    v, t, r = analysis._householder(design, names)
     q, r_reference = np.linalg.qr(design, mode="complete")
     y = rng.normal(size=len(design))
     assert np.allclose(y - v @ (t.T @ (v.T @ y)), q.T @ y, rtol=0, atol=1e-12)
@@ -1249,7 +1249,7 @@ def test_an_undrawn_off_grid_trace_is_rejected(trie_sim):
     # an on-grid trace in its place, seed 1 never draws the last index
     stand_in = analysis._trace_columns(on_grid + on_grid[:1], position=2)
     draw_kwargs = {key: value for key, value in kwargs.items() if key != "position"}
-    trace_idx = analysis._trials(**draw_kwargs)(stand_in, 1)[0]
+    trace_idx = analysis._trials(**draw_kwargs)[0](stand_in, 1)[0]
     assert len(on_grid) not in trace_idx
     message = r"ambiguity must be one of \(0.25, 0.75\), got 0.5$"
     with pytest.raises(ValueError, match=message):

@@ -337,6 +337,28 @@ def test_compare_skips_constant_metric_with_warning(capsys, tmp_path):
     ]
 
 
+def test_compare_warns_once_per_position_with_too_few_traces(capsys, tmp_path):
+    # only "bats" reaches position 4: one warning for the position, not
+    # one per quantity
+    path = tmp_path / "five.tsv"
+    write_lexicon(
+        make_lexicon(
+            [
+                ("bat", "B AE T", 3.0),
+                ("pat", "P AE T", 2.0),
+                ("bin", "B IH N", 1.0),
+                ("pin", "P IH N", 4.0),
+                ("bats", "B AE T S", 1.0),
+            ]
+        ),
+        path,
+    )
+    code, _, err = run_cli(capsys, ["compare", "--lexicon", str(path), "--pair", "B,P"])
+    assert code == 0
+    warning = "warning: position 4: only 1 traces, correlation skipped"
+    assert err.splitlines().count(warning) == 1
+
+
 def test_compare_skips_only_the_flat_cell(capsys, tmp_path):
     path = tmp_path / "mixed.tsv"
     write_lexicon(
@@ -1994,26 +2016,54 @@ def test_seed_belongs_to_simfit_only(capsys, toy_path, sim_path):
     assert code == 0 and out != GOLDEN_SIMFIT[None, "csv"]
 
 
-def test_csv_and_json_outputs_carry_identical_values(capsys, tmp_path, toy_path):
-    csv_path = tmp_path / "trace.csv"
-    json_path = tmp_path / "trace.json"
-    base = ["trace", "--lexicon", toy_path, "--word", "bat", "--pair", "B,P"]
-    assert cli.main(base + ["--out", str(csv_path)]) == 0
-    assert cli.main(base + ["--out", str(json_path), "--format", "json"]) == 0
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest-check"],
+        ["trace", "--word", "beh2reh2", "--pair", "B,P"],
+        ["trace", "--all", "--pair", "B,P"],
+        ["compare", "--pair", "B,P"],
+        ["pairs", "--min-shared", "1", "--keep-undiverged"],
+        ["continuum"],
+        ["simfit", "--sims", "3"],
+    ],
+    ids=["ingest-check", "trace-word", "trace-all", "compare", "pairs", "continuum", "simfit"],
+)
+def test_csv_and_json_outputs_carry_identical_values(tmp_path, mirrored_path, argv):
+    # a JSON null is an empty CSV cell and a JSON boolean is written
+    # true/false in CSV; every other value reads back equal
+    if argv[0] == "continuum":
+        lines = ["item,step,proportion"] + [
+            f"{item},{step},{min(1.0, max(0.0, 1.2 - step / 9 - shift)):.3f}"
+            for item, shift in (("ba", 0.0), ("da", 0.1), ("ga", 0.2))
+            for step in range(1, 12)
+        ]
+        curve_path = tmp_path / "curves.csv"
+        curve_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = argv + ["--in", str(curve_path)]
+    else:
+        argv = argv + ["--lexicon", mirrored_path]
+    csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
+    assert cli.main(argv + ["--out", str(csv_path)]) == 0
+    assert cli.main(argv + ["--out", str(json_path), "--format", "json"]) == 0
     with open(csv_path, newline="") as handle:
         csv_rows = list(csv.DictReader(handle))
     json_rows = json.loads(json_path.read_text())
-    assert len(csv_rows) == len(json_rows) == 3
+    assert len(csv_rows) == len(json_rows) > 0
     for csv_row, json_row in zip(csv_rows, json_rows):
-        assert set(csv_row) == set(json_row)
+        assert list(csv_row) == list(json_row)
         for field, csv_value in csv_row.items():
             json_value = json_row[field]
-            if isinstance(json_value, float):
+            if json_value is None:
+                assert csv_value == ""
+            elif isinstance(json_value, bool):
+                assert csv_value == str(json_value).lower()
+            elif isinstance(json_value, float):
                 assert float(csv_value) == json_value
             elif isinstance(json_value, int):
                 assert int(csv_value) == json_value
             else:
-                assert csv_value == str(json_value)
+                assert csv_value == json_value
 
 
 def test_malformed_lexicon_exits_1(capsys, tmp_path):

@@ -292,7 +292,7 @@ def _first_queries(rows):
     return lex, len(prefixes) + len(lex.entries), query
 
 
-def test_entropy_memo_is_safe_under_concurrent_first_queries():
+def test_onset_growth_is_safe_under_concurrent_first_queries():
     # Covers the trie's one first-use write: threads that reach an ungrown
     # onset each grow its whole subtree, entropies included, and publish it
     # by one assignment, the later replacing the earlier.

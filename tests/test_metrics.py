@@ -255,6 +255,13 @@ def test_acoustic_surprisal_onset_both_absent(trie_b):
         acoustic_surprisal(trie_b, AcousticEvidence("Z", "ZH", 0.5), ())
 
 
+def test_acoustic_entropy_onset_both_absent():
+    # an empty continuation is the onset position, worded as the surprisal's
+    trie = build_trie(make_lexicon([("bat", "B AE T", 1.0), ("pat", "P AE T", 1.0)]))
+    with pytest.raises(ImpossibleContinuationError, match=r"^neither /D/ nor /T/ starts any word$"):
+        acoustic_entropy(trie, AcousticEvidence("D", "T", 0.75), ())
+
+
 def test_surprisal_nonnegative_across_sweep(trie_b):
     for p_a in np.linspace(0.0, 1.0, 21):
         ev = AcousticEvidence("B", "P", float(p_a))
