@@ -661,35 +661,28 @@ def _removal_tests(
     dataset: RegressionDataset, models: Iterable[str], df: int | None
 ) -> Callable[[np.ndarray], dict[str, ModelComparisonResult]]:
     """_coded_removal_tests on a dataset's columns, its categorical ones
-    coded by _levels; a continuous column with a NaN or an infinity
-    raises ValueError naming it."""
+    coded by _levels, with the rows put in subject order once by a stable
+    sort of the subject codes; the returned test takes y in dataset order
+    and gathers it the same way. A continuous column with a NaN or an
+    infinity raises ValueError naming it."""
     columns = dataset.columns
+    subjects = _levels(columns["subject_id"])[1]
+    order = np.argsort(subjects, kind="stable")
     continuous = {
-        name: np.asarray(columns[name], dtype=float) for name in CONTINUOUS_PREDICTORS
+        name: np.asarray(columns[name][order], dtype=float) for name in CONTINUOUS_PREDICTORS
     }
     _require_finite(continuous)
-    categorical = {name: _levels(columns[name]) for name in ("phoneme_pair", "ambiguity")}
-    demeaning = _subject_demeaning(_levels(columns["subject_id"])[1])
-    return _coded_removal_tests(continuous, categorical, demeaning, models, df)
-
-
-def _subject_demeaning(subjects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(indicators, weights) of rows coded by subject, every code from 0 to
-    the largest one in use: indicators[i, s] is 1 when row i is subject
-    s's, and weights are the indicators over each subject's row count, so
-    z - indicators @ (weights.T @ z) is z demeaned within subject. Both
-    are Fortran-ordered: the matrix products, and so the last bits of
-    every SSE, depend on the layout."""
-    n = len(subjects)
-    indicators = np.zeros((n, len(np.bincount(subjects))), order="F")
-    indicators[np.arange(n), subjects] = 1.0
-    return indicators, indicators / indicators.sum(axis=0)
+    categorical = {
+        name: _levels(columns[name][order]) for name in ("phoneme_pair", "ambiguity")
+    }
+    test = _coded_removal_tests(continuous, categorical, np.bincount(subjects), models, df)
+    return lambda y: test(y[order])
 
 
 def _coded_removal_tests(
     continuous: Mapping[str, np.ndarray],
     categorical: Mapping[str, tuple[Sequence, np.ndarray]],
-    demeaning: tuple[np.ndarray, np.ndarray],
+    counts: np.ndarray,
     models: Iterable[str],
     df: int | None,
 ) -> Callable[[np.ndarray], dict[str, ModelComparisonResult]]:
@@ -698,15 +691,17 @@ def _coded_removal_tests(
     The design is given as columns: `continuous` maps every
     CONTINUOUS_PREDICTORS name to its column, `categorical` maps
     `phoneme_pair` and then `ambiguity` to (labels, codes) as _levels
-    gives them (labels that no code uses get no dummy), and `demeaning`
-    is the rows' _subject_demeaning, built once and shared by every
-    design on the same subjects. The full design is built once, so all
-    fits share one dummy coding, and solved within subject (Frisch &
+    gives them (labels that no code uses get no dummy), and the rows are
+    in subject order: `counts` holds each subject's row count, every one
+    at least 1, subject 0's rows first. The full design is built once, so
+    all fits share one dummy coding, and solved within subject (Frisch &
     Waugh 1933; Lovell 1963): demeaning every column within subject
     absorbs the intercept and the subject dummies exactly, so neither is
-    built. The demeaned design [nuisance block | metrics] (the nuisance
-    block: latency, trial, block, amplitude, pair and ambiguity dummies)
-    is factored once by one Householder QR (_householder). For each
+    built. A subject's mean is the sum of its segment of rows over its
+    count, so nothing rows x subjects is built either. The demeaned
+    design [nuisance block | metrics] (the nuisance block: latency,
+    trial, block, amplitude, pair and ambiguity dummies) is factored
+    once by one Householder QR (_householder). For each
     demeaned response, u = Q'y: the full fit's SSE is the sum of squares
     of u below the design's columns, and a reduced fit's SSE adds the
     residual of u's metric rows, c, on the kept columns of R's metric
@@ -724,25 +719,23 @@ def _coded_removal_tests(
     split = len(block)
     names.extend(_METRICS)
     block.extend(np.asarray(continuous[name], dtype=float) for name in _METRICS)
-    indicators, weights = demeaning
-    n, n_subjects = indicators.shape
+    n, n_subjects = int(counts.sum()), len(counts)
     p = 1 + len(names) + max(n_subjects - 1, 0)
     if n <= p:
         raise ValueError(f"need more rows than parameters: n={n}, p={p}")
+    starts = np.cumsum(counts) - counts
 
+    # z is subtracted into its repeated subject means, so demeaning adds
+    # one array of z's shape and no more
     def demean(z: np.ndarray) -> np.ndarray:
-        return z - indicators @ (weights.T @ z)
+        means = np.repeat(np.add.reduceat(z, starts, axis=-1) / counts, counts, axis=-1)
+        return np.subtract(z, means, out=means)
 
-    # the columns are stacked as rows, so every transpose is Fortran-ordered,
-    # and the design is demeaned in the place of its subject-mean product:
-    # each entry of that product is one subject mean (times 1, plus zeros),
-    # so the design equals demean(columns) bit for bit
+    # the columns are stacked as rows, so every transpose is Fortran-ordered
     stacked = np.array(block)
     columns = stacked.T
     with np.errstate(over="ignore", invalid="ignore"):
-        design = (weights.T @ columns).T @ indicators.T
-        np.subtract(stacked, design, out=design)
-    design = design.T
+        design = demean(stacked).T
     # a column constant within subject demeans to rounding residue: it is
     # in the subject dummies' span, so its own norm is taken before demeaning
     v, t, r = _householder(design, names, columns)
@@ -807,7 +800,9 @@ def model_recovery(
     independent and the whole run is reproducible. Each round is
     compare_removals on simulate_dataset with seed + i, bit for bit, but
     fitted from the draw's trace indices and integer codes, so no dataset
-    is built. simulate_dataset's argument checks, the off-grid ambiguity
+    is built. The trials are drawn in subject order, so the subjects' row
+    counts, which the parameters fix, are taken once and demean every
+    round. simulate_dataset's argument checks, the off-grid ambiguity
     included, run once, before the cell check.
     """
     if n_sims < 1:
@@ -820,7 +815,7 @@ def model_recovery(
     per_trace = _trace_columns(traces, position)
     levels = {name: _levels(per_trace[name]) for name in ("phoneme_pair", "ambiguity")}
     _check_cells(per_trace, levels, position)
-    demeaning = _subject_demeaning(subject)
+    counts = np.bincount(subject)
     records = []
     for sim in range(n_sims):
         trace_idx, covariates, response = draw(per_trace, seed + sim)
@@ -828,7 +823,7 @@ def model_recovery(
         categorical = {
             name: (labels, codes[trace_idx]) for name, (labels, codes) in levels.items()
         }
-        test = _coded_removal_tests(continuous, categorical, demeaning, MODEL_PREDICTORS, df)
+        test = _coded_removal_tests(continuous, categorical, counts, MODEL_PREDICTORS, df)
         for model, result in test(response).items():
             records.append(ComparisonRecord(
                 sim, model, result.chi2, result.df, result.p_value,

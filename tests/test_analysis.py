@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from dataclasses import asdict, is_dataclass
 
 import numpy as np
@@ -678,6 +679,24 @@ def test_model_recovery_small_run(trie_sim):
     assert all(models == {"acoustic", "switch"} for models in by_sim.values())
 
 
+def test_model_recovery_memory_does_not_grow_with_subjects_times_rows(trie_sim):
+    # Demeaning within subject takes per-subject sums over row segments;
+    # a dense rows x subjects operator would hold 64 MB per array here
+    # (4,000 rows x 2,000 subjects).
+    traces = build_trace_set(trie_sim)
+    tracemalloc.start()
+    try:
+        model_recovery(
+            traces, position=2, generator="acoustic", betas=(1.0, 1.0), noise_sd=0.5,
+            n_subjects=2000, subject_sd=1.0, trials_per_subject=2, n_sims=1,
+            alpha=0.05, seed=1,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
 def test_permutation_calibration_fraction_near_alpha(trie_sim):
     traces = build_trace_set(trie_sim)
     data = simulate_dataset(
@@ -900,7 +919,9 @@ def test_householder_factors_reproduce_numpy_qr_when_a_tau_is_zero(shape):
 def small_datasets(draw):
     """Random datasets of 2-5 subjects with unequal row counts and 1-3
     phoneme pairs, with one of two kinds of damage or none: a duplicated
-    surprisal column, or a covariate constant within each subject."""
+    surprisal column, or a covariate constant within each subject.
+    Sometimes the subjects are ids among s1-s12 in an order their string
+    sort need not keep, and their rows are interleaved."""
     rows = draw(st.lists(st.integers(8, 30), min_size=2, max_size=5, unique=True))
     pairs = draw(st.integers(1, 3))
     damage = draw(st.sampled_from([None, None, "duplicate", "within-subject"]))
@@ -910,6 +931,11 @@ def small_datasets(draw):
         columns["switch_surprisal"] = columns["acoustic_surprisal"]
     elif damage == "within-subject":
         columns["onset_amplitude"] = np.repeat(rng.normal(size=len(rows)), rows)
+    if draw(st.booleans()):
+        ids = draw(st.permutations(range(1, 13)))[: len(rows)]
+        columns["subject_id"] = np.repeat([f"s{k}" for k in ids], rows)
+        shuffle = rng.permutation(sum(rows))
+        columns = {name: np.asarray(column)[shuffle] for name, column in columns.items()}
     return RegressionDataset(columns), damage
 
 
