@@ -616,6 +616,10 @@ def _trials(
     noise_sd, subject_sd = abs(noise_sd), abs(subject_sd)
     beta_surprisal, beta_entropy = betas
     predictors = MODEL_PREDICTORS[generator]
+    if n_subjects * trials_per_subject > np.iinfo(np.intp).max:
+        raise ValueError(
+            f"too many rows to draw: {n_subjects} subjects x {trials_per_subject} trials"
+        )
     subject = np.repeat(np.arange(n_subjects), trials_per_subject)
 
     def draw(per_trace: Mapping[str, np.ndarray], seed: int) -> tuple:

@@ -84,21 +84,14 @@ def _set_entropy(node: _Node, frequencies: list[float]) -> None:
     Grouping rule (Shannon 1948; Cover & Thomas, Elements of Information
     Theory, ch. 2): with groups c = the child subtrees and the node's own
     terminal entries, w_c = F_c / F_node and a terminal's H_c = 0,
-    H(node) = sum_c w_c * (H_c - log2 w_c). It uses ratios only, so
-    frequencies near the float maximum cannot overflow it. Every child's
-    entropy must already be set.
+    H(node) = sum_c w_c * (H_c - log2 w_c), its terms summed correctly
+    rounded. It uses ratios only, so frequencies near the float maximum
+    cannot overflow it. Every child's entropy must already be set.
     """
     total = node.cum_freq
-    h = 0.0
-    for child in node.children.values():
-        w = child.cum_freq / total
-        if w > 0:
-            h += w * (child.entropy - math.log2(w))
-    for index in node.terminals:
-        w = frequencies[index] / total
-        if w > 0:
-            h -= w * math.log2(w)
-    node.entropy = max(0.0, h)
+    groups = [(child.cum_freq / total, child.entropy) for child in node.children.values()]
+    groups += [(frequencies[index] / total, 0.0) for index in node.terminals]
+    node.entropy = max(0.0, math.fsum(w * (h - math.log2(w)) for w, h in groups if w > 0))
 
 
 def _grown(columns: _Columns, indices: list[int]) -> _Node:
@@ -107,9 +100,9 @@ def _grown(columns: _Columns, indices: list[int]) -> _Node:
     Nodes are grouped top down with an explicit stack (no recursion limit
     on pronunciation length): a node's entries that end there are its
     terminals, and the rest are grouped by their next phoneme into
-    children, in order of first appearance. Each total is added left to
-    right over its entries in lexicon order. Entropies are then set
-    bottom up, each node's after its children's.
+    children, in order of first appearance. Each total is its entries'
+    frequencies summed correctly rounded. Entropies are then set bottom
+    up, each node's after its children's.
     """
     phonemes, offsets, frequencies = columns
     onset = _Node()
@@ -118,16 +111,15 @@ def _grown(columns: _Columns, indices: list[int]) -> _Node:
     while stack:
         node, entries, depth = stack.pop()
         built.append(node)
-        total = 0.0
+        node.cum_freq = math.fsum(map(frequencies.__getitem__, entries))
+        node.n_entries = len(entries)
         groups: defaultdict[str, list[int]] = defaultdict(list)
         for index in entries:
-            total += frequencies[index]
             at = offsets[index] + depth
             if at == offsets[index + 1]:
                 node.terminals.append(index)
             else:
                 groups[phonemes[at]].append(index)
-        node.cum_freq, node.n_entries = total, len(entries)
         for phoneme, group in groups.items():
             child = node.children[phoneme] = _Node()
             stack.append((child, group, depth + 1))

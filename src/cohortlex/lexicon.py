@@ -209,13 +209,10 @@ class Lexicon:
                 f"{sorted(missing)}",
                 offender,
             )
-        # A cumulative sum adds left to right, as a loop over the entries
-        # would; `np.sum` adds pairwise and could differ in the last bits.
-        with np.errstate(over="ignore"):
-            total = float(np.cumsum(self.frequencies)[-1])
-        if not math.isfinite(total):
-            raise LexiconValidationError("summed frequency overflows a float")
-        self.__dict__["_total_frequency"] = total
+        try:
+            self.__dict__["_total_frequency"] = math.fsum(self.frequencies.tolist())
+        except OverflowError:
+            raise LexiconValidationError("summed frequency overflows a float") from None
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}: Lexicon is immutable")
@@ -276,7 +273,7 @@ class Lexicon:
 
     @property
     def total_frequency(self) -> float:
-        """Summed frequency, added up in entry order."""
+        """Summed frequency, correctly rounded, so the same whatever the row order."""
         return self._total_frequency
 
     def entry(self, index: int) -> LexiconEntry:

@@ -44,7 +44,6 @@ class ReferenceLexicon:
             chain.from_iterable(e.pron for e in self.entries)
         )
         by_orth: dict[str, list[LexiconEntry]] = {}
-        total = 0.0
         for index, entry in enumerate(self.entries):
             spelled = by_orth.setdefault(entry.orthography, [])
             if any(other.pron == entry.pron for other in spelled):
@@ -61,9 +60,10 @@ class ReferenceLexicon:
                         index,
                     )
             spelled.append(entry)
-            total += entry.frequency
-        if not math.isfinite(total):
-            raise LexiconValidationError("summed frequency overflows a float")
+        try:
+            total = math.fsum(e.frequency for e in self.entries)
+        except OverflowError:
+            raise LexiconValidationError("summed frequency overflows a float") from None
         object.__setattr__(self, "_by_orthography", by_orth)
         object.__setattr__(self, "_total_frequency", total)
 

@@ -12,10 +12,13 @@ from cohortlex import (
     AMBIGUITY_LEVELS,
     FULL_PREDICTORS,
     MODEL_PREDICTORS,
+    PLOSIVE_VOICING_PAIRS,
     REGRESSION_FIELDS,
+    AcousticEvidence,
     CalibrationResult,
     ComparisonRecord,
     FitResult,
+    ImpossibleContinuationError,
     NestingError,
     RegressionDataset,
     SingularDesignError,
@@ -26,6 +29,7 @@ from cohortlex import (
     compare_removals,
     likelihood_ratio_test,
     make_lexicon,
+    metric_trace,
     model_recovery,
     ols_fit,
     permutation_calibration,
@@ -445,6 +449,78 @@ def test_build_trace_set_traces_one_phoneme_words():
     traces = [t for t in build_trace_set(trie) if t.word.orthography == "b"]
     assert [t.evidence.p_a for t in traces] == list(AMBIGUITY_LEVELS)
     assert all(len(t.points) == 1 for t in traces)
+
+
+@st.composite
+def lognormal_lexicon_rows(draw):
+    """Rows of a random lexicon with lognormal frequencies, so no float sum
+    of them is exact. Few phonemes make shared prefixes and partner paths
+    that die part way; no word starts with K, so the partner path of the
+    G word in every lexicon dies at its onset."""
+    words = draw(st.lists(
+        st.tuples(
+            st.sampled_from(("B", "P", "D", "T", "G", "S")),
+            st.lists(st.sampled_from(("AE", "IH", "T", "N")), max_size=3),
+        ),
+        min_size=1,
+        max_size=24,
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frequencies = rng.lognormal(0.0, 3.0, len(words) + 1).tolist()
+    prons = [("G", "AE")] + [(onset, *rest) for onset, rest in words]
+    return [(f"w{i}", " ".join(pron), f) for i, (pron, f) in enumerate(zip(prons, frequencies))]
+
+
+TRACED_LEVELS = (0.25, 0.5, 0.75)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rows=lognormal_lexicon_rows())
+def test_build_trace_set_is_metric_trace_word_by_word(rows):
+    # The builder's contract: one metric_trace per voicing-onset word and
+    # level, in lexicon order and then level order, and each impossible
+    # continuation reported to on_skip at the same place in that order.
+    trie = build_trie(make_lexicon(rows))
+    skipped = []
+    traces = build_trace_set(
+        trie, TRACED_LEVELS, on_skip=lambda entry, p_a: skipped.append((entry, p_a))
+    )
+    partner = dict(PLOSIVE_VOICING_PAIRS + tuple((b, a) for a, b in PLOSIVE_VOICING_PAIRS))
+    want, want_skipped = [], []
+    for entry in trie.lexicon.entries:
+        if entry.onset not in partner:
+            continue
+        for p_a in TRACED_LEVELS:
+            evidence = AcousticEvidence(entry.onset, partner[entry.onset], p_a)
+            try:
+                want.append(metric_trace(trie, entry, evidence))
+            except ImpossibleContinuationError:
+                want_skipped.append((entry, p_a))
+    assert traces == want
+    assert skipped == want_skipped
+    assert (trie.lexicon.entry(0), 0.25) in skipped
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rows=lognormal_lexicon_rows(), data=st.data())
+def test_row_order_does_not_reach_totals_or_trace_bits(rows, data):
+    # Every sum over the lexicon's words is correctly rounded, so a
+    # reordering of the rows changes no bit of the total or of any point.
+    order = data.draw(st.permutations(range(len(rows))))
+    for smoothing in (0.0, 0.1):
+        # parse_lexicon's smoothing adds the constant to each frequency
+        smoothed = [(o, p, f + smoothing) for o, p, f in rows]
+        results = []
+        for lexicon_rows in (smoothed, [smoothed[i] for i in order]):
+            trie = build_trie(make_lexicon(lexicon_rows))
+            results.append((
+                trie.lexicon.total_frequency,
+                {
+                    (t.word.orthography, t.word.pron, t.evidence.p_a): repr(t.points)
+                    for t in build_trace_set(trie, TRACED_LEVELS)
+                },
+            ))
+        assert results[0] == results[1]
 
 
 def test_simulate_dataset_is_deterministic(trie_b):

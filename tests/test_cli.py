@@ -2264,15 +2264,27 @@ def test_simfit_overflow_exits_1_with_one_error_line(capsys, sim_path, flags, me
 
 
 # Petabyte draws: numpy refuses the allocation at once, whatever the
-# machine's memory.
-@pytest.mark.parametrize("flag", ["--trials", "--subjects"])
-def test_simfit_too_large_to_allocate_exits_1_with_one_error_line(capsys, sim_path, flag):
+# machine's memory. Row counts past the platform's index range are
+# refused before numpy sees them.
+@pytest.mark.parametrize(
+    "flag, value, error",
+    [
+        ("--trials", "1000000000000000", "error: Unable to allocate "),
+        ("--subjects", "1000000000000000", "error: Unable to allocate "),
+        ("--trials", "9223372036854775807", "error: too many rows to draw: 10 subjects x "),
+        ("--trials", "9223372036854775808", "error: too many rows to draw: 10 subjects x "),
+    ],
+    ids=["--trials", "--subjects", "--trials-intp-max", "--trials-past-intp-max"],
+)
+def test_simfit_too_large_to_allocate_exits_1_with_one_error_line(
+    capsys, sim_path, flag, value, error
+):
     code, out, err = run_cli(
-        capsys, ["simfit", "--lexicon", sim_path, "--sims", "1", flag, "1000000000000000"]
+        capsys, ["simfit", "--lexicon", sim_path, "--sims", "1", flag, value]
     )
     assert code == 1
     assert out == ""
-    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+    assert err.startswith(error) and err.count("\n") == 1
     assert "Traceback" not in err
 
 

@@ -379,9 +379,9 @@ def _eager_listing(entries, depth):
 
 
 def test_lazy_trie_matches_an_eager_build_bit_for_bit():
-    # Non-integer frequencies, so a different summation order would show
-    # in the last bits; prefixes are queried in random order, so onsets are
-    # first grown in an arbitrary order.
+    # Non-integer frequencies, so a total that is not correctly rounded
+    # would show in the last bits; prefixes are queried in random order, so
+    # onsets are first grown in an arbitrary order.
     rng = np.random.default_rng(17)
     rows = [
         (o, p, float(rng.lognormal(0.0, 3.0)))
@@ -395,9 +395,7 @@ def test_lazy_trie_matches_an_eager_build_bit_for_bit():
     for i in rng.permutation(len(prefixes)):
         prefix = prefixes[i]
         matching = [e for e in lex.entries if e.pron[: len(prefix)] == prefix]
-        total = 0.0
-        for entry in matching:
-            total += entry.frequency
+        total = math.fsum(e.frequency for e in matching)
         assert trie.prefix_frequency(prefix) == total
         assert trie.cohort_size(prefix) == len(matching)
         members = trie.cohort_at(prefix).members
