@@ -598,7 +598,11 @@ def _trials(
     (0..n_subjects-1, subject by subject), which the parameters fix. Per
     trial, draw(per_trace, seed) on _trace_columns' columns gives its trace
     index, four covariates and response; it raises ValueError when a
-    response is not finite."""
+    response is not finite.
+
+    The draw owns its columns: they are allocated here, once, and every
+    draw writes over them, so a draw's arrays are valid until the next
+    draw. Trace indices and trial and block numbers are int64."""
     if generator not in MODEL_PREDICTORS:
         raise ValueError(f"generator must be 'acoustic' or 'switch', got {generator!r}")
     if n_subjects < 2:
@@ -621,30 +625,34 @@ def _trials(
             f"too many rows to draw: {n_subjects} subjects x {trials_per_subject} trials"
         )
     subject = np.repeat(np.arange(n_subjects), trials_per_subject)
+    n = len(subject)
+    trace_idx, trial_numbers, blocks = np.empty((3, n), dtype=np.int64)
+    latency, amplitude, noise, response, scratch = np.empty((5, n))
 
     def draw(per_trace: Mapping[str, np.ndarray], seed: int) -> tuple:
         rng = np.random.default_rng(seed)
         intercepts = rng.normal(0.0, subject_sd, n_subjects)
-        draws = [
-            (
-                rng.integers(0, len(per_trace["ambiguity"]), trials_per_subject),
-                rng.normal(87.0, 25.0, trials_per_subject),
-                rng.normal(0.0, 1.0, trials_per_subject),
-                rng.integers(1, trials_per_subject + 1, trials_per_subject),
-                rng.integers(1, N_BLOCKS + 1, trials_per_subject),
-                rng.normal(0.0, noise_sd, trials_per_subject),
-            )
-            for _ in range(n_subjects)
-        ]
-        trace_idx, latency, amplitude, trial_numbers, blocks, noise = (
-            np.concatenate(column) for column in zip(*draws)
-        )
-        surprisal, entropy = (per_trace[name][trace_idx] for name in predictors)
+        n_traces = len(per_trace["ambiguity"])
+        for start in range(0, n, trials_per_subject):
+            rows = slice(start, start + trials_per_subject)
+            trace_idx[rows] = rng.integers(0, n_traces, trials_per_subject)
+            latency[rows] = rng.normal(87.0, 25.0, trials_per_subject)
+            amplitude[rows] = rng.normal(0.0, 1.0, trials_per_subject)
+            trial_numbers[rows] = rng.integers(1, trials_per_subject + 1, trials_per_subject)
+            blocks[rows] = rng.integers(1, N_BLOCKS + 1, trials_per_subject)
+            noise[rows] = rng.normal(0.0, noise_sd, trials_per_subject)
+        surprisal, entropy = predictors
+        # beta_surprisal * surprisal + beta_entropy * entropy + intercept +
+        # noise, added in that order; mode="clip" lets take write straight
+        # into `out` ("raise" fills a copy first), and every index is in range
         with np.errstate(over="ignore", invalid="ignore"):
-            response = (
-                beta_surprisal * surprisal + beta_entropy * entropy
-                + intercepts[subject] + noise
-            )
+            np.take(per_trace[surprisal], trace_idx, out=response, mode="clip")
+            np.multiply(response, beta_surprisal, out=response)
+            np.take(per_trace[entropy], trace_idx, out=scratch, mode="clip")
+            np.multiply(scratch, beta_entropy, out=scratch)
+            np.add(response, scratch, out=response)
+            np.add(response, np.take(intercepts, subject, out=scratch, mode="clip"), out=response)
+            np.add(response, noise, out=response)
         if not np.isfinite(response).all():
             raise ValueError(
                 "simulated responses are not finite: betas, noise_sd or subject_sd "
@@ -664,11 +672,12 @@ def _trials(
 def _removal_tests(
     dataset: RegressionDataset, models: Iterable[str], df: int | None
 ) -> Callable[[np.ndarray], dict[str, ModelComparisonResult]]:
-    """_coded_removal_tests on a dataset's columns, its categorical ones
-    coded by _levels, with the rows put in subject order once by a stable
-    sort of the subject codes; the returned test takes y in dataset order
-    and gathers it the same way. A continuous column with a NaN or an
-    infinity raises ValueError naming it."""
+    """_coded_removal_tests on a dataset's columns, with a workspace of its
+    own: the categorical columns are coded by _levels, and the rows put in
+    subject order once by a stable sort of the subject codes; the returned
+    test takes y in dataset order and gathers it the same way. A
+    continuous column with a NaN or an infinity raises ValueError naming
+    it."""
     columns = dataset.columns
     subjects = _levels(columns["subject_id"])[1]
     order = np.argsort(subjects, kind="stable")
@@ -679,33 +688,31 @@ def _removal_tests(
     categorical = {
         name: _levels(columns[name][order]) for name in ("phoneme_pair", "ambiguity")
     }
-    test = _coded_removal_tests(continuous, categorical, np.bincount(subjects), models, df)
+    test = _coded_removal_tests(subjects[order], models, df)(continuous, categorical)
     return lambda y: test(y[order])
 
 
 def _coded_removal_tests(
-    continuous: Mapping[str, np.ndarray],
-    categorical: Mapping[str, tuple[Sequence, np.ndarray]],
-    counts: np.ndarray,
-    models: Iterable[str],
-    df: int | None,
-) -> Callable[[np.ndarray], dict[str, ModelComparisonResult]]:
-    """y -> {model: test of removing that model}, for each of `models`.
+    subject: np.ndarray, models: Iterable[str], df: int | None
+) -> Callable[..., Callable[[np.ndarray], dict[str, ModelComparisonResult]]]:
+    """fit(continuous, categorical) -> test, and test(y) -> {model: test
+    of removing that model}, for each of `models`.
 
-    The design is given as columns: `continuous` maps every
+    `subject` holds each row's subject code: the rows are in subject
+    order, every subject 0..S-1 has at least one, subject 0's first. Each
+    design is given as columns: `continuous` maps every
     CONTINUOUS_PREDICTORS name to its column, `categorical` maps
     `phoneme_pair` and then `ambiguity` to (labels, codes) as _levels
-    gives them (labels that no code uses get no dummy), and the rows are
-    in subject order: `counts` holds each subject's row count, every one
-    at least 1, subject 0's rows first. The full design is built once, so
-    all fits share one dummy coding, and solved within subject (Frisch &
-    Waugh 1933; Lovell 1963): demeaning every column within subject
-    absorbs the intercept and the subject dummies exactly, so neither is
-    built. A subject's mean is the sum of its segment of rows over its
-    count, so nothing rows x subjects is built either. The demeaned
-    design [nuisance block | metrics] (the nuisance block: latency,
-    trial, block, amplitude, pair and ambiguity dummies) is factored
-    once by one Householder QR (_householder). For each
+    gives them (labels that no code uses get no dummy). The full design
+    is built once per fit, so all of its tests share one dummy coding,
+    and solved within subject (Frisch & Waugh 1933; Lovell 1963):
+    demeaning every column within subject absorbs the intercept and the
+    subject dummies exactly, so neither is built. A subject's mean is the
+    sum of its segment of rows over its count, gathered back to its rows
+    by subject code, so nothing rows x subjects is built either. The
+    demeaned design [nuisance block | metrics] (the nuisance block:
+    latency, trial, block, amplitude, pair and ambiguity dummies) is
+    factored once by one Householder QR (_householder). For each
     demeaned response, u = Q'y: the full fit's SSE is the sum of squares
     of u below the design's columns, and a reduced fit's SSE adds the
     residual of u's metric rows, c, on the kept columns of R's metric
@@ -713,66 +720,90 @@ def _coded_removal_tests(
     number of subjects plus the demeaned design's, checked by ols_fit's
     tolerance rule, so a rank-deficient design names its columns in the
     order [nuisance block | metrics].
+
+    One run owns the workspace this returns with fit: the subject layout
+    and each model's kept columns are fixed here, and every fit stacks
+    and demeans its design into the same two k x n buffers, reallocated
+    only when a fit's column count k differs from the last one's. A test
+    stays valid after the next fit, since it holds its own factor.
     """
-    names = [name for name in CONTINUOUS_PREDICTORS if name not in _METRICS]
-    block = [np.asarray(continuous[name], dtype=float) for name in names]
-    for name, (labels, codes) in categorical.items():
-        for label, dummy in _dummies(name, labels, codes):
-            names.append(label)
-            block.append(dummy)
-    split = len(block)
-    names.extend(_METRICS)
-    block.extend(np.asarray(continuous[name], dtype=float) for name in _METRICS)
-    n, n_subjects = int(counts.sum()), len(counts)
-    p = 1 + len(names) + max(n_subjects - 1, 0)
-    if n <= p:
-        raise ValueError(f"need more rows than parameters: n={n}, p={p}")
+    n = len(subject)
+    counts = np.bincount(subject)
     starts = np.cumsum(counts) - counts
-
-    # z is subtracted into its repeated subject means, so demeaning adds
-    # one array of z's shape and no more
-    def demean(z: np.ndarray) -> np.ndarray:
-        means = np.repeat(np.add.reduceat(z, starts, axis=-1) / counts, counts, axis=-1)
-        return np.subtract(z, means, out=means)
-
-    # the columns are stacked as rows, so every transpose is Fortran-ordered
-    stacked = np.array(block)
-    columns = stacked.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        design = demean(stacked).T
-    # a column constant within subject demeans to rounding residue: it is
-    # in the subject dummies' span, so its own norm is taken before demeaning
-    v, t, r = _householder(design, names, columns)
-    k = len(names)
-    r_m = r[split:, split:]
-    reduced = {}
+    kept = {}
     for model in models:
         keep = [j for j, name in enumerate(_METRICS) if name not in MODEL_PREDICTORS[model]]
-        # an orthonormal basis of the complement of the kept columns' span
-        complement = np.linalg.qr(r_m[:, keep], mode="complete")[0][:, len(keep):]
-        reduced[model] = complement, (len(_METRICS) - len(keep) if df is None else df)
+        kept[model] = keep, (len(_METRICS) - len(keep) if df is None else df)
+    held = np.empty((2, 0, n))
+    y_demeaned = np.empty(n)
 
-    def test(y: np.ndarray) -> dict[str, ModelComparisonResult]:
+    # z's subject means are gathered into `out` and z subtracted from them
+    # there; mode="clip" lets take write straight into `out` ("raise" fills
+    # a copy first), and every subject code is in range
+    def demean(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        means = np.add.reduceat(z, starts, axis=-1) / counts
+        np.take(means, subject, axis=-1, out=out, mode="clip")
+        return np.subtract(z, out, out=out)
+
+    def fit(
+        continuous: Mapping[str, np.ndarray],
+        categorical: Mapping[str, tuple[Sequence, np.ndarray]],
+    ) -> Callable[[np.ndarray], dict[str, ModelComparisonResult]]:
+        nonlocal held
+        names = [name for name in CONTINUOUS_PREDICTORS if name not in _METRICS]
+        block = [continuous[name] for name in names]
+        for name, (labels, codes) in categorical.items():
+            for label, dummy in _dummies(name, labels, codes):
+                names.append(label)
+                block.append(dummy)
+        split = len(block)
+        names.extend(_METRICS)
+        block.extend(continuous[name] for name in _METRICS)
+        k = len(names)
+        p = 1 + k + max(len(counts) - 1, 0)
+        if n <= p:
+            raise ValueError(f"need more rows than parameters: n={n}, p={p}")
+        if held.shape[1] != k:
+            held = np.empty((2, k, n))
+        # the columns are stacked as rows, so every transpose is Fortran-ordered
+        stacked, demeaned = held
+        for row, column in zip(stacked, block):
+            row[...] = column
         with np.errstate(over="ignore", invalid="ignore"):
-            u = demean(y)
-            u = u - v @ (t.T @ (v.T @ u))
-            sse = float(u[k:] @ u[k:])
-            c = u[split:k]
-            sse_reduced = {
-                model: sse + float(np.sum((complement.T @ c) ** 2))
-                for model, (complement, _) in reduced.items()
-            }
-        if not all(map(math.isfinite, (sse, *sse_reduced.values()))):
-            raise ValueError(_SSE_NOT_FINITE)
-        loglik_full = _loglik_from_sse(n, sse)
-        return {
-            model: _chi_square_test(
-                loglik_full - _loglik_from_sse(n, sse_reduced[model]), df_used
-            )
-            for model, (_, df_used) in reduced.items()
-        }
+            design = demean(stacked, demeaned).T
+        # a column constant within subject demeans to rounding residue: it is
+        # in the subject dummies' span, so its own norm is taken before demeaning
+        v, t, r = _householder(design, names, stacked.T)
+        r_m = r[split:, split:]
+        reduced = {}
+        for model, (keep, df_used) in kept.items():
+            # an orthonormal basis of the complement of the kept columns' span
+            complement = np.linalg.qr(r_m[:, keep], mode="complete")[0][:, len(keep):]
+            reduced[model] = complement, df_used
 
-    return test
+        def test(y: np.ndarray) -> dict[str, ModelComparisonResult]:
+            with np.errstate(over="ignore", invalid="ignore"):
+                u = demean(y, y_demeaned)
+                u = u - v @ (t.T @ (v.T @ u))
+                sse = float(u[k:] @ u[k:])
+                c = u[split:k]
+                sse_reduced = {
+                    model: sse + float(np.sum((complement.T @ c) ** 2))
+                    for model, (complement, _) in reduced.items()
+                }
+            if not all(map(math.isfinite, (sse, *sse_reduced.values()))):
+                raise ValueError(_SSE_NOT_FINITE)
+            loglik_full = _loglik_from_sse(n, sse)
+            return {
+                model: _chi_square_test(
+                    loglik_full - _loglik_from_sse(n, sse_reduced[model]), df_used
+                )
+                for model, (_, df_used) in reduced.items()
+            }
+
+        return test
+
+    return fit
 
 
 def compare_removals(
@@ -805,9 +836,14 @@ def model_recovery(
     compare_removals on simulate_dataset with seed + i, bit for bit, but
     fitted from the draw's trace indices and integer codes, so no dataset
     is built. The trials are drawn in subject order, so the subjects' row
-    counts, which the parameters fix, are taken once and demean every
+    layout, which the parameters fix, is taken once and demeans every
     round. simulate_dataset's argument checks, the off-grid ambiguity
     included, run once, before the cell check.
+
+    The run owns one workspace, allocated before its first round and
+    reused by every round: the draw's columns (see _trials), the gathered
+    metric and code columns, and the design buffers of its removal tests
+    (see _coded_removal_tests). Nothing of it outlives the run.
     """
     if n_sims < 1:
         raise ValueError(f"need at least one simulation, got {n_sims}")
@@ -819,15 +855,23 @@ def model_recovery(
     per_trace = _trace_columns(traces, position)
     levels = {name: _levels(per_trace[name]) for name in ("phoneme_pair", "ambiguity")}
     _check_cells(per_trace, levels, position)
-    counts = np.bincount(subject)
+    fit = _coded_removal_tests(subject, MODEL_PREDICTORS, df)
+    metrics = {name: np.empty(len(subject)) for name in _METRICS}
+    codes = {
+        name: np.empty(len(subject), dtype=level_codes.dtype)
+        for name, (_, level_codes) in levels.items()
+    }
     records = []
     for sim in range(n_sims):
         trace_idx, covariates, response = draw(per_trace, seed + sim)
-        continuous = {**covariates, **{name: per_trace[name][trace_idx] for name in _METRICS}}
+        # mode="clip" writes straight into `out`; every trace index is in range
+        for name, column in metrics.items():
+            np.take(per_trace[name], trace_idx, out=column, mode="clip")
         categorical = {
-            name: (labels, codes[trace_idx]) for name, (labels, codes) in levels.items()
+            name: (labels, np.take(level_codes, trace_idx, out=codes[name], mode="clip"))
+            for name, (labels, level_codes) in levels.items()
         }
-        test = _coded_removal_tests(continuous, categorical, counts, MODEL_PREDICTORS, df)
+        test = fit({**covariates, **metrics}, categorical)
         for model, result in test(response).items():
             records.append(ComparisonRecord(
                 sim, model, result.chi2, result.df, result.p_value,

@@ -1515,6 +1515,31 @@ def test_model_recovery_fits_draws_with_an_undrawn_pair():
     ]
 
 
+def test_model_recovery_runs_leak_no_state_through_their_workspace(trie_sim):
+    # Each run owns its draw columns and design buffers. Runs of another
+    # shape in between, one whose pair-dummy count changes between rounds
+    # and one that fails, must not change a repeated run's records.
+    params = dict(
+        position=2, generator="acoustic", betas=(1.0, 1.0), noise_sd=0.5,
+        subject_sd=1.0, alpha=0.05,
+    )
+    traces = build_trace_set(trie_sim)
+
+    def run_a():
+        return repr(model_recovery(
+            traces, n_subjects=4, trials_per_subject=60, n_sims=3, seed=21, **params
+        ).records)
+
+    first = run_a()
+    # seed 2 draws a D-T trial and seed 3 none, so the second round has one
+    # pair dummy fewer
+    pairs = pair_traces([8, 1])
+    model_recovery(pairs, n_subjects=2, trials_per_subject=8, n_sims=2, seed=2, **params)
+    with pytest.raises(ValueError, match=r"^need more rows than parameters: n=10, p=11$"):
+        model_recovery(pairs, n_subjects=2, trials_per_subject=5, n_sims=1, seed=3, **params)
+    assert run_a() == first
+
+
 def recovery_error(run):
     with pytest.raises((ValueError, SingularDesignError)) as excinfo:
         run()
